@@ -30,6 +30,7 @@
 #include "cc/policies.hpp"
 #include "cc/trace.hpp"
 #include "engine/session.hpp"
+#include "engine/topology.hpp"
 #include "fec/codec_registry.hpp"
 #include "proto/server.hpp"
 
@@ -91,8 +92,9 @@ ScenarioRun run_scenario(const fec::ErasureCode& code,
       // Heterogeneous private tails on top of the shared queue.
       const double base_loss = 0.01 * rng.uniform();
       session.subscribe(id, src,
-                        std::make_unique<engine::BottleneckLink>(
-                            queue, 0xb077ULL + 131 * rx, base_loss));
+                        std::make_unique<engine::PathLink>(
+                            std::vector{queue}, 0xb077ULL + 131 * rx,
+                            base_loss));
     }
   }
 
@@ -127,7 +129,7 @@ int main() {
   proto::ProtocolConfig cfg;
   cfg.layers = 4;
   const auto server = std::make_shared<proto::FountainServer>(
-      cfg, *code, 0x5eed);
+      cfg, code->encoded_count(), 0x5eed, code->codec_id());
 
   std::vector<Group> groups = {
       {"narrow", 8, 1, 1.30, 0, 0},

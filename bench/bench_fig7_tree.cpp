@@ -159,8 +159,8 @@ int main() {
 
   proto::ProtocolConfig cfg;
   cfg.layers = 4;
-  const auto server =
-      std::make_shared<proto::FountainServer>(cfg, *code, 0x5eed);
+  const auto server = std::make_shared<proto::FountainServer>(
+      cfg, code->encoded_count(), 0x5eed, code->codec_id());
 
   const double r1 = server->subscribed_rate(1);
   const double r2 = server->subscribed_rate(2);

@@ -7,7 +7,7 @@
 //
 //   $ ./dispersity_routing [paths]
 //
-// An engine scenario: path p is a StridedCarouselSource (every p-th packet
+// An engine scenario: path p is a strided StreamSource (every p-th packet
 // of the dealt permutation) whose period models pacing and whose start tick
 // models propagation latency; the destination is one receiver subscribed to
 // all paths, draining them through per-path lossy links into a payload
@@ -117,8 +117,8 @@ int main(int argc, char** argv) {
 
   for (unsigned p = 0; p < path_count; ++p) {
     const engine::SourceId src = session.add_source(
-        std::make_shared<engine::StridedCarouselSource>(
-            order, code.codec_id(), p, path_count),
+        std::make_shared<engine::StreamSource>(order, code.codec_id(), 1, p,
+                                               path_count),
         /*start=*/ticks(paths[p].send_interval_ms + paths[p].latency_ms),
         /*period=*/ticks(paths[p].send_interval_ms));
     session.subscribe(dest, src,

@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "fec/codec_registry.hpp"
 #include "proto/session.hpp"
@@ -36,7 +37,8 @@ int main(int argc, char** argv) {
 
   // The paper's prototype encoding: ~2 MB -> 8264 packets of 500 bytes.
   // Described purely by registry parameters — exactly what a server would
-  // advertise on its control channel (run_session instantiates the code).
+  // advertise on its control channel; main instantiates the code from them
+  // through the built-in CodecRegistry.
   fec::CodecParams params;
   params.k = 4132;
   params.symbol_size = 500;
@@ -51,10 +53,12 @@ int main(int argc, char** argv) {
   // group's fair share lands between levels 1 and 2.
   const std::size_t shared_count = receivers / 2;
   const double level1_rate = 2.0 * (2.0 * k) / 8.0;  // n * level_rate(1) / B
-  std::vector<proto::BottleneckSpec> bottlenecks;
-  bottlenecks.push_back(proto::BottleneckSpec{
+  const double capacity =
       1.3 * static_cast<double>(shared_count == 0 ? 1 : shared_count) *
-      level1_rate});
+      level1_rate;
+  proto::TopologySpec network;
+  network.topology = engine::Topology::bottleneck_tree(
+      1, 1, std::vector<double>{capacity});
 
   std::vector<proto::SimClientConfig> clients;
   util::Rng rng(11);
@@ -67,7 +71,7 @@ int main(int argc, char** argv) {
     if (i < shared_count) {
       // Loss-driven receiver on the shared queue, light private tail loss.
       c.loss_driven = true;
-      c.bottleneck = 0;
+      c.leaf = 1;  // the one leaf behind the shared queue
       c.base_loss = 0.01 * rng.uniform();
     } else {
       // Burst-probe receiver on its private channel, drifting capacity.
@@ -81,12 +85,12 @@ int main(int argc, char** argv) {
   std::printf("layered digital fountain: %zu receivers (%zu loss-driven on a "
               "shared %.0f pkt/round bottleneck, %zu burst-probe), 4 layers, "
               "k = %zu packets of 500 B (n = %zu)\n\n",
-              receivers, shared_count, bottlenecks[0].capacity,
+              receivers, shared_count, capacity,
               receivers - shared_count, k, 2 * k);
   const auto code = fec::CodecRegistry::builtin().create(
       fec::CodecId::kTornado, params);
-  const auto result = proto::run_session(*code, cfg, clients, bottlenecks, 3,
-                                         max_rounds, threads);
+  const auto result = proto::run_session(*code, cfg, clients, 3, max_rounds,
+                                         threads, network);
 
   std::printf("%-4s %-11s %6s %9s %7s %6s %8s %8s %8s %10s\n", "rx", "policy",
               "join", "loss(%)", "moves", "level", "eta_d", "eta_c", "eta",

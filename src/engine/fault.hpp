@@ -53,7 +53,7 @@ struct FaultProfile {
 /// stream advances exactly as it would undecorated); packets the inner link
 /// delivers then suffer at most one fault drawn from the decorator's own
 /// generator, seeded at construction. Rate declarations and shared-state
-/// identity pass through, so a FaultLink can wrap a BottleneckLink without
+/// identities pass through, so a FaultLink can wrap a PathLink without
 /// changing cohort-confinement rules.
 class FaultLink final : public LinkModel {
  public:
@@ -82,7 +82,6 @@ class FaultLink final : public LinkModel {
   void set_subscriber_rate(double packets_per_tick) override {
     inner_->set_subscriber_rate(packets_per_tick);
   }
-  const void* shared_state() const override { return inner_->shared_state(); }
   void append_shared_states(std::vector<const void*>& out) const override {
     inner_->append_shared_states(out);
   }

@@ -53,22 +53,4 @@ void SharedBottleneck::set_rate(std::uint32_t slot, double packets_per_tick) {
   if (offered_ > peak_offered_) peak_offered_ = offered_;
 }
 
-BottleneckLink::BottleneckLink(std::shared_ptr<SharedBottleneck> bottleneck,
-                               std::uint64_t seed, double base_loss)
-    : bottleneck_(std::move(bottleneck)), base_loss_(base_loss), rng_(seed) {
-  if (!bottleneck_) {
-    throw std::invalid_argument("BottleneckLink: null bottleneck");
-  }
-  if (base_loss < 0.0 || base_loss > 1.0) {
-    throw std::invalid_argument("BottleneckLink: base_loss outside [0, 1]");
-  }
-  slot_ = bottleneck_->attach();
-}
-
-Verdict BottleneckLink::transfer(Time /*now*/) {
-  const double queue = bottleneck_->loss_probability();
-  const double p = queue + base_loss_ - queue * base_loss_;
-  return rng_.chance(p) ? Verdict::dropped() : Verdict::delivered();
-}
-
 }  // namespace fountain::engine

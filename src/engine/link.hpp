@@ -25,7 +25,6 @@
 
 #include "engine/types.hpp"
 #include "net/loss.hpp"
-#include "util/random.hpp"
 
 namespace fountain::engine {
 
@@ -39,11 +38,6 @@ class LinkModel {
   /// lifetime.
   virtual Verdict transfer(Time now) = 0;
 
-  /// Boolean convenience over transfer(): did the packet arrive intact and
-  /// on time? (The pre-fault-plane interface; every call advances the
-  /// channel exactly like transfer().)
-  bool deliver(Time now) { return transfer(now).kind == FaultKind::kDeliver; }
-
   /// Informs the link of the subscriber's current offered rate through it,
   /// in packets per tick. The engine calls this whenever the receiver's
   /// subscription level changes (join, scripted move, policy decision) and
@@ -52,17 +46,18 @@ class LinkModel {
     (void)packets_per_tick;
   }
 
-  /// Identity of the mutable state this link shares with other links, or
-  /// nullptr for a private link. The engine requires all receivers whose
-  /// links share state to be simulated in the same cohort (their rates must
-  /// aggregate concurrently) and validates that before running.
+  /// Identity of the one piece of mutable state a single-queue link shares
+  /// with other links, or nullptr for a private link. Only the default
+  /// append_shared_states reads it; links over several queues override that
+  /// instead.
   virtual const void* shared_state() const { return nullptr; }
 
   /// Appends the identity of *every* piece of mutable state this link shares
-  /// with other links. A link over a single queue has one; a PathLink
-  /// (engine/topology.hpp) has one per traversed edge; a decorator forwards
-  /// to the link it wraps. Session::run validates cohort confinement against
-  /// this full set — shared_state() alone under-reports multi-edge links.
+  /// with other links: a PathLink (engine/topology.hpp) has one per traversed
+  /// edge; a decorator forwards to the link it wraps. The engine requires all
+  /// receivers whose links share state to be simulated in the same cohort
+  /// (their rates must aggregate concurrently), and Session::run validates
+  /// that against this full set before running.
   virtual void append_shared_states(std::vector<const void*>& out) const {
     if (const void* state = shared_state()) out.push_back(state);
   }
@@ -102,13 +97,14 @@ class LossLink final : public LinkModel {
 ///
 ///   loss = max(0, (offered - capacity) / offered).
 ///
-/// Create one per bottleneck, attach each subscription through a
-/// BottleneckLink, and let the engine keep the rates current. All receivers
-/// attached to one bottleneck must run in the same engine cohort
-/// (Session::run validates this), which also makes the object shard-local
-/// under the parallel engine: exactly one worker thread ever mutates it.
-/// Rates return to zero as members finish, so the object is clean for
-/// reuse by construction.
+/// Create one per bottleneck (make_edge_queues makes one per topology edge),
+/// attach each subscription through a PathLink (engine/topology.hpp), and
+/// let the engine keep the rates current. All receivers attached to one
+/// bottleneck must run in the same engine cohort (Session::run validates
+/// this), which also makes the object shard-local under the parallel
+/// engine: exactly one worker thread ever mutates it. Rates return to zero
+/// as members finish — up to the rounding of the accumulated rate
+/// differences — so the object is clean for reuse by construction.
 class SharedBottleneck {
  public:
   /// Throws std::invalid_argument unless capacity > 0.
@@ -138,31 +134,6 @@ class SharedBottleneck {
   double offered_ = 0.0;
   double peak_offered_ = 0.0;
   std::vector<double> rates_;
-};
-
-/// One subscription's path through a SharedBottleneck: queueing loss from
-/// the shared fluid queue, optionally compounded with an independent
-/// Bernoulli `base_loss` (the subscriber's private tail link). Drop draws
-/// come from a per-link generator seeded at construction, so results do not
-/// depend on the order receivers are processed within a tick.
-class BottleneckLink final : public LinkModel {
- public:
-  /// Throws std::invalid_argument on a null bottleneck or base_loss
-  /// outside [0, 1].
-  BottleneckLink(std::shared_ptr<SharedBottleneck> bottleneck,
-                 std::uint64_t seed, double base_loss = 0.0);
-
-  Verdict transfer(Time now) override;
-  void set_subscriber_rate(double packets_per_tick) override {
-    bottleneck_->set_rate(slot_, packets_per_tick);
-  }
-  const void* shared_state() const override { return bottleneck_.get(); }
-
- private:
-  std::shared_ptr<SharedBottleneck> bottleneck_;
-  std::uint32_t slot_;
-  double base_loss_;
-  util::Rng rng_;
 };
 
 }  // namespace fountain::engine

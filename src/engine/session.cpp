@@ -80,18 +80,6 @@ struct Session::Slot {
 
 Session::Session(const fec::ErasureCode& code, SessionConfig config)
     : code_(code), config_(config) {
-  init_defaults();
-}
-
-Session::Session(fec::CodecId codec, const fec::CodecParams& params,
-                 SessionConfig config)
-    : owned_code_(fec::CodecRegistry::builtin().create(codec, params)),
-      code_(*owned_code_),
-      config_(config) {
-  init_defaults();
-}
-
-void Session::init_defaults() {
   if (config_.cohort_size == 0) {
     throw std::invalid_argument("Session: cohort_size must be > 0");
   }

@@ -57,7 +57,6 @@
 #include "engine/sink.hpp"
 #include "engine/types.hpp"
 #include "fec/codec_id.hpp"
-#include "fec/codec_registry.hpp"
 #include "fec/erasure_code.hpp"
 #include "util/random.hpp"
 
@@ -199,13 +198,6 @@ class Session {
   /// The code must outlive the session.
   Session(const fec::ErasureCode& code, SessionConfig config = {});
 
-  /// Constructs the session code from wire/control-channel fields via the
-  /// built-in CodecRegistry and owns it — the constructive form of codec
-  /// matching: no pre-shared ErasureCode pointer needed, only what a sender
-  /// advertises. Throws what CodecRegistry::create throws.
-  Session(fec::CodecId codec, const fec::CodecParams& params,
-          SessionConfig config = {});
-
   /// Registers a sender firing at ticks start, start+period, ... The source
   /// must be pure in its firing number (see PacketSource).
   SourceId add_source(std::shared_ptr<const PacketSource> source,
@@ -263,15 +255,9 @@ class Session {
   struct Slot;  // pooled per-cohort-slot state (sink + distinct bitmap)
   class CohortRunner;
 
-  /// Shared constructor tail: config validation + default sink factory.
-  void init_defaults();
-
   /// Serialized front door to sink_factory_ (see set_sink_factory).
   std::unique_ptr<PacketSink> make_pooled_sink();
 
-  // Registry-constructed sessions own their code; declared before code_ so
-  // the reference can bind to it in the constructor initializer list.
-  std::unique_ptr<const fec::ErasureCode> owned_code_;
   const fec::ErasureCode& code_;
   SessionConfig config_;
   SinkFactory sink_factory_;

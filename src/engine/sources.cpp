@@ -1,70 +1,57 @@
 #include "engine/sources.hpp"
 
+#include <limits>
 #include <stdexcept>
 
 namespace fountain::engine {
 
-CarouselSource::CarouselSource(const carousel::Carousel& carousel,
-                               fec::CodecId codec,
-                               std::size_t packets_per_fire)
-    : carousel_(carousel), codec_(codec), packets_per_fire_(packets_per_fire) {
-  if (packets_per_fire == 0) {
-    throw std::invalid_argument("CarouselSource: packets_per_fire must be > 0");
-  }
-}
+StreamSource::StreamSource(const carousel::Carousel& carousel,
+                           fec::CodecId codec, std::size_t packets_per_fire,
+                           std::uint64_t offset, std::uint64_t stride)
+    : StreamSource(&carousel, codec, packets_per_fire, offset, stride) {}
 
-void CarouselSource::emit(std::uint64_t round, PacketBatch& batch) const {
-  const std::uint64_t first = round * packets_per_fire_;
-  for (std::size_t i = 0; i < packets_per_fire_; ++i) {
-    batch.indices.push_back(carousel_.packet_at(first + i));
-  }
-  // A carousel has no schedule structure: one layer, and any firing is as
-  // good a join opportunity as any other.
-  batch.segments.push_back(PacketBatch::Segment{
-      0, true, 0, static_cast<std::uint32_t>(batch.indices.size())});
-}
+StreamSource::StreamSource(fec::CodecId codec, std::uint64_t offset,
+                           std::uint64_t stride, std::size_t packets_per_fire)
+    : StreamSource(nullptr, codec, packets_per_fire, offset, stride) {}
 
-RatelessSource::RatelessSource(fec::CodecId codec, std::uint64_t offset,
-                               std::uint64_t stride,
-                               std::size_t packets_per_fire)
-    : codec_(codec),
+StreamSource::StreamSource(const carousel::Carousel* carousel,
+                           fec::CodecId codec, std::size_t packets_per_fire,
+                           std::uint64_t offset, std::uint64_t stride)
+    : carousel_(carousel),
+      codec_(codec),
+      packets_per_fire_(packets_per_fire),
       offset_(offset),
-      stride_(stride),
-      packets_per_fire_(packets_per_fire) {
-  if (stride == 0) {
-    throw std::invalid_argument("RatelessSource: stride must be > 0");
-  }
+      stride_(stride) {
   if (packets_per_fire == 0) {
-    throw std::invalid_argument("RatelessSource: packets_per_fire must be > 0");
+    throw std::invalid_argument("StreamSource: packets_per_fire must be > 0");
+  }
+  if (stride == 0) {
+    throw std::invalid_argument("StreamSource: stride must be > 0");
   }
 }
 
-void RatelessSource::emit(std::uint64_t round, PacketBatch& batch) const {
-  // Pure in `round` by construction; indices stay within uint32 because a
-  // session horizon is far below 2^32 firings (truncation would need ~4e9
-  // emitted symbols on one source).
-  const std::uint64_t first = offset_ + round * stride_ * packets_per_fire_;
-  for (std::size_t i = 0; i < packets_per_fire_; ++i) {
-    batch.indices.push_back(
-        static_cast<std::uint32_t>(first + i * stride_));
+void StreamSource::emit(std::uint64_t round, PacketBatch& batch) const {
+  // Pure in `round` by construction.
+  const std::uint64_t first = offset_ + round * packets_per_fire_ * stride_;
+  if (carousel_ != nullptr) {
+    for (std::size_t i = 0; i < packets_per_fire_; ++i) {
+      batch.indices.push_back(carousel_->packet_at(first + i * stride_));
+    }
+  } else {
+    // Identity-mapped positions are the indices themselves: past UINT32_MAX
+    // they would wrap onto indices already sent and count as duplicates.
+    const std::uint64_t last = first + (packets_per_fire_ - 1) * stride_;
+    if (last > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::overflow_error(
+          "StreamSource: rateless index passes UINT32_MAX");
+    }
+    for (std::size_t i = 0; i < packets_per_fire_; ++i) {
+      batch.indices.push_back(static_cast<std::uint32_t>(first + i * stride_));
+    }
   }
+  // One layer, and any firing is as good a join opportunity as any other.
   batch.segments.push_back(PacketBatch::Segment{
       0, true, 0, static_cast<std::uint32_t>(batch.indices.size())});
-}
-
-StridedCarouselSource::StridedCarouselSource(
-    const carousel::Carousel& carousel, fec::CodecId codec,
-    std::uint64_t offset, std::uint64_t stride)
-    : carousel_(carousel), codec_(codec), offset_(offset), stride_(stride) {
-  if (stride == 0) {
-    throw std::invalid_argument("StridedCarouselSource: stride must be > 0");
-  }
-}
-
-void StridedCarouselSource::emit(std::uint64_t round,
-                                 PacketBatch& batch) const {
-  batch.indices.push_back(carousel_.packet_at(offset_ + round * stride_));
-  batch.segments.push_back(PacketBatch::Segment{0, true, 0, 1});
 }
 
 }  // namespace fountain::engine

@@ -1,6 +1,7 @@
-// PacketSource adapters for the library's senders that are not engine-aware
-// themselves: the data carousel (Sections 1/4/6) and its strided variant for
-// dispersity routing (Section 8). The layered prototype server adapts itself
+// The PacketSource adapter for the library's senders that are not
+// engine-aware themselves: the data carousel (Sections 1/4/6), its strided
+// variant for dispersity routing (Section 8), and the rateless fountain of
+// the lt/ plane. The layered prototype server adapts itself
 // (proto::FountainServer implements PacketSource directly).
 #pragma once
 
@@ -11,15 +12,28 @@
 
 namespace fountain::engine {
 
-/// Cycles a carousel: firing r carries slots [r*ppf, (r+1)*ppf) of the
-/// carousel's infinite transmission order. `packets_per_fire` > 1 coarsens
-/// the event grid (one heap pop per ppf slots) for very large populations;
-/// keep it at 1 when per-slot join phases matter (the Figure 4-6
-/// experiments).
-class CarouselSource final : public PacketSource {
+/// A pure stream of encoding indices: firing r carries the positions
+/// offset + (r*ppf + i)*stride for i < ppf, each mapped through a borrowed
+/// carousel (order[position % n]) or, without one, used as the index itself.
+/// ppf > 1 coarsens the event grid (one heap pop per ppf slots) for very
+/// large populations; keep it at 1 when per-slot join phases matter (the
+/// Figure 4-6 experiments). Path p of a transfer dealt round-robin over S
+/// dispersity paths is StreamSource(c, codec, 1, p, S) over a carousel and
+/// StreamSource(codec, p, S, ppf) without one; per-path pacing and latency
+/// come from the source's period and start tick. Without a carousel the
+/// indices increase monotonically and never repeat, which only rateless
+/// codecs (any uint32 index) can decode; emit() throws std::overflow_error
+/// once such a position passes UINT32_MAX rather than wrap onto indices
+/// already sent.
+class StreamSource final : public PacketSource {
  public:
-  CarouselSource(const carousel::Carousel& carousel, fec::CodecId codec,
-                 std::size_t packets_per_fire = 1);
+  /// Throws std::invalid_argument unless packets_per_fire and stride are > 0.
+  StreamSource(const carousel::Carousel& carousel, fec::CodecId codec,
+               std::size_t packets_per_fire = 1, std::uint64_t offset = 0,
+               std::uint64_t stride = 1);
+  explicit StreamSource(fec::CodecId codec, std::uint64_t offset = 0,
+                        std::uint64_t stride = 1,
+                        std::size_t packets_per_fire = 1);
 
   fec::CodecId codec_id() const override { return codec_; }
   double subscribed_rate(unsigned) const override {
@@ -28,54 +42,19 @@ class CarouselSource final : public PacketSource {
   void emit(std::uint64_t round, PacketBatch& batch) const override;
 
  private:
-  const carousel::Carousel& carousel_;  // borrowed; must outlive the source
+  StreamSource(const carousel::Carousel* carousel, fec::CodecId codec,
+               std::size_t packets_per_fire, std::uint64_t offset,
+               std::uint64_t stride);
+
+  const carousel::Carousel* carousel_;  // borrowed, must outlive the source;
+                                        // null = identity mapping
   fec::CodecId codec_;
   std::size_t packets_per_fire_;
-};
-
-/// A true fountain: firing r carries the monotonically increasing symbol
-/// indices [offset + r*stride*ppf, ...) — no carousel, no wraparound, never
-/// a repeated index. Only meaningful for rateless codecs (the lt/ plane),
-/// whose encoders accept any uint32 index. Path p of an S-path dispersity
-/// transfer is RatelessSource(codec, p, S, ppf): firing r carries indices
-/// p + (r*ppf + i)*S, so the paths partition the index space and even merged
-/// paths never duplicate.
-class RatelessSource final : public PacketSource {
- public:
-  explicit RatelessSource(fec::CodecId codec, std::uint64_t offset = 0,
-                          std::uint64_t stride = 1,
-                          std::size_t packets_per_fire = 1);
-
-  fec::CodecId codec_id() const override { return codec_; }
-  double subscribed_rate(unsigned) const override {
-    return static_cast<double>(packets_per_fire_);
-  }
-  void emit(std::uint64_t round, PacketBatch& batch) const override;
-
- private:
-  fec::CodecId codec_;
-  std::uint64_t offset_;
-  std::uint64_t stride_;
-  std::size_t packets_per_fire_;
-};
-
-/// Every `stride`-th slot of a carousel starting at `offset`: path p of a
-/// dispersity-routed transfer dealing packets round-robin over `stride`
-/// paths is StridedCarouselSource(c, codec, p, stride). One packet per fire;
-/// per-path pacing and latency come from the source's period and start tick.
-class StridedCarouselSource final : public PacketSource {
- public:
-  StridedCarouselSource(const carousel::Carousel& carousel, fec::CodecId codec,
-                        std::uint64_t offset, std::uint64_t stride);
-
-  fec::CodecId codec_id() const override { return codec_; }
-  void emit(std::uint64_t round, PacketBatch& batch) const override;
-
- private:
-  const carousel::Carousel& carousel_;
-  fec::CodecId codec_;
   std::uint64_t offset_;
   std::uint64_t stride_;
 };
+
+using CarouselSource = StreamSource;
+using RatelessSource = StreamSource;
 
 }  // namespace fountain::engine

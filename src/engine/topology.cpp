@@ -184,8 +184,8 @@ PathLink::PathLink(std::vector<std::shared_ptr<SharedBottleneck>> edges,
 
 double PathLink::loss_probability() const {
   // Survival is multiplicative across independent edges; folding the
-  // complement as p <- q + p - q*p keeps the single-edge case expression-
-  // identical to BottleneckLink (q + b - q*b, same operation order).
+  // complement as p <- q + p - q*p makes the single-edge case exactly
+  // q + b - q*b, in that operation order.
   double p = base_loss_;
   for (const auto& edge : edges_) {
     const double q = edge->loss_probability();

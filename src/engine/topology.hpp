@@ -18,8 +18,8 @@
 // end-to-end delivery is Π(1 - p_e), optionally compounded with the
 // subscriber's private tail loss b. PathLink folds the product
 // incrementally (p ← p_e + p - p_e·p, starting from b) and spends exactly
-// one RNG draw per packet, which makes a one-edge path bit-identical to the
-// legacy BottleneckLink — arithmetic, draw count, and seed layout all match.
+// one RNG draw per packet. A one-edge path is the classic shared last-mile
+// queue: its drop probability is q + b - q·b.
 //
 // Threading contract (extends engine/link.hpp). A PathLink loads *every*
 // edge queue on its path with its subscriber's rate, so all receivers whose
@@ -138,9 +138,8 @@ class Topology {
 /// The link attaches one subscriber slot to every queue at construction and
 /// declares the subscriber's rate to all of them, so a receiver's
 /// subscription loads each edge it traverses. Drop draws come from one
-/// per-link generator seeded at construction — order-independent within a
-/// tick, and over a single edge bit-identical to BottleneckLink(queue, seed,
-/// base_loss) by construction (see the header comment).
+/// per-link generator seeded at construction, so verdicts are
+/// order-independent within a tick.
 class PathLink final : public LinkModel {
  public:
   /// Throws std::invalid_argument on an empty path, a null queue, or
@@ -150,10 +149,7 @@ class PathLink final : public LinkModel {
 
   Verdict transfer(Time now) override;
   void set_subscriber_rate(double packets_per_tick) override;
-  /// Legacy single-identity accessor: the first edge's queue. The full edge
-  /// set — what cohort confinement is validated against — comes from
-  /// append_shared_states.
-  const void* shared_state() const override { return edges_.front().get(); }
+  /// Every edge queue on the path: cohort confinement covers them all.
   void append_shared_states(std::vector<const void*>& out) const override;
 
   std::size_t edge_count() const { return edges_.size(); }
@@ -178,8 +174,7 @@ std::vector<std::shared_ptr<SharedBottleneck>> make_edge_queues(
 
 /// A PathLink for the deterministic `from` → `to` path over queues from
 /// make_edge_queues. `model_latency` sums the traversed edges' rtt into the
-/// link's delivery latency; leave it false for loss-only studies (and for
-/// bit-compatibility with BottleneckLink over one edge).
+/// link's delivery latency; leave it false for loss-only studies.
 std::unique_ptr<PathLink> make_path_link(
     const Topology& topology,
     const std::vector<std::shared_ptr<SharedBottleneck>>& queues, NodeId from,

@@ -16,7 +16,6 @@
 
 #include "engine/packet_source.hpp"
 #include "fec/codec_id.hpp"
-#include "fec/erasure_code.hpp"
 #include "proto/config.hpp"
 #include "sched/layered_schedule.hpp"
 #include "util/random.hpp"
@@ -33,13 +32,6 @@ class FountainServer final : public engine::PacketSource {
   FountainServer(const ProtocolConfig& config, std::size_t encoding_length,
                  std::uint64_t permutation_seed = 0x5eed,
                  fec::CodecId codec = fec::CodecId::kTornado);
-
-  /// Convenience: schedule over the encoding of `code` and tag its family —
-  /// the shape and codec id are the only things the scheduler needs from it.
-  FountainServer(const ProtocolConfig& config, const fec::ErasureCode& code,
-                 std::uint64_t permutation_seed = 0x5eed)
-      : FountainServer(config, code.encoded_count(), permutation_seed,
-                       code.codec_id()) {}
 
   struct LayerRound {
     unsigned layer = 0;

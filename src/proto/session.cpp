@@ -8,119 +8,61 @@
 
 namespace fountain::proto {
 
-engine::SubscriptionPolicy make_policy(const SimClientConfig& client,
-                                       const ProtocolConfig& proto,
-                                       std::uint64_t seed) {
-  engine::SubscriptionPolicy policy;
-  policy.initial_level = client.initial_level;
-  policy.adaptive = !client.fixed_level;
-  policy.initial_capacity = client.initial_capacity;
-  policy.capacity_change_prob = client.capacity_change_prob;
-  policy.congestion_extra_loss = client.congestion_extra_loss;
-  policy.drop_loss_threshold = proto.drop_loss_threshold;
-  policy.burst_probe_window = proto.burst_probe_window;
-  policy.seed = seed;
-  return policy;
-}
-
-SessionResult run_session(fec::CodecId codec, const fec::CodecParams& params,
-                          const ProtocolConfig& proto,
-                          const std::vector<SimClientConfig>& clients,
-                          std::uint64_t seed, std::uint64_t max_rounds,
-                          std::size_t threads) {
-  const auto code = fec::CodecRegistry::builtin().create(codec, params);
-  return run_session(*code, proto, clients, seed, max_rounds, threads);
-}
-
 SessionResult run_session(const fec::ErasureCode& code,
                           const ProtocolConfig& proto,
                           const std::vector<SimClientConfig>& clients,
                           std::uint64_t seed, std::uint64_t max_rounds,
-                          std::size_t threads) {
-  return run_session(code, proto, clients, std::vector<BottleneckSpec>{},
-                     seed, max_rounds, threads);
-}
-
-namespace {
-
-// One body behind both the bottleneck-list and the topology overloads; the
-// bottleneck path (topology == nullptr) is untouched arithmetic, so legacy
-// scenarios stay byte-identical.
-SessionResult run_session_impl(const fec::ErasureCode& code,
-                               const ProtocolConfig& proto,
-                               const std::vector<SimClientConfig>& clients,
-                               const std::vector<BottleneckSpec>& bottlenecks,
-                               const TopologySpec* topology,
-                               std::uint64_t seed, std::uint64_t max_rounds,
-                               std::size_t threads) {
+                          std::size_t threads, const TopologySpec& network) {
   engine::SessionConfig engine_config;
   engine_config.horizon = max_rounds;
   engine_config.threads = threads;
   engine::Session session(code, engine_config);
-  const auto server = std::make_shared<FountainServer>(proto, code, 0x5eed);
+  const auto server = std::make_shared<FountainServer>(
+      proto, code.encoded_count(), 0x5eed, code.codec_id());
   const engine::SourceId source = session.add_source(server);
 
-  std::vector<std::shared_ptr<engine::SharedBottleneck>> queues;
-  queues.reserve(bottlenecks.size());
-  for (const BottleneckSpec& spec : bottlenecks) {
-    queues.push_back(std::make_shared<engine::SharedBottleneck>(spec.capacity));
-  }
   // Edge queues are materialized once and shared by every PathLink, so
   // receivers whose root → leaf paths overlap couple through the same
   // fluid queues.
-  std::vector<std::shared_ptr<engine::SharedBottleneck>> edge_queues;
-  if (topology != nullptr) {
-    edge_queues = engine::make_edge_queues(topology->topology);
-  }
+  const auto edge_queues = engine::make_edge_queues(network.topology);
 
   for (std::size_t i = 0; i < clients.size(); ++i) {
     const SimClientConfig& client = clients[i];
-    if (client.leaf >= 0 && client.bottleneck >= 0) {
-      throw std::invalid_argument(
-          "run_session: a client may set leaf or bottleneck, not both");
-    }
-    if (client.leaf >= 0 && topology == nullptr) {
-      throw std::invalid_argument(
-          "run_session: client names a topology leaf but the session has "
-          "no TopologySpec");
-    }
     // Distinct, deterministic streams per receiver: one for the channel, one
     // for the adaptation draws.
     const std::uint64_t rx_seed = seed + 1000003ULL * (i + 1);
     engine::ReceiverSpec spec;
     spec.join = client.join;
-    spec.policy = make_policy(client, proto, rx_seed ^ 0xada97a71c0ffee11ULL);
+    spec.policy.initial_level = client.initial_level;
+    spec.policy.adaptive = !client.fixed_level && !client.loss_driven;
+    spec.policy.initial_capacity = client.initial_capacity;
+    spec.policy.drop_loss_threshold = proto.drop_loss_threshold;
+    spec.policy.burst_probe_window = proto.burst_probe_window;
+    spec.policy.seed = rx_seed ^ 0xada97a71c0ffee11ULL;
     if (client.loss_driven) {
       // The controller replaces the burst-probe machinery entirely.
-      spec.policy.adaptive = false;
       spec.controller =
           std::make_unique<cc::LossDrivenPolicy>(client.loss_driven_config);
     }
-    if (client.bottleneck >= 0 || client.leaf >= 0) {
-      // Real congestion comes from the shared queue(s); the synthetic
-      // capacity-drift environment would double-count it.
-      spec.policy.capacity_change_prob = 0.0;
-      spec.policy.congestion_extra_loss = 0.0;
+    if (client.leaf < 0) {
+      // Private channel: the synthetic capacity-drift environment stands in
+      // for congestion. Behind shared queues it would double-count the real
+      // thing, so there it keeps the policy's zero defaults.
+      spec.policy.capacity_change_prob = client.capacity_change_prob;
+      spec.policy.congestion_extra_loss = client.congestion_extra_loss;
     }
     const engine::ReceiverId id = session.add_receiver(std::move(spec));
     if (client.leaf >= 0) {
       if (static_cast<std::size_t>(client.leaf) >=
-          topology->topology.node_count()) {
+          network.topology.node_count()) {
         throw std::out_of_range("run_session: client leaf is not a node");
       }
       session.subscribe(
           id, source,
-          engine::make_path_link(topology->topology, edge_queues,
-                                 topology->root,
+          engine::make_path_link(network.topology, edge_queues, network.root,
                                  static_cast<engine::NodeId>(client.leaf),
                                  rx_seed, client.base_loss,
-                                 topology->model_latency));
-    } else if (client.bottleneck >= 0) {
-      const auto& queue =
-          queues.at(static_cast<std::size_t>(client.bottleneck));
-      session.subscribe(id, source,
-                        std::make_unique<engine::BottleneckLink>(
-                            queue, rx_seed, client.base_loss));
+                                 network.model_latency));
     } else {
       session.subscribe(id, source,
                         std::make_unique<engine::LossLink>(
@@ -152,27 +94,6 @@ SessionResult run_session_impl(const fec::ErasureCode& code,
     rep.duplicates_dropped = er.duplicates_dropped;
   }
   return result;
-}
-
-}  // namespace
-
-SessionResult run_session(const fec::ErasureCode& code,
-                          const ProtocolConfig& proto,
-                          const std::vector<SimClientConfig>& clients,
-                          const std::vector<BottleneckSpec>& bottlenecks,
-                          std::uint64_t seed, std::uint64_t max_rounds,
-                          std::size_t threads) {
-  return run_session_impl(code, proto, clients, bottlenecks, nullptr, seed,
-                          max_rounds, threads);
-}
-
-SessionResult run_session(const fec::ErasureCode& code,
-                          const ProtocolConfig& proto,
-                          const std::vector<SimClientConfig>& clients,
-                          const TopologySpec& topology, std::uint64_t seed,
-                          std::uint64_t max_rounds, std::size_t threads) {
-  return run_session_impl(code, proto, clients, {}, &topology, seed,
-                          max_rounds, threads);
 }
 
 }  // namespace fountain::proto

@@ -12,29 +12,23 @@
 #include "cc/policies.hpp"
 #include "engine/session.hpp"
 #include "engine/topology.hpp"
-#include "fec/codec_registry.hpp"
 #include "fec/erasure_code.hpp"
 #include "proto/config.hpp"
 
 namespace fountain::proto {
 
-/// A shared last-mile link for a group of receivers: the engine models it
-/// as a SharedBottleneck fluid queue of `capacity` packets per round, so
-/// the aggregate subscription level of the group determines everyone's
-/// queueing loss (one member joining a layer raises its siblings' loss).
-struct BottleneckSpec {
-  double capacity = 0.0;  // packets per round through the shared queue
-};
-
-/// A full distribution network for a session: the server sits at `root` and
+/// A distribution network for a session: the server sits at `root` and
 /// each receiver with `SimClientConfig::leaf >= 0` is attached to that node,
 /// its packets crossing every edge on the root → leaf path through one
-/// engine::PathLink (one SharedBottleneck per edge, materialized once and
-/// shared by all receivers, so overlapping paths couple). `model_latency`
-/// sums edge RTTs into a delivery latency for surviving packets; leave it
-/// false for loss-only studies. Receivers whose paths share any edge must
-/// fit in one engine cohort (the engine rejects the scenario otherwise, at
-/// any thread count) — in practice: one tree, one cohort.
+/// engine::PathLink (one SharedBottleneck fluid queue per edge, materialized
+/// once and shared by all receivers, so overlapping paths couple: one member
+/// joining a layer raises its siblings' loss). A shared last-mile link of
+/// capacity c packets per round is Topology::bottleneck_tree(1, 1, {c}) with
+/// its receivers at leaf 1. `model_latency` sums edge RTTs into a delivery
+/// latency for surviving packets; leave it false for loss-only studies.
+/// Receivers whose paths share any edge must fit in one engine cohort (the
+/// engine rejects the scenario otherwise, at any thread count) — in
+/// practice: one tree, one cohort.
 struct TopologySpec {
   engine::Topology topology;
   engine::NodeId root = 0;
@@ -45,11 +39,11 @@ struct TopologySpec {
 /// background channel plus the Section 7.2 subscription machinery, which the
 /// engine's adaptive SubscriptionPolicy executes. Two extensions select the
 /// adaptation plane introduced with src/cc/: `loss_driven` swaps the
-/// burst-probe machinery for a cc::LossDrivenPolicy controller, and
-/// `bottleneck` moves the receiver from a private Bernoulli channel onto a
-/// shared BottleneckSpec queue (base_loss then compounds as its private
-/// tail loss; the synthetic capacity-drift environment is off since real
-/// congestion comes from the queue).
+/// burst-probe machinery for a cc::LossDrivenPolicy controller, and `leaf`
+/// moves the receiver from a private Bernoulli channel onto the shared
+/// queues of the session's TopologySpec (base_loss then compounds as its
+/// private tail loss; the synthetic capacity-drift environment is off since
+/// real congestion comes from the queues).
 struct SimClientConfig {
   double base_loss = 0.05;             // background loss on every packet
   double congestion_extra_loss = 0.45; // added when subscribed above capacity
@@ -58,11 +52,9 @@ struct SimClientConfig {
   unsigned initial_capacity = 3;       // in [0, layers)
   bool fixed_level = false;            // single-layer experiments pin level 0
   engine::Time join = 0;               // asynchronous joins (churn scenarios)
-  int bottleneck = -1;                 // index into the session's bottleneck
-                                       // list; -1 = private channel
   int leaf = -1;                       // node of the session's TopologySpec
-                                       // this receiver sits at; -1 = none.
-                                       // Mutually exclusive with bottleneck.
+                                       // this receiver sits at; -1 = private
+                                       // channel
   bool loss_driven = false;            // use cc::LossDrivenPolicy
   cc::LossDrivenConfig loss_driven_config;  // knobs when loss_driven
 };
@@ -92,55 +84,23 @@ struct SessionResult {
   std::vector<ReceiverReport> receivers;
 };
 
-/// Translates one client's knobs into the engine policy it runs under.
-engine::SubscriptionPolicy make_policy(const SimClientConfig& client,
-                                       const ProtocolConfig& proto,
-                                       std::uint64_t seed);
-
 /// Runs a session until every receiver completes (or `max_rounds` elapse).
 /// One receiver per entry of `clients`; receiver i's channel and adaptation
 /// streams derive from seed + i deterministically. `threads` is forwarded
 /// to engine::SessionConfig::threads (0 = one worker per hardware thread);
-/// results are byte-identical at every thread count.
+/// results are byte-identical at every thread count. Clients whose `leaf` is
+/// >= 0 run behind a PathLink across every edge of the `network` root → leaf
+/// path, so loss compounds along the path and receivers whose paths overlap
+/// couple through the shared per-edge queues; those receivers must fit in
+/// one engine cohort (the engine rejects the scenario otherwise, at any
+/// thread count). Throws std::out_of_range on a leaf that is not a node of
+/// `network` (any leaf, with the empty default) and std::invalid_argument if
+/// no path reaches it.
 SessionResult run_session(const fec::ErasureCode& code,
                           const ProtocolConfig& proto,
                           const std::vector<SimClientConfig>& clients,
                           std::uint64_t seed, std::uint64_t max_rounds,
-                          std::size_t threads = 0);
-
-/// As above with shared bottlenecks: clients whose `bottleneck` index is
-/// >= 0 share the corresponding BottleneckSpec queue, so their levels
-/// couple through queueing loss. Throws std::out_of_range on a client
-/// naming a bottleneck the list does not have. Receivers sharing a queue
-/// must fit in one engine cohort (the engine rejects the scenario
-/// otherwise, at any thread count).
-SessionResult run_session(const fec::ErasureCode& code,
-                          const ProtocolConfig& proto,
-                          const std::vector<SimClientConfig>& clients,
-                          const std::vector<BottleneckSpec>& bottlenecks,
-                          std::uint64_t seed, std::uint64_t max_rounds,
-                          std::size_t threads = 0);
-
-/// As above over a distribution network: clients whose `leaf` is >= 0 run
-/// behind a PathLink across every edge of the root → leaf path, so loss
-/// compounds along the path and receivers whose paths overlap couple through
-/// the shared per-edge queues. Throws std::out_of_range on a client naming a
-/// node the topology does not have and std::invalid_argument if a client
-/// sets both `leaf` and `bottleneck` (or if no path exists).
-SessionResult run_session(const fec::ErasureCode& code,
-                          const ProtocolConfig& proto,
-                          const std::vector<SimClientConfig>& clients,
-                          const TopologySpec& topology, std::uint64_t seed,
-                          std::uint64_t max_rounds, std::size_t threads = 0);
-
-/// As above, but the code is instantiated from advertised wire/control
-/// fields via the built-in fec::CodecRegistry — the form a real deployment
-/// uses, where server and receivers share only (codec id, CodecParams)
-/// rather than an ErasureCode object.
-SessionResult run_session(fec::CodecId codec, const fec::CodecParams& params,
-                          const ProtocolConfig& proto,
-                          const std::vector<SimClientConfig>& clients,
-                          std::uint64_t seed, std::uint64_t max_rounds,
-                          std::size_t threads = 0);
+                          std::size_t threads = 0,
+                          const TopologySpec& network = {});
 
 }  // namespace fountain::proto

@@ -130,8 +130,8 @@ void run_fuzzed_scenario(std::uint64_t master_seed) {
     }
     const ReceiverId id = session.add_receiver(std::move(spec));
     session.subscribe(id, src,
-                      std::make_unique<engine::BottleneckLink>(
-                          queues[i % queues_count], rng(),
+                      std::make_unique<engine::PathLink>(
+                          std::vector{queues[i % queues_count]}, rng(),
                           0.05 * rng.uniform()));
   }
 
@@ -253,8 +253,9 @@ EquivalenceOutcome run_equivalence_scenario(std::uint64_t master_seed,
     const ReceiverId id = session.add_receiver(std::move(spec));
     if (const Group* grp = group_of(i)) {
       session.subscribe(id, src,
-                        std::make_unique<engine::BottleneckLink>(
-                            grp->queue, rng(), 0.04 * rng.uniform()));
+                        std::make_unique<engine::PathLink>(
+                            std::vector{grp->queue}, rng(),
+                            0.04 * rng.uniform()));
     } else {
       session.subscribe(id, src,
                         std::make_unique<engine::LossLink>(
@@ -469,7 +470,8 @@ TEST(AdaptationSoak, HomogeneousGroupConvergesToFairShare) {
         spec.join, &trajectories[i]);
     const ReceiverId id = session.add_receiver(std::move(spec));
     session.subscribe(id, src,
-                      std::make_unique<engine::BottleneckLink>(queue, 3 + i));
+                      std::make_unique<engine::PathLink>(std::vector{queue},
+                                                         3 + i));
   }
 
   const auto reports = session.run();

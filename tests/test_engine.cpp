@@ -18,6 +18,7 @@
 #include "engine/pool.hpp"
 #include "engine/session.hpp"
 #include "engine/sources.hpp"
+#include "engine/topology.hpp"
 #include "fec/reed_solomon.hpp"
 #include "lt/lt_code.hpp"
 #include "net/loss.hpp"
@@ -30,6 +31,7 @@ namespace {
 using engine::CarouselSource;
 using engine::LossLink;
 using engine::PacketBatch;
+using engine::PathLink;
 using engine::PerfectLink;
 using engine::ReceiverId;
 using engine::ReceiverReport;
@@ -38,7 +40,6 @@ using engine::RatelessSource;
 using engine::Session;
 using engine::SessionConfig;
 using engine::SourceId;
-using engine::StridedCarouselSource;
 
 /// Records every delivery and never completes (runs until leave/horizon).
 class RecordingSink final : public engine::PacketSink {
@@ -79,9 +80,9 @@ TEST(Sources, CarouselSourceIsPureAndCyclic) {
   EXPECT_EQ(again.indices, batch.indices);
 }
 
-TEST(Sources, StridedCarouselSourceDealsEveryNthSlot) {
+TEST(Sources, StridedCarouselDealsEveryNthSlot) {
   const auto c = carousel::Carousel::sequential(10);
-  StridedCarouselSource path1(c, fec::CodecId::kTornado, 1, 3);
+  CarouselSource path1(c, fec::CodecId::kTornado, 1, 1, 3);
   PacketBatch batch;
   for (std::uint64_t r = 0; r < 4; ++r) {
     batch.clear();
@@ -91,14 +92,66 @@ TEST(Sources, StridedCarouselSourceDealsEveryNthSlot) {
   }
 }
 
+TEST(Sources, RatelessIndexPastUint32ThrowsButCarouselCycles) {
+  // Positions 2^32-2 .. 2^32+1: truncating the last two to uint32 would
+  // silently re-send indices 0 and 1.
+  const RatelessSource source(fec::CodecId::kLT, (1ull << 32) - 2, 1, 4);
+  PacketBatch batch;
+  EXPECT_THROW(source.emit(0, batch), std::overflow_error);
+  // A firing ending exactly at UINT32_MAX is still in range.
+  const RatelessSource edge(fec::CodecId::kLT, (1ull << 32) - 4, 1, 4);
+  batch.clear();
+  edge.emit(0, batch);
+  EXPECT_EQ(batch.indices.back(), 0xffffffffu);
+  // The same positions through a carousel are slots of an endless cycle.
+  const auto c = carousel::Carousel::sequential(10);
+  const CarouselSource cyclic(c, fec::CodecId::kTornado, 4, (1ull << 32) - 2);
+  batch.clear();
+  cyclic.emit(0, batch);  // 2^32 % 10 == 6
+  EXPECT_EQ(batch.indices, (std::vector<std::uint32_t>{4, 5, 6, 7}));
+}
+
+TEST(Sources, RatelessWrapThrowsFromSessionRunAtEveryThreadCount) {
+  // Stride 2^16 at 2^10 packets per firing: firing 64 starts at 2^32, well
+  // inside a 128-tick horizon. The links drop everything, so no receiver's
+  // distinct bitmap grows toward 2^32 entries before the throw.
+  lt::LtParams p;
+  p.k = 64;
+  p.symbol_size = 8;
+  const lt::LtCode code(p);
+  const auto outage = std::make_shared<const std::vector<std::uint8_t>>(
+      std::vector<std::uint8_t>{1});
+  for (const std::size_t threads : {1, 2, 4}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    SessionConfig config;
+    config.horizon = 128;
+    config.cohort_size = 1;
+    config.threads = threads;
+    Session session(code, config);
+    const SourceId src = session.add_source(
+        std::make_shared<RatelessSource>(code.codec_id(), 0, 1 << 16, 1 << 10));
+    for (int r = 0; r < 4; ++r) {
+      const ReceiverId id = session.add_receiver(ReceiverSpec{});
+      session.subscribe(id, src,
+                        std::make_unique<LossLink>(
+                            std::make_unique<net::TraceLoss>(outage, 0)));
+    }
+    EXPECT_THROW(session.run(), std::overflow_error);
+  }
+}
+
 TEST(Links, LossLinkAppliesRegimeChangesAtTheirTick) {
   // Clean until tick 100, then a total outage (all-ones trace).
   auto outage = std::make_shared<const std::vector<std::uint8_t>>(
       std::vector<std::uint8_t>{1});
   LossLink link(std::make_unique<net::BernoulliLoss>(0.0, 1));
   link.add_regime(100, std::make_unique<net::TraceLoss>(outage, 0));
-  for (engine::Time t = 0; t < 100; ++t) EXPECT_TRUE(link.deliver(t)) << t;
-  for (engine::Time t = 100; t < 120; ++t) EXPECT_FALSE(link.deliver(t)) << t;
+  for (engine::Time t = 0; t < 100; ++t) {
+    EXPECT_EQ(link.transfer(t).kind, engine::FaultKind::kDeliver) << t;
+  }
+  for (engine::Time t = 100; t < 120; ++t) {
+    EXPECT_EQ(link.transfer(t).kind, engine::FaultKind::kDrop) << t;
+  }
   EXPECT_THROW(link.add_regime(50, std::make_unique<net::BernoulliLoss>(0, 2)),
                std::invalid_argument);
 }
@@ -335,7 +388,7 @@ TEST(SessionDataPath, StridedSourcesReconstructPayload) {
   const ReceiverId id = session.add_receiver(std::move(spec));
   for (unsigned p = 0; p < 3; ++p) {
     const SourceId src = session.add_source(
-        std::make_shared<StridedCarouselSource>(order, code.codec_id(), p, 3),
+        std::make_shared<CarouselSource>(order, code.codec_id(), 1, p, 3),
         /*start=*/p, /*period=*/3);
     session.subscribe(id, src,
                       std::make_unique<LossLink>(
@@ -431,7 +484,6 @@ TEST(Links, SharedBottleneckCouplesSubscribers) {
   EXPECT_THROW(queue.set_rate(99, 1.0), std::out_of_range);
   EXPECT_THROW(queue.set_rate(a, -1.0), std::invalid_argument);
   EXPECT_THROW(engine::SharedBottleneck(0.0), std::invalid_argument);
-  EXPECT_THROW(engine::BottleneckLink(nullptr, 1), std::invalid_argument);
 }
 
 TEST(SessionValidation, BottleneckSpanningCohortsIsRejected) {
@@ -453,7 +505,7 @@ TEST(SessionValidation, BottleneckSpanningCohortsIsRejected) {
     for (int i = 0; i < 2; ++i) {
       const ReceiverId id = session.add_receiver(ReceiverSpec{});
       session.subscribe(id, src,
-                        std::make_unique<engine::BottleneckLink>(queue, 7 + i));
+                        std::make_unique<PathLink>(std::vector{queue}, 7 + i));
     }
     try {
       session.run();
@@ -559,8 +611,9 @@ Outcome run_adaptive_scenario(std::size_t threads, std::size_t cohort_size,
       const ReceiverId id = session.add_receiver(std::move(spec));
       session.subscribe(
           id, src,
-          std::make_unique<engine::BottleneckLink>(
-              queue, 0xabc + i, 0.01 * static_cast<double>(i % kGroupSize)));
+          std::make_unique<PathLink>(
+              std::vector{queue}, 0xabc + i,
+              0.01 * static_cast<double>(i % kGroupSize)));
     }
   }
 

@@ -206,11 +206,12 @@ TEST(PacketHeader, WireFormatIsBigEndian) {
   h.group = 0x0102;
   std::vector<std::uint8_t> buf(12);
   h.serialize(util::ByteSpan(buf));
-  // Byte [9] carries the header checksum (it was the reserved zero byte).
+  // Byte [9] carries the header checksum (it was the reserved zero byte):
+  // CRC-8, polynomial 0x07, initial value 0, over the other eleven bytes.
+  // Pinned as a literal so a change to the CRC cannot go unnoticed.
   const std::vector<std::uint8_t> expect{0x01, 0x02, 0x03, 0x04,
                                          0x0A, 0x0B, 0x0C, 0x0D,
-                                         0x02, expected_header_crc(buf),
-                                         0x01, 0x02};
+                                         0x02, 0xCA, 0x01, 0x02};
   EXPECT_EQ(buf, expect);
   EXPECT_EQ(net::PacketHeader::parse(util::ConstByteSpan(buf)), h);
 }

@@ -1,7 +1,8 @@
 // The topology plane: graph/generator invariants, the Barabási–Albert
-// degree law, PathLink's multiplicative loss composition, bit-identity of a
-// one-edge path with the legacy BottleneckLink, chaos composition with
-// FaultLink, and the cohort-confinement check over *every* edge of a path.
+// degree law, PathLink's multiplicative loss composition and its one-edge
+// closed form, edge-queue rate conservation under churn, chaos composition
+// with FaultLink, and the cohort-confinement check over *every* edge of a
+// path.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -27,7 +28,6 @@
 namespace fountain {
 namespace {
 
-using engine::BottleneckLink;
 using engine::CarouselSource;
 using engine::FaultLink;
 using engine::FaultProfile;
@@ -211,34 +211,28 @@ TEST(TopologyGraph, GenerationIsByteIdenticalAcrossInstancesAndThreads) {
   }
 }
 
-TEST(PathLinkDifferential, OneEdgeTransfersMatchBottleneckLinkBitForBit) {
-  // Same capacity, same external load trajectory, same seed and tail loss:
-  // a one-edge PathLink must replay BottleneckLink verdict-for-verdict (the
-  // compounding fold reduces to the identical floating-point expression and
-  // the identical single RNG draw).
-  const auto qa = std::make_shared<SharedBottleneck>(6.0);
-  const auto qb = std::make_shared<SharedBottleneck>(6.0);
-  BottleneckLink legacy(qa, 0xd1ff, 0.07);
-  PathLink path({qb}, 0xd1ff, 0.07);
-  const std::uint32_t sa = qa->attach();
-  const std::uint32_t sb = qb->attach();
+TEST(PathLinkDifferential, OneEdgeTransfersMatchTheClosedFormDrawForDraw) {
+  // A one-edge path is the classic shared last-mile queue: under any
+  // external load trajectory it drops with probability q + b - q*b, spending
+  // exactly one draw per packet from a generator seeded with the link seed.
+  const auto queue = std::make_shared<SharedBottleneck>(6.0);
+  PathLink path({queue}, 0xd1ff, 0.07);
+  const std::uint32_t slot = queue->attach();
+  util::Rng reference(0xd1ff);
   util::Rng load(99);
   for (engine::Time t = 0; t < 5000; ++t) {
-    if (load.chance(0.01)) {
-      const double offered = 12.0 * load.uniform();
-      qa->set_rate(sa, offered);
-      qb->set_rate(sb, offered);
-    }
-    EXPECT_EQ(legacy.transfer(t), path.transfer(t)) << "tick " << t;
+    if (load.chance(0.01)) queue->set_rate(slot, 12.0 * load.uniform());
+    const double q = queue->loss_probability();
+    const bool drop = reference.chance(q + 0.07 - q * 0.07);
+    EXPECT_EQ(path.transfer(t),
+              drop ? engine::Verdict::dropped() : engine::Verdict::delivered())
+        << "tick " << t;
   }
-  EXPECT_EQ(qa->peak_offered(), qb->peak_offered());
 }
 
-// One congestion-coupled adaptation scenario (two bottleneck groups of
-// loss-driven receivers, fig7 in miniature), parameterized by how each
-// receiver's link over the shared queue is built.
-enum class LinkKind { kBottleneck, kPath };
-
+// One congestion-coupled adaptation scenario: two bottleneck groups of
+// loss-driven receivers, fig7 in miniature, each receiver behind a one-edge
+// PathLink over its group's shared queue.
 struct DiffRun {
   std::vector<ReceiverReport> reports;
   cc::TraceLog log;
@@ -247,8 +241,7 @@ struct DiffRun {
 
 DiffRun run_fig7_like(const fec::ErasureCode& code,
                       const std::shared_ptr<proto::FountainServer>& server,
-                      LinkKind kind, std::size_t threads,
-                      std::size_t cohort_size) {
+                      std::size_t threads, std::size_t cohort_size) {
   SessionConfig config;
   config.horizon = 4000;
   config.threads = threads;
@@ -275,16 +268,9 @@ DiffRun run_fig7_like(const fec::ErasureCode& code,
       const ReceiverId id = session.add_receiver(std::move(spec));
       const double base_loss = 0.01 * rng.uniform();
       const std::uint64_t seed = 0xb077ULL + 131 * rx;
-      if (kind == LinkKind::kBottleneck) {
-        session.subscribe(id, src, std::make_unique<BottleneckLink>(
-                                       queue, seed, base_loss));
-      } else {
-        session.subscribe(
-            id, src,
-            std::make_unique<PathLink>(
-                std::vector<std::shared_ptr<SharedBottleneck>>{queue}, seed,
-                base_loss));
-      }
+      session.subscribe(
+          id, src, std::make_unique<PathLink>(std::vector{queue}, seed,
+                                              base_loss));
     }
   }
   run.reports = session.run();
@@ -301,28 +287,84 @@ bool same_report(const ReceiverReport& a, const ReceiverReport& b) {
 
 TEST(PathLinkDifferential, Fig7ScenarioIsByteIdenticalAtEveryThreadCount) {
   // The full adaptation loop — shared-queue coupling, loss-driven
-  // controllers, trace log — replayed with BottleneckLink vs a one-edge
-  // PathLink, at threads {1, 2, 4}. Reports and every cc trace record must
-  // be equal across link kinds and thread counts.
+  // controllers, trace log — replayed at threads {1, 2, 4} with the groups
+  // in separate cohorts. Reports and every cc trace record must equal the
+  // sequential single-cohort run.
   const auto code = fec::make_reed_solomon(fec::RsKind::kCauchy, 40, 40, 8);
   proto::ProtocolConfig cfg;
   cfg.layers = 4;
-  const auto server =
-      std::make_shared<proto::FountainServer>(cfg, *code, 0x5eed);
+  const auto server = std::make_shared<proto::FountainServer>(
+      cfg, code->encoded_count(), 0x5eed, code->codec_id());
 
-  const DiffRun golden =
-      run_fig7_like(*code, server, LinkKind::kBottleneck, 1, 1024);
+  const DiffRun golden = run_fig7_like(*code, server, 1, 1024);
   for (const std::size_t threads : {1u, 2u, 4u}) {
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
     // cohort_size 4 puts the two groups in separate cohorts once threaded.
-    const DiffRun path =
-        run_fig7_like(*code, server, LinkKind::kPath, threads, 4);
+    const DiffRun path = run_fig7_like(*code, server, threads, 4);
     ASSERT_EQ(path.reports.size(), golden.reports.size());
     for (std::size_t r = 0; r < golden.reports.size(); ++r) {
       EXPECT_TRUE(same_report(golden.reports[r], path.reports[r]))
           << "receiver " << r;
     }
     EXPECT_TRUE(golden.log.records() == path.log.records());
+  }
+}
+
+TEST(EdgeQueues, OfferedLoadReturnsToZeroUnderChurn) {
+  // The SharedBottleneck contract: a subscriber takes back every rate it
+  // declared when it finishes — by leaving or by still listening at the
+  // horizon. After a churned, congestion-coupled run over a shared tree,
+  // every edge queue must have carried load and be back at zero, up to the
+  // rounding of the accumulated rate differences.
+  const auto code = fec::make_reed_solomon(fec::RsKind::kCauchy, 40, 40, 8);
+  proto::ProtocolConfig cfg;
+  cfg.layers = 4;
+  const auto server = std::make_shared<proto::FountainServer>(
+      cfg, code->encoded_count(), 0x5eed, code->codec_id());
+  const double r1 = server->subscribed_rate(1);
+  const Topology tree = Topology::bottleneck_tree(
+      2, 2, std::vector<double>{6.0 * r1, 2.6 * r1});
+  const auto queues = engine::make_edge_queues(tree);
+
+  SessionConfig config;
+  config.horizon = 3000;
+  Session session(*code, config);
+  const SourceId src = session.add_source(server);
+  session.set_sink_factory([] { return std::make_unique<engine::NullSink>(); });
+  util::Rng rng(43);
+  std::size_t rx = 0;
+  for (const NodeId leaf : tree.leaves()) {
+    for (int i = 0; i < 3; ++i, ++rx) {
+      ReceiverSpec spec;
+      spec.join = rng.below(64);
+      if (i == 1) spec.leave = spec.join + 200 + rng.below(1500);
+      if (i == 2) {
+        spec.moves.push_back(
+            engine::ScriptedMove{spec.join + 100 + rng.below(500), 3});
+      }
+      spec.policy.seed = 0x70b0ULL + rx;
+      spec.controller =
+          std::make_unique<cc::LossDrivenPolicy>(cc::LossDrivenConfig{});
+      const ReceiverId id = session.add_receiver(std::move(spec));
+      session.subscribe(id, src,
+                        engine::make_path_link(tree, queues, 0, leaf,
+                                               0xc0ULL + 17 * rx,
+                                               0.01 * rng.uniform()));
+    }
+  }
+
+  std::size_t departed = 0;
+  std::size_t at_horizon = 0;
+  for (const ReceiverReport& report : session.run()) {
+    departed += report.outcome == engine::ReceiverOutcome::kDeparted;
+    at_horizon += report.outcome == engine::ReceiverOutcome::kHorizon;
+  }
+  EXPECT_EQ(departed, tree.leaves().size());
+  EXPECT_EQ(at_horizon, 2 * tree.leaves().size());
+  for (std::size_t e = 0; e < queues.size(); ++e) {
+    EXPECT_GT(queues[e]->peak_offered(), 0.0) << "edge " << e;
+    EXPECT_LE(queues[e]->offered(), 1e-9 * queues[e]->capacity())
+        << "edge " << e;
   }
 }
 
@@ -343,7 +385,8 @@ TEST(PathComposition, LossCompoundsMultiplicatively) {
   const std::size_t trials = 200000;
   std::size_t delivered = 0;
   for (std::size_t t = 0; t < trials; ++t) {
-    delivered += path.deliver(static_cast<engine::Time>(t)) ? 1 : 0;
+    delivered += path.transfer(static_cast<engine::Time>(t)).kind ==
+                 engine::FaultKind::kDeliver;
   }
   EXPECT_NEAR(static_cast<double>(delivered) / static_cast<double>(trials),
               0.54, 0.01);
@@ -445,7 +488,7 @@ TEST(PathComposition, FaultLinkAroundPathLinkReconcilesExactly) {
 
 TEST(SessionValidation, PathsSharingOnlyTheLastEdgeAreRejected) {
   // Two receivers whose paths differ in the first hop but merge on the
-  // final edge: shared_state() alone (the first edge) would call them
+  // final edge: a check over the first edge alone would call them
   // independent — the full-edge-set check must couple them and reject
   // cohort_size 1, with the documented message, at every thread count.
   const auto code = fec::make_reed_solomon(fec::RsKind::kCauchy, 20, 20, 8);
@@ -497,7 +540,7 @@ TEST(ProtoTopology, ClientsOnLeavesCompleteAndBadSpecsThrow) {
     clients[i].base_loss = 0.02;
   }
   const proto::SessionResult result =
-      proto::run_session(*code, cfg, clients, topo, 0x1eaf, 4000, 2);
+      proto::run_session(*code, cfg, clients, 0x1eaf, 4000, 2, topo);
   ASSERT_EQ(result.receivers.size(), clients.size());
   for (std::size_t i = 0; i < result.receivers.size(); ++i) {
     EXPECT_TRUE(result.receivers[i].completed) << "client " << i;
@@ -506,18 +549,12 @@ TEST(ProtoTopology, ClientsOnLeavesCompleteAndBadSpecsThrow) {
   // A leaf the topology does not have.
   std::vector<proto::SimClientConfig> bad_leaf = clients;
   bad_leaf[0].leaf = 42;
-  EXPECT_THROW(proto::run_session(*code, cfg, bad_leaf, topo, 1, 100),
+  EXPECT_THROW(proto::run_session(*code, cfg, bad_leaf, 1, 100, 0, topo),
                std::out_of_range);
 
-  // leaf and bottleneck are mutually exclusive.
-  std::vector<proto::SimClientConfig> both = clients;
-  both[0].bottleneck = 0;
-  EXPECT_THROW(proto::run_session(*code, cfg, both, topo, 1, 100),
-               std::invalid_argument);
-
-  // A leaf client without a TopologySpec has nothing to attach to.
+  // With the empty default network no leaf is a node.
   EXPECT_THROW(proto::run_session(*code, cfg, clients, 1, 100),
-               std::invalid_argument);
+               std::out_of_range);
 }
 
 }  // namespace
