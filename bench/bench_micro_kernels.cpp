@@ -1,7 +1,8 @@
 // Microbenchmarks for the data-path kernels underlying every timing table:
 // the dispatched XOR block kernels (per ISA tier, single- and multi-source),
-// the GF(2^8) split-nibble multiply-accumulate, the GF(2^16) and XOR-Cauchy
-// kernels, and end-to-end Tornado encode/decode at a mid-size block.
+// the GF(2^8) and GF(2^16) multiply-accumulates (per tier, and the GF(2^16)
+// row combination of the Tornado RS tail), the XOR-Cauchy kernel, and
+// end-to-end Tornado encode/decode at a mid-size block.
 //
 // Standalone (no external benchmark library): each case is timed by
 // repetition until a minimum wall-clock window is filled, the per-op time
@@ -107,6 +108,7 @@ int main(int argc, char** argv) {
   // scalar tier so the speedup is visible in one run.
   double xor_scalar_1k = 0, xor_best_1k = 0;
   double gf_scalar_1k = 0, gf_best_1k = 0;
+  double gf16_scalar_1k = 0, gf16_best_1k = 0;
   for (const std::size_t bytes : sizes) {
     util::SymbolMatrix m(6, bytes);
     m.fill_random(1);
@@ -138,6 +140,17 @@ int main(int argc, char** argv) {
         if (isa == kern::Isa::kScalar) gf_scalar_1k = gf_mbps;
         gf_best_1k = std::max(gf_best_1k, gf_mbps);
       }
+      const kern::Gf65536Ctx ctx16 = gf::GF65536::mul_ctx(0xBEEF);
+      const double gf16_mbps =
+          h.run("gf65536_fma_block/" + tag, kern::isa_name(isa),
+                double(bytes), [&] {
+                  ops->gf65536_fma(m.row(0).data(), m.row(1).data(), bytes,
+                                   ctx16);
+                });
+      if (bytes == 1024) {
+        if (isa == kern::Isa::kScalar) gf16_scalar_1k = gf16_mbps;
+        gf16_best_1k = std::max(gf16_best_1k, gf16_mbps);
+      }
     }
     // Dispatched public entry points and the other field kernels.
     h.run("xor_into/" + tag, kern::isa_name(kern::active_isa()), double(bytes),
@@ -147,9 +160,11 @@ int main(int argc, char** argv) {
             gf::GF256::fma_buffer(m.row(0).data(), m.row(1).data(), bytes,
                                   0x8E);
           });
-    h.run("GF65536::fma_buffer/" + tag, "gf65536", double(bytes), [&] {
-      gf::GF65536::fma_buffer(m.row(0).data(), m.row(1).data(), bytes, 0xBEEF);
-    });
+    h.run("GF65536::fma_buffer/" + tag, kern::isa_name(kern::active_isa()),
+          double(bytes), [&] {
+            gf::GF65536::fma_buffer(m.row(0).data(), m.row(1).data(), bytes,
+                                    0xBEEF);
+          });
     h.run("cauchy_xor_fma/" + tag, kern::isa_name(kern::active_isa()),
           double(bytes), [&] {
             gf::cauchy_xor_fma(m.row(0).data(), m.row(1).data(), bytes, 0x8E);
@@ -207,6 +222,34 @@ int main(int argc, char** argv) {
     }
   }
 
+  // The Tornado RS tail's inner loop: one tail symbol is a GF(2^16)
+  // combination of every last-level row (1024 of them at k = 16384), at the
+  // packet size, through the field-level entry point that builds one
+  // multiply context per coefficient.
+  {
+    const std::size_t rows = quick ? 256 : 1024;
+    const std::size_t bytes = 1024;
+    const std::string tag =
+        std::to_string(rows) + "x" + std::to_string(bytes);
+    util::SymbolMatrix m(rows + 1, bytes);
+    m.fill_random(4);
+    std::vector<const std::uint8_t*> srcs(rows);
+    std::vector<gf::GF65536::Element> coeffs(rows);
+    for (std::size_t i = 0; i < rows; ++i) {
+      srcs[i] = m.row(i + 1).data();
+      coeffs[i] = static_cast<gf::GF65536::Element>(0x100 + 977 * i);
+    }
+    for (const kern::Isa isa : kTiers) {
+      if (!kern::set_isa_override(isa)) continue;
+      h.run("GF65536::fma_rows/" + tag, kern::isa_name(isa),
+            double(rows) * double(bytes), [&] {
+              gf::GF65536::fma_rows(m.row(0).data(), srcs.data(),
+                                    coeffs.data(), rows, bytes);
+            });
+    }
+    kern::clear_isa_override();
+  }
+
   // End-to-end Tornado encode/decode (symbols/s matters here, so log both).
   {
     const std::size_t k = quick ? 256 : 1024;
@@ -253,6 +296,10 @@ int main(int argc, char** argv) {
   if (gf_scalar_1k > 0 && gf_best_1k > 0) {
     std::printf("gf256_fma_block 1 KB speedup vs scalar: %.2fx\n",
                 gf_best_1k / gf_scalar_1k);
+  }
+  if (gf16_scalar_1k > 0 && gf16_best_1k > 0) {
+    std::printf("gf65536_fma_block 1 KB speedup vs scalar: %.2fx\n",
+                gf16_best_1k / gf16_scalar_1k);
   }
   if (rows_single_mbps > 0 && rows_blocked_mbps > 0) {
     std::printf("xor multi-row blocked vs row-at-a-time:  %.2fx\n",

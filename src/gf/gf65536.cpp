@@ -53,24 +53,25 @@ unsigned GF65536::log(Element a) {
   return tables().log[a];
 }
 
+kern::Gf65536Ctx GF65536::mul_ctx(Element c) {
+  static constexpr Element kZeroBasis[16] = {};
+  if (c == 0) return kern::Gf65536Ctx{kZeroBasis};
+  const auto& t = tables();
+  // exp[log(c) + j] = c * x^j; exp is doubled, so the slice never wraps.
+  return kern::Gf65536Ctx{t.exp + t.log[c]};
+}
+
 void GF65536::fma_buffer(std::uint8_t* dst, const std::uint8_t* src,
                          std::size_t bytes, Element c) {
   if (bytes % 2 != 0) {
     throw std::invalid_argument("GF65536: buffer length must be even");
   }
   if (c == 0) return;
-  const auto& t = tables();
-  const std::uint32_t logc = t.log[c];
-  for (std::size_t i = 0; i < bytes; i += 2) {
-    Element w;
-    std::memcpy(&w, src + i, 2);
-    if (w == 0) continue;
-    const Element prod = t.exp[t.log[w] + logc];
-    Element d;
-    std::memcpy(&d, dst + i, 2);
-    d ^= prod;
-    std::memcpy(dst + i, &d, 2);
+  if (c == 1) {
+    kern::xor_block(dst, src, bytes);
+    return;
   }
+  kern::gf65536_fma_block(dst, src, bytes, mul_ctx(c));
 }
 
 void GF65536::scale_buffer(std::uint8_t* dst, std::size_t bytes, Element c) {
@@ -78,19 +79,11 @@ void GF65536::scale_buffer(std::uint8_t* dst, std::size_t bytes, Element c) {
     throw std::invalid_argument("GF65536: buffer length must be even");
   }
   if (c == 1) return;
-  const auto& t = tables();
   if (c == 0) {
     std::memset(dst, 0, bytes);
     return;
   }
-  const std::uint32_t logc = t.log[c];
-  for (std::size_t i = 0; i < bytes; i += 2) {
-    Element w;
-    std::memcpy(&w, dst + i, 2);
-    if (w == 0) continue;
-    w = t.exp[t.log[w] + logc];
-    std::memcpy(dst + i, &w, 2);
-  }
+  kern::gf65536_scale_block(dst, bytes, mul_ctx(c));
 }
 
 void GF65536::fma_rows(std::uint8_t* dst, const std::uint8_t* const* srcs,
@@ -99,13 +92,29 @@ void GF65536::fma_rows(std::uint8_t* dst, const std::uint8_t* const* srcs,
   if (bytes % 2 != 0) {
     throw std::invalid_argument("GF65536: buffer length must be even");
   }
-  // kRowTileBytes is even, so every tile boundary preserves the 16-bit word
-  // grid fma_buffer requires.
-  for (std::size_t off = 0; off < bytes; off += kern::kRowTileBytes) {
-    const std::size_t len = std::min(kern::kRowTileBytes, bytes - off);
-    for (std::size_t i = 0; i < count; ++i) {
-      if (coeffs[i] != 0) fma_buffer(dst + off, srcs[i] + off, len, coeffs[i]);
+  // Split the combination as GF256::fma_rows does: coefficient-1 rows go
+  // through the plain XOR fold, the rest through the GF(2^16) fold. A
+  // combination can have up to kOrder terms, so it is gathered in chunks
+  // that keep the arrays on the stack; the destination is re-read once per
+  // chunk, not once per source.
+  constexpr std::size_t kChunk = 256;
+  const std::uint8_t* xor_srcs[kChunk];
+  const std::uint8_t* fma_srcs[kChunk];
+  kern::Gf65536Ctx ctxs[kChunk];
+  for (std::size_t base = 0; base < count; base += kChunk) {
+    const std::size_t end = std::min(count, base + kChunk);
+    std::size_t nx = 0, nf = 0;
+    for (std::size_t i = base; i < end; ++i) {
+      if (coeffs[i] == 0) continue;
+      if (coeffs[i] == 1) {
+        xor_srcs[nx++] = srcs[i];
+      } else {
+        fma_srcs[nf] = srcs[i];
+        ctxs[nf++] = mul_ctx(coeffs[i]);
+      }
     }
+    kern::xor_block_rows(dst, xor_srcs, nx, bytes);
+    kern::gf65536_fma_rows(dst, fma_srcs, ctxs, nf, bytes);
   }
 }
 

@@ -8,6 +8,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "kern/kernels.hpp"
+
 namespace fountain::gf {
 
 class GF65536 {
@@ -32,20 +34,29 @@ class GF65536 {
   static Element exp(unsigned power) { return tables().exp[power % 65535]; }
   static unsigned log(Element a);
 
-  /// dst ^= c * src; bytes must be a multiple of 2.
+  /// dst ^= c * src; bytes must be a multiple of 2. Routed through the
+  /// dispatched kern::gf65536_fma_block (GF2P8AFFINEQB on GFNI hosts,
+  /// split-nibble PSHUFB/vqtbl1q on AVX-512BW/AVX2/NEON, split-nibble
+  /// tables on scalar hosts).
   static void fma_buffer(std::uint8_t* dst, const std::uint8_t* src,
                          std::size_t bytes, Element c);
   /// dst *= c; bytes must be a multiple of 2.
   static void scale_buffer(std::uint8_t* dst, std::size_t bytes, Element c);
 
   /// dst ^= sum_i coeffs[i] * srcs[i] — the same RS row-synthesis entry
-  /// point as GF256::fma_rows. GF(2^16) has no SIMD kernel tier, but the
-  /// fold is still cache-blocked so the destination row stays L1-resident
-  /// across the whole linear combination. Zero coefficients are skipped;
-  /// bytes must be a multiple of 2.
+  /// point as GF256::fma_rows, routed through the cache-blocked
+  /// kern::gf65536_fma_rows. Zero coefficients are skipped and
+  /// coefficient-1 rows go through the XOR fold; bytes must be a multiple
+  /// of 2. Any `count` is accepted.
   static void fma_rows(std::uint8_t* dst, const std::uint8_t* const* srcs,
                        const Element* coeffs, std::size_t count,
                        std::size_t bytes);
+
+  /// The kernel-layer multiply context for constant `c` (any value,
+  /// including 0): a pointer to the sixteen products c * x^j, which for
+  /// c != 0 is the exp-table slice starting at log(c). Valid for the
+  /// process lifetime.
+  static kern::Gf65536Ctx mul_ctx(Element c);
 
  private:
   struct Tables {

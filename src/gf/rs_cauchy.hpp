@@ -24,6 +24,16 @@ namespace fountain::gf {
 /// Analytic inverse of the square Cauchy matrix A[i][j] = 1/(xs[j] + ys[i])
 /// (characteristic-2 field; all points pairwise distinct, xs disjoint from
 /// ys). Returns B with B * A = I. O(m^2).
+///
+/// B[j][i] = (u[j] * s[i]) / ((x_j + y_i) * v[j] * t[i]) with
+/// u[j] = prod_k (x_j + y_k), v[j] = prod_{k != j} (x_j + x_k),
+/// s[i] = prod_k (x_k + y_i), t[i] = prod_{k != i} (y_i + y_k). Every factor
+/// is a sum of two distinct points, hence nonzero, so the whole computation
+/// runs on discrete logs: products are sums, the quotient one subtraction,
+/// and each entry one exp lookup. One pass over the log(x_j + y_i) grid
+/// yields both u (row sums) and s (column sums) and is kept for the final
+/// pass; v and t take one log per unordered pair. That is 2m^2 log and m^2
+/// exp lookups, against 8m^2 multiplies and divides in the direct form.
 template <typename Field>
 Matrix<Field> cauchy_inverse(const std::vector<typename Field::Element>& xs,
                              const std::vector<typename Field::Element>& ys) {
@@ -32,33 +42,52 @@ Matrix<Field> cauchy_inverse(const std::vector<typename Field::Element>& xs,
   if (ys.size() != m || m == 0) {
     throw std::invalid_argument("cauchy_inverse: bad dimensions");
   }
-  // u[j] = prod_k (x_j + y_k); v[j] = prod_{k != j} (x_j + x_k)
-  // s[i] = prod_k (x_k + y_i); t[i] = prod_{k != i} (y_i + y_k)
-  std::vector<Element> u(m, Element{1});
-  std::vector<Element> v(m, Element{1});
-  std::vector<Element> s(m, Element{1});
-  std::vector<Element> t(m, Element{1});
+  // Order of the multiplicative group. Sums of at most kOrder logs stay
+  // far below 2^64, so they are reduced once, at the end.
+  constexpr std::uint64_t kGroup = Field::kOrder - 1;
+  std::vector<std::uint64_t> row_log(m, 0);  // log u[j] - log v[j]
+  std::vector<std::uint64_t> col_log(m, 0);  // log s[i] - log t[i]
+  std::vector<std::uint64_t> neg(m, 0);      // log v[j], then log t[i]
+
+  // B's rows correspond to A's columns (the x points). Logs are below
+  // kGroup, so they fit an Element until the final pass replaces them.
+  Matrix<Field> b(m, m);
   for (std::size_t j = 0; j < m; ++j) {
-    for (std::size_t kk = 0; kk < m; ++kk) {
-      u[j] = Field::mul(u[j], Field::add(xs[j], ys[kk]));
-      if (kk != j) v[j] = Field::mul(v[j], Field::add(xs[j], xs[kk]));
+    Element* cells = b.row(j);
+    for (std::size_t i = 0; i < m; ++i) {
+      const unsigned l = Field::log(Field::add(xs[j], ys[i]));
+      cells[i] = static_cast<Element>(l);
+      row_log[j] += l;
+      col_log[i] += l;
+    }
+  }
+  for (std::size_t j = 0; j < m; ++j) {
+    for (std::size_t k = j + 1; k < m; ++k) {
+      const unsigned l = Field::log(Field::add(xs[j], xs[k]));
+      neg[j] += l;
+      neg[k] += l;
+    }
+  }
+  for (std::size_t j = 0; j < m; ++j) {
+    row_log[j] = (row_log[j] % kGroup + kGroup - neg[j] % kGroup) % kGroup;
+  }
+  std::fill(neg.begin(), neg.end(), 0);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t k = i + 1; k < m; ++k) {
+      const unsigned l = Field::log(Field::add(ys[i], ys[k]));
+      neg[i] += l;
+      neg[k] += l;
     }
   }
   for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t kk = 0; kk < m; ++kk) {
-      s[i] = Field::mul(s[i], Field::add(xs[kk], ys[i]));
-      if (kk != i) t[i] = Field::mul(t[i], Field::add(ys[i], ys[kk]));
-    }
+    col_log[i] = (col_log[i] % kGroup + kGroup - neg[i] % kGroup) % kGroup;
   }
-  // B[j][i] = (u[j] * s[i]) / ((x_j + y_i) * v[j] * t[i])
-  // B's rows correspond to A's columns (the x points).
-  Matrix<Field> b(m, m);
+
   for (std::size_t j = 0; j < m; ++j) {
+    Element* cells = b.row(j);
     for (std::size_t i = 0; i < m; ++i) {
-      const Element numerator = Field::mul(u[j], s[i]);
-      const Element denominator = Field::mul(
-          Field::add(xs[j], ys[i]), Field::mul(v[j], t[i]));
-      b.at(j, i) = Field::div(numerator, denominator);
+      cells[i] = Field::exp(
+          static_cast<unsigned>(row_log[j] + col_log[i] + kGroup - cells[i]));
     }
   }
   return b;

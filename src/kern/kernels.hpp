@@ -1,7 +1,8 @@
 // Runtime-dispatched byte-level kernels — the innermost loops of every code
 // in this library. The paper's speed claim (Tables 2/3) rests on the XOR
-// inner loop; this layer makes that loop, and the GF(2^8) multiply-accumulate
-// behind the Reed-Solomon codes, run as wide as the host allows.
+// inner loop; this layer makes that loop, and the GF(2^8) and GF(2^16)
+// multiply-accumulates behind the Reed-Solomon codes (GF(2^16) being the
+// field of the Tornado cascade's RS tail), run as wide as the host allows.
 //
 // Dispatch: an implementation table (`Ops`) per instruction-set tier —
 // GFNI -> AVX-512BW -> AVX2 -> SSE2 -> scalar on x86-64, NEON -> scalar on
@@ -13,7 +14,8 @@
 // tests. Forcing a tier the host lacks falls through to auto-selection.
 //
 // On top of the per-tier single-destination kernels, this header exposes the
-// cache-blocked multi-row primitives `xor_block_rows` / `gf256_fma_rows`:
+// cache-blocked multi-row primitives `xor_block_rows` / `gf256_fma_rows` /
+// `gf65536_fma_rows`:
 // they fold an arbitrary number of source rows into one destination, tiled
 // in `kRowTileBytes` chunks so the destination tile stays L1-resident across
 // all sources instead of being re-read from L2/DRAM once per source. These
@@ -55,6 +57,20 @@ struct Gf256Ctx {
   std::uint64_t affine;
 };
 
+/// Per-constant GF(2^16) multiply context: `basis[j] = c * x^j` for j in
+/// [0, 16), the images of the sixteen input bits under multiplication by c
+/// (in gf::GF65536 this is a 16-word slice of the exp table, so building a
+/// context costs one log lookup). Multiplication by c is GF(2)-linear, so
+/// c * w is the XOR of the basis words selected by the bits of w, and each
+/// tier derives its own tables from this row on kernel entry: four 16-entry
+/// split-nibble tables (scalar; and, split into low and high result bytes,
+/// eight PSHUFB/vqtbl1q half-tables) or four 8x8 GF2P8AFFINEQB bit-matrices
+/// (GFNI), one per (input byte, output byte) pair of the 16x16 bit-matrix.
+/// The pointer must stay valid for the duration of the call.
+struct Gf65536Ctx {
+  const std::uint16_t* basis;
+};
+
 /// One implementation tier: every kernel the layer exposes, as plain
 /// function pointers so the selected tier is a single indirect call.
 struct Ops {
@@ -76,6 +92,13 @@ struct Ops {
                     const Gf256Ctx& ctx);
   /// dst *= c over GF(2^8).
   void (*gf256_scale)(std::uint8_t* dst, std::size_t n, const Gf256Ctx& ctx);
+  /// dst ^= c * src over GF(2^16): `n` must be even, and the buffers hold
+  /// 16-bit words in host byte order (little-endian on every SIMD target).
+  void (*gf65536_fma)(std::uint8_t* dst, const std::uint8_t* src,
+                      std::size_t n, const Gf65536Ctx& ctx);
+  /// dst *= c over GF(2^16), same word layout.
+  void (*gf65536_scale)(std::uint8_t* dst, std::size_t n,
+                        const Gf65536Ctx& ctx);
 };
 
 /// The active tier (selected once, then cached; see file comment).
@@ -120,6 +143,14 @@ inline void gf256_scale_block(std::uint8_t* dst, std::size_t n,
                               const Gf256Ctx& ctx) {
   ops().gf256_scale(dst, n, ctx);
 }
+inline void gf65536_fma_block(std::uint8_t* dst, const std::uint8_t* src,
+                              std::size_t n, const Gf65536Ctx& ctx) {
+  ops().gf65536_fma(dst, src, n, ctx);
+}
+inline void gf65536_scale_block(std::uint8_t* dst, std::size_t n,
+                                const Gf65536Ctx& ctx) {
+  ops().gf65536_scale(dst, n, ctx);
+}
 
 // ---- Cache-blocked multi-row primitives (kernels_rows.cpp) ----
 
@@ -144,6 +175,12 @@ void gf256_fma_rows(const Ops& ops, std::uint8_t* dst,
                     const std::uint8_t* const* srcs, const Gf256Ctx* ctxs,
                     std::size_t count, std::size_t n);
 
+/// dst ^= sum_i ctxs[i] * srcs[i] over GF(2^16), tiled the same way; `n`
+/// must be even (kRowTileBytes is, so every tile keeps the 16-bit grid).
+void gf65536_fma_rows(const Ops& ops, std::uint8_t* dst,
+                      const std::uint8_t* const* srcs, const Gf65536Ctx* ctxs,
+                      std::size_t count, std::size_t n);
+
 inline void xor_block_rows(std::uint8_t* dst, const std::uint8_t* const* srcs,
                            std::size_t count, std::size_t n) {
   xor_block_rows(ops(), dst, srcs, count, n);
@@ -152,6 +189,12 @@ inline void gf256_fma_rows(std::uint8_t* dst, const std::uint8_t* const* srcs,
                            const Gf256Ctx* ctxs, std::size_t count,
                            std::size_t n) {
   gf256_fma_rows(ops(), dst, srcs, ctxs, count, n);
+}
+inline void gf65536_fma_rows(std::uint8_t* dst,
+                             const std::uint8_t* const* srcs,
+                             const Gf65536Ctx* ctxs, std::size_t count,
+                             std::size_t n) {
+  gf65536_fma_rows(ops(), dst, srcs, ctxs, count, n);
 }
 
 }  // namespace fountain::kern

@@ -10,6 +10,13 @@
 // technique needs five, and with no table broadcasts in the loop. Note
 // GF2P8MULB is NOT usable here: it is hardwired to the AES polynomial 0x11B.
 //
+// GF(2^16): multiplication by c is a 16x16 GF(2) bit-matrix, i.e. four 8x8
+// blocks, one per (input byte, output byte) pair. After the AVX2 tier's
+// pack split of 64 words into low and high bytes, each product byte is the
+// XOR of two affine transforms — four VGF2P8AFFINEQB per 64 words instead
+// of eight VPSHUFB plus nibble extraction. The four matrices come from the
+// basis row in a handful of instructions (see gf16_matrices).
+//
 // XOR has no GFNI form; the 64-byte XOR kernels mirror the AVX-512BW tier so
 // that forcing `FOUNTAIN_FORCE_ISA=gfni` exercises a complete table.
 //
@@ -113,8 +120,90 @@ void gf256_scale(std::uint8_t* dst, std::size_t n, const Gf256Ctx& ctx) {
   if (i < n) scalar_gf256_scale(dst + i, n - i, ctx);
 }
 
-constexpr Ops kOps = {Isa::kGfni, &xor1,      &xor2,        &xor3,
-                      &xor4,      &gf256_fma, &gf256_scale};
+/// The four GF2P8AFFINEQB matrices of multiplication by c over GF(2^16),
+/// broadcast to every qword: `lo_from_hi` maps the input's high byte to its
+/// contribution to the product's low byte, and so on.
+struct Gf16Matrices {
+  __m512i lo_from_lo, hi_from_lo, lo_from_hi, hi_from_hi;
+};
+
+inline Gf16Matrices gf16_matrices(const Gf65536Ctx& ctx) {
+  // The matrix mapping input byte `in` to output byte `out` has, in byte
+  // 7-r, bit j set iff bit r of byte `out` of basis[8*in + j] is set: the
+  // transpose of the 8 result bytes, row-reversed. Gather those bytes in
+  // reverse order into one qword (low-byte results in qword 0, high-byte
+  // results in qword 1); an affine transform of the identity pattern
+  // (byte k = 1 << k) by that qword yields byte k = bit k of every gathered
+  // byte, i.e. the transpose; a byte reversal restores the row order.
+  const __m128i gather =
+      _mm_setr_epi8(14, 12, 10, 8, 6, 4, 2, 0, 15, 13, 11, 9, 7, 5, 3, 1);
+  const __m128i reverse =
+      _mm_setr_epi8(7, 6, 5, 4, 3, 2, 1, 0, 15, 14, 13, 12, 11, 10, 9, 8);
+  const __m128i identity =
+      _mm_set1_epi64x(static_cast<long long>(0x8040201008040201ULL));
+  const auto matrices = [&](const std::uint16_t* rows) {
+    const __m128i r = _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows)), gather);
+    return _mm_shuffle_epi8(_mm_gf2p8affine_epi64_epi8(identity, r, 0),
+                            reverse);
+  };
+  const __m128i from_lo = matrices(ctx.basis);
+  const __m128i from_hi = matrices(ctx.basis + 8);
+  return {_mm512_set1_epi64(_mm_extract_epi64(from_lo, 0)),
+          _mm512_set1_epi64(_mm_extract_epi64(from_lo, 1)),
+          _mm512_set1_epi64(_mm_extract_epi64(from_hi, 0)),
+          _mm512_set1_epi64(_mm_extract_epi64(from_hi, 1))};
+}
+
+/// Multiplies the 64 words of (v0, v1) by c in place.
+inline void gf16_mul_pair(__m512i& v0, __m512i& v1, const Gf16Matrices& m) {
+  const __m512i byte_mask = _mm512_set1_epi16(0x00ff);
+  const __m512i lo = _mm512_packus_epi16(_mm512_and_si512(v0, byte_mask),
+                                         _mm512_and_si512(v1, byte_mask));
+  const __m512i hi = _mm512_packus_epi16(_mm512_srli_epi16(v0, 8),
+                                         _mm512_srli_epi16(v1, 8));
+  const __m512i plo =
+      _mm512_xor_si512(_mm512_gf2p8affine_epi64_epi8(lo, m.lo_from_lo, 0),
+                       _mm512_gf2p8affine_epi64_epi8(hi, m.lo_from_hi, 0));
+  const __m512i phi =
+      _mm512_xor_si512(_mm512_gf2p8affine_epi64_epi8(lo, m.hi_from_lo, 0),
+                       _mm512_gf2p8affine_epi64_epi8(hi, m.hi_from_hi, 0));
+  v0 = _mm512_unpacklo_epi8(plo, phi);
+  v1 = _mm512_unpackhi_epi8(plo, phi);
+}
+
+void gf65536_fma(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
+                 const Gf65536Ctx& ctx) {
+  const Gf16Matrices m = gf16_matrices(ctx);
+  const auto step = [&m](std::uint8_t* d, const std::uint8_t* s) {
+    __m512i p0 = load(s);
+    __m512i p1 = load(s + 64);
+    gf16_mul_pair(p0, p1, m);
+    store(d, _mm512_xor_si512(load(d), p0));
+    store(d + 64, _mm512_xor_si512(load(d + 64), p1));
+  };
+  std::size_t i = 0;
+  for (; i + 128 <= n; i += 128) step(dst + i, src + i);
+  if (i < n) padded_tail<128>(dst + i, src + i, n - i, step);
+}
+
+void gf65536_scale(std::uint8_t* dst, std::size_t n, const Gf65536Ctx& ctx) {
+  const Gf16Matrices m = gf16_matrices(ctx);
+  const auto step = [&m](std::uint8_t* d, const std::uint8_t*) {
+    __m512i p0 = load(d);
+    __m512i p1 = load(d + 64);
+    gf16_mul_pair(p0, p1, m);
+    store(d, p0);
+    store(d + 64, p1);
+  };
+  std::size_t i = 0;
+  for (; i + 128 <= n; i += 128) step(dst + i, nullptr);
+  if (i < n) padded_tail<128>(dst + i, nullptr, n - i, step);
+}
+
+constexpr Ops kOps = {Isa::kGfni,   &xor1,        &xor2,
+                      &xor3,        &xor4,        &gf256_fma,
+                      &gf256_scale, &gf65536_fma, &gf65536_scale};
 
 }  // namespace
 

@@ -1,7 +1,8 @@
 // Cache-blocked multi-row folds. The tiling is ISA-independent — it walks
 // the rows in kRowTileBytes chunks and drives the selected tier's
 // single-tile kernels — so one implementation serves every tier; the per-ISA
-// work all happens inside the xor_block_*/gf256_fma function pointers.
+// work all happens inside the xor_block_*/gf256_fma/gf65536_fma function
+// pointers.
 //
 // Why block: a row-at-a-time fold of d source rows reads and writes the
 // destination d times. For rows larger than L1 that destination traffic goes
@@ -63,6 +64,19 @@ void gf256_fma_rows(const Ops& ops, std::uint8_t* dst,
     std::uint8_t* d = dst + off;
     for (std::size_t i = 0; i < count; ++i) {
       ops.gf256_fma(d, srcs[i] + off, len, ctxs[i]);
+    }
+  }
+}
+
+void gf65536_fma_rows(const Ops& ops, std::uint8_t* dst,
+                      const std::uint8_t* const* srcs, const Gf65536Ctx* ctxs,
+                      std::size_t count, std::size_t n) {
+  if (count == 0 || n == 0) return;
+  for (std::size_t off = 0; off < n; off += kRowTileBytes) {
+    const std::size_t len = std::min(kRowTileBytes, n - off);
+    std::uint8_t* d = dst + off;
+    for (std::size_t i = 0; i < count; ++i) {
+      ops.gf65536_fma(d, srcs[i] + off, len, ctxs[i]);
     }
   }
 }

@@ -1,7 +1,7 @@
 // SSE2 tier (x86-64 baseline — always compiled in on x86-64, no extra
-// flags). 16-byte XOR lanes; GF(2^8) falls back to the scalar full-table
-// loop because PSHUFB is SSSE3+ (the AVX2 tier carries the split-nibble
-// multiply).
+// flags). 16-byte XOR lanes; GF(2^8) and GF(2^16) fall back to the scalar
+// table loops because PSHUFB is SSSE3+ (the AVX2 tier carries the
+// split-nibble multiplies).
 #include "kern/kernels_impl.hpp"
 
 #if defined(__SSE2__) || (defined(_M_X64) && !defined(__clang__))
@@ -67,8 +67,11 @@ void xor4(std::uint8_t* dst, const std::uint8_t* a, const std::uint8_t* b,
   }
 }
 
-constexpr Ops kOps = {Isa::kSse2,         &xor1, &xor2, &xor3, &xor4,
-                      &scalar_gf256_fma,  &scalar_gf256_scale};
+constexpr Ops kOps = {Isa::kSse2,          &xor1,
+                      &xor2,               &xor3,
+                      &xor4,               &scalar_gf256_fma,
+                      &scalar_gf256_scale, &scalar_gf65536_fma,
+                      &scalar_gf65536_scale};
 
 }  // namespace
 

@@ -2,8 +2,9 @@
 // machine must produce bit-identical output to the scalar reference tier for
 // every kernel, across sizes 0..4096 (including odd lengths) and misaligned
 // buffer offsets. Also covers the batching XorAccumulator, the dispatch
-// override hooks, and the GF(2^8) split-nibble tables against field
-// arithmetic.
+// override hooks, the GF(2^8) split-nibble tables against field arithmetic,
+// and every tier's GF(2^16) multiply against field arithmetic on all 65536
+// words.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -12,9 +13,11 @@
 
 #include "gf/gf256.hpp"
 #include "gf/gf65536.hpp"
+#include "gf/rs_cauchy.hpp"
 #include "kern/accumulator.hpp"
 #include "kern/kernels.hpp"
 #include "util/random.hpp"
+#include "util/symbols.hpp"
 
 namespace {
 
@@ -225,6 +228,93 @@ TEST(Kernels, DispatchedGf256BufferMatchesReference) {
   }
 }
 
+const std::vector<gf::GF65536::Element> kGf16Constants = {
+    0, 1, 2, 3, 0x100B, 0x8000, 0x8001, 0xBEEF, 0xFFFF};
+
+TEST(Kernels, Gf65536EveryTierMatchesFieldArithmeticOnEveryWord) {
+  // One buffer holding all 65536 words: each tier's scale and fma must
+  // reproduce GF65536::mul(c, x) for every x, which pins mul_ctx's basis
+  // row, every tier's derivation from it (nibble tables, half-table split,
+  // affine transpose) and the low/high byte split against the field itself.
+  std::vector<std::uint8_t> words(2 * 65536);
+  for (std::uint32_t x = 0; x < 65536; ++x) {
+    const auto w = static_cast<std::uint16_t>(x);
+    std::memcpy(words.data() + 2 * x, &w, 2);
+  }
+  for (const kern::Isa isa : all_tiers()) {
+    const kern::Ops& ops = *kern::ops_for(isa);
+    for (const gf::GF65536::Element c : kGf16Constants) {
+      const kern::Gf65536Ctx ctx = gf::GF65536::mul_ctx(c);
+      auto scaled = words;
+      ops.gf65536_scale(scaled.data(), scaled.size(), ctx);
+      std::vector<std::uint8_t> acc(words.size(), 0);
+      ops.gf65536_fma(acc.data(), words.data(), words.size(), ctx);
+      for (std::uint32_t x = 0; x < 65536; ++x) {
+        std::uint16_t s, a;
+        std::memcpy(&s, scaled.data() + 2 * x, 2);
+        std::memcpy(&a, acc.data() + 2 * x, 2);
+        const auto expected =
+            gf::GF65536::mul(c, static_cast<gf::GF65536::Element>(x));
+        ASSERT_EQ(s, expected) << "scale " << kern::isa_name(isa)
+                               << " c=" << c << " x=" << x;
+        ASSERT_EQ(a, expected) << "fma " << kern::isa_name(isa) << " c=" << c
+                               << " x=" << x;
+      }
+    }
+  }
+}
+
+TEST(Kernels, Gf65536FmaDifferential) {
+  const kern::Ops& scalar = *kern::ops_for(kern::Isa::kScalar);
+  for (const kern::Isa isa : simd_tiers()) {
+    const kern::Ops& simd = *kern::ops_for(isa);
+    for (const gf::GF65536::Element c : kGf16Constants) {
+      const kern::Gf65536Ctx ctx = gf::GF65536::mul_ctx(c);
+      for (const std::size_t n : kSizes) {
+        if (n % 2 != 0) continue;
+        for (const std::size_t off : kOffsets) {
+          const auto d0 = random_bytes(n + off, 3000 + n);
+          const auto src = random_bytes(n + off, 4000 + n);
+
+          auto expect = d0;
+          scalar.gf65536_fma(expect.data() + off, src.data() + off, n, ctx);
+          auto got = d0;
+          simd.gf65536_fma(got.data() + off, src.data() + off, n, ctx);
+          ASSERT_EQ(expect, got)
+              << "fma " << kern::isa_name(isa) << " c=" << c << " n=" << n
+              << " off=" << off;
+
+          expect = d0;
+          scalar.gf65536_scale(expect.data() + off, n, ctx);
+          got = d0;
+          simd.gf65536_scale(got.data() + off, n, ctx);
+          ASSERT_EQ(expect, got)
+              << "scale " << kern::isa_name(isa) << " c=" << c << " n=" << n
+              << " off=" << off;
+        }
+      }
+    }
+  }
+}
+
+TEST(Kernels, DispatchedGf65536BufferMatchesReference) {
+  const std::size_t n = 1530;  // not a multiple of any vector step
+  const auto src = random_bytes(n, 21);
+  for (const gf::GF65536::Element c : kGf16Constants) {
+    auto dst = random_bytes(n, 22);
+    auto expect = dst;
+    for (std::size_t i = 0; i < n; i += 2) {
+      std::uint16_t s, d;
+      std::memcpy(&s, src.data() + i, 2);
+      std::memcpy(&d, expect.data() + i, 2);
+      d = static_cast<std::uint16_t>(d ^ gf::GF65536::mul(c, s));
+      std::memcpy(expect.data() + i, &d, 2);
+    }
+    gf::GF65536::fma_buffer(dst.data(), src.data(), n, c);
+    ASSERT_EQ(expect, dst) << "c=" << c;
+  }
+}
+
 TEST(Kernels, XorAccumulatorMatchesNaive) {
   const std::size_t n = 777;
   for (std::size_t count = 0; count <= 9; ++count) {
@@ -339,8 +429,46 @@ TEST(Kernels, Gf256FieldFmaRowsMatchesRepeatedBuffer) {
   }
 }
 
+TEST(Kernels, Gf65536FmaRowsMatchesRepeatedSingle) {
+  const kern::Ops& scalar = *kern::ops_for(kern::Isa::kScalar);
+  for (const kern::Isa isa : all_tiers()) {
+    const kern::Ops& ops = *kern::ops_for(isa);
+    for (const std::size_t count : kRowCounts) {
+      for (const std::size_t n : kRowLengths) {
+        if (n % 2 != 0) continue;
+        const auto d0 = random_bytes(n, 8500 + count + n);
+        std::vector<std::vector<std::uint8_t>> sources;
+        std::vector<const std::uint8_t*> ptrs;
+        std::vector<kern::Gf65536Ctx> ctxs;
+        for (std::size_t i = 0; i < count; ++i) {
+          sources.push_back(random_bytes(n, 8600 + 13 * i + n));
+          ptrs.push_back(sources.back().data());
+          ctxs.push_back(gf::GF65536::mul_ctx(
+              static_cast<gf::GF65536::Element>(2 + 4099 * i)));
+        }
+
+        auto expect = d0;
+        for (std::size_t i = 0; i < count; ++i) {
+          scalar.gf65536_fma(expect.data(), ptrs[i], n, ctxs[i]);
+        }
+        auto got = d0;
+        kern::gf65536_fma_rows(ops, got.data(), ptrs.data(), ctxs.data(),
+                               count, n);
+        ASSERT_EQ(expect, got) << kern::isa_name(isa) << " count=" << count
+                               << " n=" << n;
+      }
+    }
+  }
+}
+
 TEST(Kernels, Gf65536FieldFmaRowsMatchesRepeatedBuffer) {
-  const std::vector<gf::GF65536::Element> coeffs = {0, 1, 0xBEEF, 2, 0x0101};
+  // Mixes coefficient 0 (skipped), 1 (XOR fold) and general coefficients,
+  // and runs past the 256-term gather chunk.
+  std::vector<gf::GF65536::Element> coeffs = {0, 1, 0xBEEF, 2, 0x0101};
+  for (std::size_t i = 0; i < 600; ++i) {
+    coeffs.push_back(static_cast<gf::GF65536::Element>(i % 7 == 0 ? i % 2
+                                                                  : 977 * i));
+  }
   for (const std::size_t n : {std::size_t{258}, std::size_t{8196}}) {
     const auto d0 = random_bytes(n, 920);
     std::vector<std::vector<std::uint8_t>> sources;
@@ -365,6 +493,36 @@ TEST(Kernels, Gf65536FieldFmaRowsMatchesRepeatedBuffer) {
   const gf::GF65536::Element one = 1;
   EXPECT_THROW(gf::GF65536::fma_rows(dst, srcs, &one, 1, 1),
                std::invalid_argument);
+}
+
+TEST(Kernels, CauchyGf65536CodecIsBitIdenticalOnEveryTier) {
+  // The Tornado RS tail's codec end to end, with dispatch forced to each
+  // tier in turn: identical parity rows, and a decode that rebuilds the
+  // erased sources from them. 1030-byte symbols leave a vector tail.
+  constexpr std::size_t kK = 40, kParity = 24, kBytes = 1030;
+  const gf::CauchyCodec<gf::GF65536> codec(kK, kParity);
+  util::SymbolMatrix source(kK, kBytes);
+  source.fill_random(5);
+  util::SymbolMatrix reference;
+  for (const kern::Isa isa : all_tiers()) {
+    ASSERT_TRUE(kern::set_isa_override(isa));
+    util::SymbolMatrix parity(kParity, kBytes);
+    codec.encode(source, parity);
+    if (reference.rows() == 0) reference = parity;
+    EXPECT_EQ(parity, reference) << kern::isa_name(isa);
+
+    util::SymbolMatrix damaged = source;
+    std::vector<bool> have(kK, true);
+    std::vector<std::pair<std::uint32_t, util::ConstByteSpan>> received;
+    for (std::uint32_t j = 0; j < kParity; ++j) {
+      have[j] = false;
+      damaged.row(j)[0] ^= 0xff;
+      received.emplace_back(j, parity.row(j));
+    }
+    codec.decode(damaged, have, received);
+    EXPECT_EQ(damaged, source) << kern::isa_name(isa);
+  }
+  kern::clear_isa_override();
 }
 
 TEST(Kernels, IsaOverride) {
