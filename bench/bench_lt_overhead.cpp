@@ -12,7 +12,9 @@
 //      natural overhead. The decode ladder stops at k = 256K: an LT decode
 //      at minimal overhead keeps one GF(2) mask row per resolved source
 //      (~resolved * inactivated/64 * 8 bytes), which at k = 1M can reach
-//      the GB range — measured once, not worth every CI cycle.
+//      the GB range — measured once, not worth every CI cycle. Each k
+//      also prints the LT decoder's inactivated / plans / extensions
+//      counters (human-readable only, no record).
 //
 // JSON: "encode/..." and "decode/..." records are perf-gated by
 // tools/bench_diff; "overhead/..." records are statistics and ride along
@@ -24,6 +26,7 @@
 
 #include "bench_common.hpp"
 #include "core/tornado.hpp"
+#include "lt/decoder.hpp"
 #include "lt/lt_code.hpp"
 #include "sim/overhead.hpp"
 #include "util/random.hpp"
@@ -68,6 +71,11 @@ double run_tornado_encode(const core::TornadoCode& code,
 struct DecodeResult {
   double seconds = 0;
   double overhead = 0;  // packets_consumed / k - 1 at completion
+  // LT decoder counters (zero for Tornado): sources inactivated by the
+  // successful plan, plans from scratch, and extensions of an open plan.
+  std::size_t inactivated = 0;
+  std::size_t plans = 0;
+  std::size_t extensions = 0;
 };
 
 /// Decode from a fresh random permutation of the distinct encoding indices;
@@ -87,6 +95,12 @@ DecodeResult run_decode(const fec::ErasureCode& code,
     result.overhead = static_cast<double>(used) /
                           static_cast<double>(code.source_count()) -
                       1.0;
+    if (const auto* lt_dec =
+            dynamic_cast<const lt::LtDataDecoder*>(decoder.get())) {
+      result.inactivated = lt_dec->core().inactivated();
+      result.plans = lt_dec->core().plans();
+      result.extensions = lt_dec->core().extensions();
+    }
   });
   return result;
 }
@@ -205,6 +219,8 @@ int main() {
     std::printf("%-10zu %12.1f %10.4f %12.1f %10.4f\n", k,
                 mbps(lt_res.seconds), lt_res.overhead, mbps(tb_res.seconds),
                 tb_res.overhead);
+    std::printf("  lt decoder: %zu inactivated, %zu plans, %zu extensions\n",
+                lt_res.inactivated, lt_res.plans, lt_res.extensions);
     const std::string name = "decode/k=" + std::to_string(k);
     records.push_back({"lt_overhead", name, "lt", lt_res.seconds,
                        mbps(lt_res.seconds),

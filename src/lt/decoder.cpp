@@ -37,8 +37,6 @@ std::int64_t lowest_bit(const std::uint64_t* m, std::size_t words) {
 }  // namespace
 
 void InactivationPlan::clear() {
-  success = false;
-  deficit = 0;
   words = 0;
   resolved.clear();
   resolved_masks.clear();
@@ -112,16 +110,25 @@ bool LtDecoderCore::should_attempt() const {
   return distinct_ - distinct_at_attempt_ >= last_deficit_;
 }
 
-void LtDecoderCore::plan_inactivation(InactivationPlan& plan) {
-  plan.clear();
-  ++attempts_;
-  const auto fail = [&](std::size_t deficit) {
-    plan.success = false;
-    plan.deficit = std::max<std::size_t>(deficit, 1);
-    last_deficit_ = plan.deficit;
-    distinct_at_attempt_ = distinct_;
-  };
+bool LtDecoderCore::try_inactivation() {
+  if (!plan_open_) {
+    ++plans_;
+    return plan_from_scratch();
+  }
+  // The open plan stays valid across peels: every stored check is a true
+  // equation, and new ones are expressed in the plan-time state.
+  ++extensions_;
+  const std::size_t checks = unknown_count_.size();
+  for (auto c = static_cast<std::uint32_t>(plan_checks_);
+       c < checks && plan_.pivot_var.size() < plan_.inactive.size(); ++c) {
+    eliminate(c);
+  }
+  plan_checks_ = checks;
+  return settle();
+}
 
+bool LtDecoderCore::plan_from_scratch() {
+  plan_.clear();
   const std::size_t checks = unknown_count_.size();
   const std::size_t unknowns = k_ - known_count_;
 
@@ -151,10 +158,13 @@ void LtDecoderCore::plan_inactivation(InactivationPlan& plan) {
       plan_order_.push_back(s);
     }
   }
-  if (uncovered > 0) {
-    fail(uncovered);
-    return;
-  }
+  if (uncovered > 0) return fail(uncovered);
+
+  // Counting fast-fail, before any re-peel work: the re-peel below resolves
+  // or inactivates every unknown and spends one residual check per
+  // resolution, so (inactivated - equations left) = unknowns - residual
+  // checks, and the rank is at most the number of equations.
+  if (residual_checks < unknowns) return fail(unknowns - residual_checks);
 
   // Inactivation candidates: highest residual degree first (removing a
   // high-degree source unlocks the most checks), source id as the
@@ -168,17 +178,17 @@ void LtDecoderCore::plan_inactivation(InactivationPlan& plan) {
   // time it dies, inactivate the next candidate and continue with it counted
   // as known. Each pop defines exactly one source in triangular order.
   plan_ucnt_.assign(unknown_count_.begin(), unknown_count_.end());
-  plan_state_.assign(k_, 0);
+  plan_state_.assign(k_, kKnown);
   plan_used_.assign(checks, 0);
   plan_fire_.clear();
   std::size_t remaining = unknowns;
   std::size_t cand = 0;
   while (remaining > 0) {
     if (plan_fire_.empty()) {
-      while (plan_state_[plan_order_[cand]] != 0) ++cand;
+      while (plan_state_[plan_order_[cand]] != kKnown) ++cand;
       const auto s = plan_order_[cand];
-      plan_state_[s] = 2;
-      plan.inactive.push_back(s);
+      plan_state_[s] = kInactive;
+      plan_.inactive.push_back(s);
       --remaining;
       for (const auto c2 : adj_[s]) {
         if (--plan_ucnt_[c2] == 1) plan_fire_.push_back(c2);
@@ -190,7 +200,7 @@ void LtDecoderCore::plan_inactivation(InactivationPlan& plan) {
       std::uint32_t s = 0;
       bool found = false;
       for (const auto n : check_neighbors(c)) {
-        if (known_[n] == 0 && plan_state_[n] == 0) {
+        if (known_[n] == 0 && plan_state_[n] == kKnown) {
           s = n;
           found = true;
           break;
@@ -198,9 +208,9 @@ void LtDecoderCore::plan_inactivation(InactivationPlan& plan) {
       }
       assert(found && "defining check lost its active member");
       if (!found) continue;
-      plan_state_[s] = 1;
+      plan_state_[s] = kResolved;
       plan_used_[c] = 1;
-      plan.resolved.push_back({c, s});
+      plan_.resolved.push_back({c, s});
       --remaining;
       for (const auto c2 : adj_[s]) {
         if (--plan_ucnt_[c2] == 1) plan_fire_.push_back(c2);
@@ -208,82 +218,91 @@ void LtDecoderCore::plan_inactivation(InactivationPlan& plan) {
     }
   }
 
-  const std::size_t ninact = plan.inactive.size();
-  const std::size_t equations = residual_checks - plan.resolved.size();
-  if (equations < ninact) {  // rank <= equations: cheap counting fast-fail
-    fail(ninact - equations);
-    return;
-  }
-
+  const std::size_t ninact = plan_.inactive.size();
   const std::size_t words = (ninact + 63) / 64;
-  plan.words = words;
-  for (std::size_t j = 0; j < plan.resolved.size(); ++j) {
-    plan_pos_[plan.resolved[j].source] = static_cast<std::uint32_t>(j);
+  plan_.words = words;
+  for (std::size_t j = 0; j < plan_.resolved.size(); ++j) {
+    plan_pos_[plan_.resolved[j].source] = static_cast<std::uint32_t>(j);
   }
   for (std::size_t b = 0; b < ninact; ++b) {
-    plan_pos_[plan.inactive[b]] = static_cast<std::uint32_t>(b);
+    plan_pos_[plan_.inactive[b]] = static_cast<std::uint32_t>(b);
   }
 
   // Express every resolved source as a combination over the inactive set:
-  // its defining check's other unknown members are inactive (unit bit) or
-  // resolved earlier (their masks — already built, triangular order).
-  plan.resolved_masks.assign(plan.resolved.size() * words, 0);
-  for (std::size_t j = 0; j < plan.resolved.size(); ++j) {
-    auto* row = plan.resolved_masks.data() + j * words;
-    const auto [c, s] = plan.resolved[j];
-    for (const auto n : check_neighbors(c)) {
-      if (n == s || known_[n] != 0) continue;
-      if (plan_state_[n] == 2) {
-        flip_bit(row, plan_pos_[n]);
-      } else {
-        xor_words(row, plan.resolved_masks.data() + plan_pos_[n] * words,
-                  words);
-      }
-    }
+  // its defining check's other members are known (constants), inactive (unit
+  // bit) or resolved earlier (their masks — already built, triangular
+  // order). The source itself adds its own row, still zero while it is
+  // built in the scratch row.
+  plan_.resolved_masks.assign(plan_.resolved.size() * words, 0);
+  for (std::size_t j = 0; j < plan_.resolved.size(); ++j) {
+    plan_row_.assign(words, 0);
+    plan_mask(plan_.resolved[j].check, plan_row_.data());
+    std::copy(plan_row_.begin(), plan_row_.end(),
+              plan_.resolved_masks.data() + j * words);
   }
 
-  // Incremental GE over the unused residual checks, accept-as-you-go. The
-  // reduction is a single sequential pass over accepted pivots: pivot p's
-  // mask never contains an earlier pivot's variable, so bits introduced
+  // Incremental GE over the unused residual checks, accept-as-you-go (see
+  // eliminate()). The plan stays open for extension should it fall short.
+  plan_.pivot_masks.reserve(ninact * words);
+  for (std::uint32_t c = 0; c < checks && plan_.pivot_var.size() < ninact;
+       ++c) {
+    if (unknown_count_[c] < 2 || plan_used_[c] != 0) continue;
+    eliminate(c);
+  }
+  plan_open_ = true;
+  plan_checks_ = checks;
+  return settle();
+}
+
+void LtDecoderCore::plan_mask(std::uint32_t check, std::uint64_t* mask) const {
+  const std::size_t words = plan_.words;
+  for (const auto n : check_neighbors(check)) {
+    if (plan_state_[n] == kInactive) {
+      flip_bit(mask, plan_pos_[n]);
+    } else if (plan_state_[n] == kResolved) {
+      xor_words(mask, plan_.resolved_masks.data() + plan_pos_[n] * words,
+                words);
+    }
+  }
+}
+
+void LtDecoderCore::eliminate(std::uint32_t check) {
+  // The reduction is a single sequential pass over accepted pivots: pivot
+  // p's mask never contains an earlier pivot's variable, so bits introduced
   // mid-pass always belong to later loop indices. The data decoder replays
   // this exact loop over payload rows, so determinism here is load-bearing.
-  plan.pivot_masks.reserve(ninact * words);
-  std::size_t rank = 0;
-  for (std::uint32_t c = 0; c < checks && rank < ninact; ++c) {
-    if (unknown_count_[c] < 2 || plan_used_[c] != 0) continue;
-    plan_mask_.assign(words, 0);
-    for (const auto n : check_neighbors(c)) {
-      if (known_[n] != 0) continue;
-      if (plan_state_[n] == 2) {
-        flip_bit(plan_mask_.data(), plan_pos_[n]);
-      } else {
-        xor_words(plan_mask_.data(),
-                  plan.resolved_masks.data() + plan_pos_[n] * words, words);
-      }
+  const std::size_t words = plan_.words;
+  plan_row_.assign(words, 0);
+  plan_mask(check, plan_row_.data());
+  const std::size_t rank = plan_.pivot_var.size();
+  for (std::size_t p = 0; p < rank; ++p) {
+    if (test_bit(plan_row_.data(), plan_.pivot_var[p])) {
+      xor_words(plan_row_.data(), plan_.pivot_masks.data() + p * words,
+                words);
     }
-    for (std::size_t p = 0; p < rank; ++p) {
-      if (test_bit(plan_mask_.data(), plan.pivot_var[p])) {
-        xor_words(plan_mask_.data(), plan.pivot_masks.data() + p * words,
-                  words);
-      }
-    }
-    const auto var = lowest_bit(plan_mask_.data(), words);
-    if (var < 0) continue;  // dependent equation
-    plan.pivot_check.push_back(c);
-    plan.pivot_var.push_back(static_cast<std::uint32_t>(var));
-    plan.pivot_masks.insert(plan.pivot_masks.end(), plan_mask_.begin(),
-                            plan_mask_.end());
-    ++rank;
   }
+  const auto var = lowest_bit(plan_row_.data(), words);
+  if (var < 0) return;  // dependent equation
+  plan_.pivot_check.push_back(check);
+  plan_.pivot_var.push_back(static_cast<std::uint32_t>(var));
+  plan_.pivot_masks.insert(plan_.pivot_masks.end(), plan_row_.begin(),
+                           plan_row_.end());
+}
 
-  if (rank < ninact) {
-    fail(ninact - rank);
-    return;
-  }
-  plan.success = true;
+bool LtDecoderCore::settle() {
+  const std::size_t ninact = plan_.inactive.size();
+  const std::size_t rank = plan_.pivot_var.size();
+  if (rank < ninact) return fail(ninact - rank);
   inactivated_ += ninact;
   last_deficit_ = 0;
   distinct_at_attempt_ = distinct_;
+  return true;
+}
+
+bool LtDecoderCore::fail(std::size_t deficit) {
+  last_deficit_ = std::max<std::size_t>(deficit, 1);
+  distinct_at_attempt_ = distinct_;
+  return false;
 }
 
 void LtDecoderCore::finish_plan() {
@@ -291,6 +310,7 @@ void LtDecoderCore::finish_plan() {
   known_count_ = k_;
   for (auto& a : adj_) a.clear();
   fire_.clear();
+  plan_open_ = false;
 }
 
 void LtDecoderCore::reset() {
@@ -306,9 +326,13 @@ void LtDecoderCore::reset() {
   known_count_ = 0;
   last_deficit_ = 0;
   distinct_at_attempt_ = 0;
-  attempts_ = 0;
+  plans_ = 0;
+  extensions_ = 0;
   inactivated_ = 0;
   peeled_ = 0;
+  plan_.clear();
+  plan_open_ = false;
+  plan_checks_ = 0;
 }
 
 // ---- LtStructuralDecoder ----
@@ -320,9 +344,9 @@ bool LtStructuralDecoder::add_index(std::uint32_t index) {
     events_.clear();
     core_.propagate(events_);
   }
-  if (!core_.complete() && core_.should_attempt()) {
-    core_.plan_inactivation(plan_);
-    if (plan_.success) core_.finish_plan();
+  if (!core_.complete() && core_.should_attempt() &&
+      core_.try_inactivation()) {
+    core_.finish_plan();
   }
   return core_.complete();
 }
@@ -346,51 +370,35 @@ void LtDataDecoder::store_payload(std::uint32_t check,
               data.data(), symbol_size_);
 }
 
-void LtDataDecoder::replay(const std::vector<PeelEvent>& events) {
-  // Events arrive in core resolution order, so every neighbor other than the
-  // event's source already holds its final value in nodes_ when its fold
-  // runs: value(s) = check payload XOR (all other neighbors), one
-  // cache-blocked multi-row pass per recovered source.
-  for (const auto& e : events) {
-    auto dst = nodes_.row(e.source);
-    std::memcpy(dst.data(), payload_row(e.check), symbol_size_);
+void LtDataDecoder::fold(const std::vector<PeelEvent>& events,
+                         bool skip_inactive) {
+  // Events arrive in triangular order, so every member folded in already
+  // holds its value when its fold runs; one cache-blocked multi-row pass per
+  // source.
+  for (const auto& [c, s] : events) {
+    auto dst = nodes_.row(s);
+    std::memcpy(dst.data(), payload_row(c), symbol_size_);
     gather_.clear();
-    for (const auto n : core_.check_neighbors(e.check)) {
-      if (n != e.source) gather_.push_back(nodes_.row(n).data());
+    for (const auto n : core_.check_neighbors(c)) {
+      if (n == s || (skip_inactive && core_.plan_inactive(n))) continue;
+      gather_.push_back(nodes_.row(n).data());
     }
     kern::xor_block_rows(dst.data(), gather_.data(), gather_.size(),
                          symbol_size_);
   }
 }
 
-void LtDataDecoder::apply_plan(const InactivationPlan& plan) {
+void LtDataDecoder::apply_plan() {
+  // Every member is classified by the plan's marks alone: a source peeled
+  // after the plan was made is still treated by its plan-time role.
+  const InactivationPlan& plan = core_.plan();
   const std::size_t words = plan.words;
   const std::size_t np = plan.pivot_var.size();
-  mark_.assign(nodes_.rows(), 0);
-  pos_.assign(nodes_.rows(), 0);
-  for (std::size_t j = 0; j < plan.resolved.size(); ++j) {
-    mark_[plan.resolved[j].source] = 1;
-    pos_[plan.resolved[j].source] = static_cast<std::uint32_t>(j);
-  }
-  for (std::size_t b = 0; b < plan.inactive.size(); ++b) {
-    mark_[plan.inactive[b]] = 2;
-    pos_[plan.inactive[b]] = static_cast<std::uint32_t>(b);
-  }
 
   // 1. Partial values for resolved sources, triangular order: B(s) = defining
-  // check payload XOR known/earlier-resolved neighbors (inactive skipped —
-  // their contribution lands in step 4). nodes_.row(s) holds B(s) until then.
-  for (const auto& [c, s] : plan.resolved) {
-    auto dst = nodes_.row(s);
-    std::memcpy(dst.data(), payload_row(c), symbol_size_);
-    gather_.clear();
-    for (const auto n : core_.check_neighbors(c)) {
-      if (n == s || mark_[n] == 2) continue;
-      gather_.push_back(nodes_.row(n).data());
-    }
-    kern::xor_block_rows(dst.data(), gather_.data(), gather_.size(),
-                         symbol_size_);
-  }
+  // check payload XOR known/earlier-resolved members (inactive skipped).
+  // nodes_.row(s) holds B(s) until step 4.
+  fold(plan.resolved, /*skip_inactive=*/true);
 
   // 2. Dense-system right-hand sides, replaying the planner's elimination
   // pass byte-for-byte over payloads.
@@ -401,20 +409,15 @@ void LtDataDecoder::apply_plan(const InactivationPlan& plan) {
     auto dst = rhs.row(j);
     std::memcpy(dst.data(), payload_row(c), symbol_size_);
     gather_.clear();
-    std::fill(mask.begin(), mask.end(), 0);
     for (const auto n : core_.check_neighbors(c)) {
-      if (mark_[n] == 2) {
-        flip_bit(mask.data(), pos_[n]);
-        continue;
+      if (!core_.plan_inactive(n)) {
+        gather_.push_back(nodes_.row(n).data());  // final value or B row
       }
-      if (mark_[n] == 1) {
-        xor_words(mask.data(), plan.resolved_masks.data() + pos_[n] * words,
-                  words);
-      }
-      gather_.push_back(nodes_.row(n).data());  // final value or B row
     }
     kern::xor_block_rows(dst.data(), gather_.data(), gather_.size(),
                          symbol_size_);
+    std::fill(mask.begin(), mask.end(), 0);
+    core_.plan_mask(c, mask.data());
     for (std::size_t p = 0; p < j; ++p) {
       if (test_bit(mask.data(), plan.pivot_var[p])) {
         xor_words(mask.data(), plan.pivot_masks.data() + p * words, words);
@@ -448,24 +451,10 @@ void LtDataDecoder::apply_plan(const InactivationPlan& plan) {
                 dst.data(), symbol_size_);
   }
 
-  // 4. Fold the solved inactive values into every resolved source's B row.
-  for (std::size_t j = 0; j < plan.resolved.size(); ++j) {
-    const auto* row = plan.resolved_masks.data() + j * words;
-    gather_.clear();
-    for (std::size_t w = 0; w < words; ++w) {
-      std::uint64_t bits = row[w];
-      while (bits != 0) {
-        const auto b = w * 64 +
-                       static_cast<std::size_t>(__builtin_ctzll(bits));
-        bits &= bits - 1;
-        gather_.push_back(nodes_.row(plan.inactive[b]).data());
-      }
-    }
-    if (!gather_.empty()) {
-      kern::xor_block_rows(nodes_.row(plan.resolved[j].source).data(),
-                           gather_.data(), gather_.size(), symbol_size_);
-    }
-  }
+  // 4. Second triangular pass through the sparse defining checks: every
+  // other member of a resolved source's check is known, inactive (solved in
+  // step 3) or resolved earlier in this pass.
+  fold(plan.resolved, /*skip_inactive=*/false);
 }
 
 bool LtDataDecoder::add_symbol(std::uint32_t index, util::ConstByteSpan data) {
@@ -478,14 +467,12 @@ bool LtDataDecoder::add_symbol(std::uint32_t index, util::ConstByteSpan data) {
     store_payload(static_cast<std::uint32_t>(r.check), data);
     events_.clear();
     core_.propagate(events_);
-    replay(events_);
+    fold(events_, /*skip_inactive=*/false);
   }
-  if (!core_.complete() && core_.should_attempt()) {
-    core_.plan_inactivation(plan_);
-    if (plan_.success) {
-      apply_plan(plan_);
-      core_.finish_plan();
-    }
+  if (!core_.complete() && core_.should_attempt() &&
+      core_.try_inactivation()) {
+    apply_plan();
+    core_.finish_plan();
   }
   return core_.complete();
 }

@@ -13,23 +13,39 @@
 // XOR (a sparse GF(2) combination of the inactivated set), and each leftover
 // residual check yields one dense equation over just the inactivated
 // variables. A small Gaussian elimination over those (typically a few dozen
-// to a few hundred variables — never the k x k system) decides solvability;
-// on success the inactivated values are solved and substituted back.
+// to a few thousand variables — never the k x k system) decides solvability.
 //
-// The planning pass is purely structural (bitmask arithmetic, zero payload
-// bytes touched), so a failed attempt costs no symbol work; the attempt
-// schedule is rank-driven: after a failure with rank deficit d, the next
-// attempt waits for d more distinct symbols — each new symbol raises the
-// system rank by at most one, so no earlier attempt could have succeeded.
+// Open plan: an elimination that falls short of full rank keeps its
+// triangularization. The next due attempt only reduces the checks stored
+// since, each expressed in the plan-time state (a source known at plan time
+// is a constant, a resolved one contributes its mask, an inactive one its
+// bit), against the existing pivots. Every stored check is a true equation,
+// so peels between attempts never invalidate the plan; a full re-plan
+// happens only when no plan is open (before the first elimination-level
+// failure, or after finish_plan()/reset()).
+//
+// Planning and extension are purely structural (bitmask arithmetic, zero
+// payload bytes touched), so a failed attempt costs no symbol work. The
+// attempt schedule is rank-driven: after a failure with rank deficit d, the
+// next attempt waits for d more distinct symbols — each new symbol raises
+// the system rank by at most one, so no skipped arrival could have
+// succeeded, and success means the received system has rank k: the decoder
+// is exact maximum-likelihood and completes on the first arrival that makes
+// the file decodable, whatever order the elimination takes.
+//
 // On success the data decoder replays the plan over payloads with the
-// cache-blocked kern:: row folds (one multi-row XOR per resolved node, plus
-// the dense elimination over the inactivated rows).
+// cache-blocked kern:: row folds: partial values of the resolved sources
+// (their defining checks without the inactive members), the dense
+// elimination over the inactivated rows, then a second triangular pass that
+// back-substitutes each resolved source through its sparse defining check —
+// never through its dense inactive-set mask.
 //
-// Both decoders share LtDecoderCore, the index-level machinery; decodability
-// depends only on which indices arrived, so the structural decoder *is* the
-// core and the two agree on the completion packet by construction. Decoders
-// are pooled: reset() returns every container to size zero while keeping
-// capacity, per the engine sink-pooling contract.
+// Both decoders share LtDecoderCore, the index-level machinery, which owns
+// the plan; decodability depends only on which indices arrived, so the
+// structural decoder *is* the core and the two agree on the completion
+// packet by construction. Decoders are pooled: reset() returns every
+// container to size zero while keeping capacity, per the engine
+// sink-pooling contract.
 #pragma once
 
 #include <cstdint>
@@ -48,12 +64,10 @@ struct PeelEvent {
   std::uint32_t source;
 };
 
-/// Output of a successful (or failed) inactivation attempt. Masks are bit
-/// vectors over the inactivated set, `words` 64-bit words wide, flattened
-/// row-major (row r = [r * words, (r+1) * words)).
+/// A structural inactivation plan. Masks are bit vectors over the
+/// inactivated set, `words` 64-bit words wide, flattened row-major (row r =
+/// [r * words, (r+1) * words)).
 struct InactivationPlan {
-  bool success = false;
-  std::size_t deficit = 0;  // unsolved rank gap when !success
   std::size_t words = 0;
   /// Triangular resolution order: source + its defining check.
   std::vector<PeelEvent> resolved;
@@ -106,18 +120,36 @@ class LtDecoderCore {
   /// symbols have arrived to cover the previous attempt's rank deficit.
   bool should_attempt() const;
 
-  /// Runs the structural inactivation pass (see file comment). On success
-  /// the caller performs any payload work and then calls finish_plan(); on
-  /// failure the attempt schedule is advanced and the state is untouched.
-  void plan_inactivation(InactivationPlan& plan);
+  /// Runs one inactivation attempt (see file comment): extends the open
+  /// plan if there is one, else plans from scratch. Returns true when the
+  /// received system has full rank — plan() is then complete, and the
+  /// caller performs any payload work and calls finish_plan(). On false the
+  /// attempt schedule is advanced and the decoding state is untouched.
+  bool try_inactivation();
 
-  /// Commits a successful plan: every source becomes known.
+  /// The plan of the last attempt; complete after try_inactivation()
+  /// returned true, until finish_plan() or reset().
+  const InactivationPlan& plan() const { return plan_; }
+
+  /// True when `source` is in the plan's inactive set.
+  bool plan_inactive(std::uint32_t source) const {
+    return plan_state_[source] == kInactive;
+  }
+
+  /// XORs the plan-time mask of `check`'s equation into `mask` (plan().words
+  /// wide): members known at plan time are constants, resolved members add
+  /// their mask, inactive members their bit.
+  void plan_mask(std::uint32_t check, std::uint64_t* mask) const;
+
+  /// Commits a successful plan and closes it: every source becomes known.
   void finish_plan();
 
   void reset();
 
-  // Diagnostics for tests and benches.
-  std::size_t attempts() const { return attempts_; }
+  // Diagnostics for tests and benches; all deterministic. Every attempt is
+  // either a plan from scratch or an extension of the open plan.
+  std::size_t plans() const { return plans_; }
+  std::size_t extensions() const { return extensions_; }
   std::size_t inactivated() const { return inactivated_; }
   std::size_t peeled() const { return peeled_; }
 
@@ -145,18 +177,40 @@ class LtDecoderCore {
   // Attempt schedule (rank-driven, see file comment).
   std::size_t last_deficit_ = 0;
   std::size_t distinct_at_attempt_ = 0;
-  std::size_t attempts_ = 0;
+  std::size_t plans_ = 0;
+  std::size_t extensions_ = 0;
   std::size_t inactivated_ = 0;
   std::size_t peeled_ = 0;
 
-  // Planning scratch, pooled across attempts.
+  // The plan; open (extended by the next attempt) after an elimination that
+  // fell short of full rank. Checks below plan_checks_ have been reduced.
+  InactivationPlan plan_;
+  bool plan_open_ = false;
+  std::size_t plan_checks_ = 0;
+
+  // Plan-time role per source: known (a constant), resolved or inactive.
+  // During the symbolic re-peel kKnown on an unknown source means active.
+  static constexpr std::uint8_t kKnown = 0;
+  static constexpr std::uint8_t kResolved = 1;
+  static constexpr std::uint8_t kInactive = 2;
+
+  // Planning state, pooled across attempts.
   std::vector<std::uint32_t> plan_ucnt_;
-  std::vector<std::uint8_t> plan_state_;  // 0 active, 1 resolved, 2 inactive
+  std::vector<std::uint8_t> plan_state_;  // per source: a role above
   std::vector<std::uint32_t> plan_pos_;   // resolved/inactive ordinal
   std::vector<std::uint32_t> plan_order_; // inactivation candidate order
   std::vector<std::uint32_t> plan_fire_;
   std::vector<std::uint8_t> plan_used_;   // per check: defining check flag
-  std::vector<std::uint64_t> plan_mask_;  // one equation row
+  std::vector<std::uint64_t> plan_row_;   // one equation row
+
+  bool plan_from_scratch();
+  /// Reduces `check`'s plan-time row against the pivots; accepts it as a
+  /// new pivot if independent.
+  void eliminate(std::uint32_t check);
+  /// Ends an attempt: true at full rank, else fail(rank deficit).
+  bool settle();
+  /// Schedules the next attempt `deficit` distinct symbols on; false.
+  bool fail(std::size_t deficit);
 };
 
 class LtStructuralDecoder final : public fec::StructuralDecoder {
@@ -172,7 +226,6 @@ class LtStructuralDecoder final : public fec::StructuralDecoder {
  private:
   LtDecoderCore core_;
   std::vector<PeelEvent> events_;   // scratch (contents unused)
-  InactivationPlan plan_;           // scratch
 };
 
 class LtDataDecoder final : public fec::IncrementalDecoder {
@@ -195,18 +248,18 @@ class LtDataDecoder final : public fec::IncrementalDecoder {
     return payload_.data() + static_cast<std::size_t>(check) * symbol_size_;
   }
   void store_payload(std::uint32_t check, util::ConstByteSpan data);
-  void replay(const std::vector<PeelEvent>& events);
-  void apply_plan(const InactivationPlan& plan);
+  /// For each event in order: value(source) = check payload XOR every other
+  /// member of the check, skipping the plan's inactive members when
+  /// `skip_inactive` (the partial values of apply_plan's first pass).
+  void fold(const std::vector<PeelEvent>& events, bool skip_inactive);
+  void apply_plan();
 
   LtDecoderCore core_;
   std::size_t symbol_size_;
   util::SymbolMatrix nodes_;           // k source rows (the decode target)
   std::vector<std::uint8_t> payload_;  // stored check payloads, row-major
   std::vector<PeelEvent> events_;      // scratch
-  InactivationPlan plan_;              // scratch
   std::vector<const std::uint8_t*> gather_;  // substitution-source scratch
-  std::vector<std::uint8_t> mark_;     // plan replay: 1 resolved, 2 inactive
-  std::vector<std::uint32_t> pos_;     // plan replay: resolved/inactive ordinal
 };
 
 }  // namespace fountain::lt

@@ -4,8 +4,10 @@
 // (kern::xor_block_rows). Departure from the BlockEncoder contract, by
 // design: the index space is unbounded, so NO index is out of range —
 // encoded_count() is the code's nominal n, not a limit (see lt/lt_code.hpp).
-// Per-symbol cost is mean_degree() row XORs (~ln(k/delta)); no allocation
-// after construction (neighbor scratch and the gather list are pooled).
+// Per-symbol cost is mean_degree() row XORs (~ln(k/delta)). write_symbol is
+// safe to call concurrently on one encoder: its scratch (neighbor list,
+// gather list, the generator's mark map) is per thread and pooled, so a warm
+// thread never allocates.
 #pragma once
 
 #include <cstdint>
@@ -32,11 +34,7 @@ class LtEncoder final : public fec::BlockEncoder {
  private:
   const LtCode& code_;
   util::ConstSymbolView source_;
-  // write_symbol is logically const (a pure function of the index); the
-  // scratch it reuses is not.
-  mutable NeighborGenerator gen_;
-  mutable std::vector<std::uint32_t> neighbors_;
-  mutable std::vector<const std::uint8_t*> gather_;
+  NeighborGenerator gen_;
 };
 
 }  // namespace fountain::lt

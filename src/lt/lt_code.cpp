@@ -40,30 +40,34 @@ void params_from_variant(std::uint32_t variant, double& c, double& delta) {
 
 NeighborGenerator::NeighborGenerator(const RobustSoliton& dist,
                                      std::uint64_t seed)
-    : dist_(dist), seed_(seed), mark_(dist.k(), 0) {}
+    : dist_(dist), seed_(seed) {}
 
 unsigned NeighborGenerator::generate(std::uint32_t index,
-                                     std::vector<std::uint32_t>& out) {
+                                     std::vector<std::uint32_t>& out) const {
   // Per-symbol stream: mix the index into the code seed before the Rng's own
   // splitmix expansion, so streams for adjacent indices share no structure.
-  rng_.reseed(mix64(seed_ ^ mix64(0x4c54ULL << 32 | index)));
+  util::Rng rng(mix64(seed_ ^ mix64(0x4c54ULL << 32 | index)));
   const std::uint64_t k = dist_.k();
-  unsigned degree = dist_.sample(rng_);
+  unsigned degree = dist_.sample(rng);
   if (degree > k) degree = static_cast<unsigned>(k);  // unreachable guard
   out.clear();
 
   // Distinct draws via a stamped mark map: O(1) membership, O(1) reset (bump
-  // the stamp), no allocation after construction. Expected draws are
+  // the stamp), no allocation once grown. Expected draws are
   // degree * k / (k - degree + 1); even the spike degree (~k / R << k) stays
-  // within a small constant factor of `degree`.
-  if (++stamp_ == 0) {  // stamp wrapped: clear and restart
-    std::fill(mark_.begin(), mark_.end(), 0U);
-    stamp_ = 1;
+  // within a small constant factor of `degree`. Stamps are unique per call
+  // on a thread, so generators of different k share the map safely.
+  thread_local std::vector<std::uint32_t> mark;
+  thread_local std::uint32_t stamp = 0;
+  if (mark.size() < k) mark.resize(k, 0);
+  if (++stamp == 0) {  // stamp wrapped: clear and restart
+    std::fill(mark.begin(), mark.end(), 0U);
+    stamp = 1;
   }
   while (out.size() < degree) {
-    const auto s = static_cast<std::uint32_t>(rng_.below(k));
-    if (mark_[s] == stamp_) continue;
-    mark_[s] = stamp_;
+    const auto s = static_cast<std::uint32_t>(rng.below(k));
+    if (mark[s] == stamp) continue;
+    mark[s] = stamp;
     out.push_back(s);
   }
   return degree;

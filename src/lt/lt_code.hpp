@@ -52,23 +52,21 @@ void params_from_variant(std::uint32_t variant, double& c, double& delta);
 /// Deterministically derives encoding symbol `index`'s degree and neighbor
 /// set. The per-symbol Rng is seeded by mixing (seed, index) through
 /// splitmix-style finalizers, so generation is a pure function — identical
-/// across hosts, runs, and thread counts. Holds scratch (a k-wide mark map)
-/// so repeated generation never allocates; not thread-safe per instance,
-/// cheap to create per thread.
+/// across hosts, runs, and thread counts. generate() is const and safe to
+/// call concurrently on one instance: its distinct-draw scratch (a stamped
+/// mark map, grown to the largest k seen) is per thread and shared by every
+/// generator on that thread, so repeated generation never allocates.
 class NeighborGenerator {
  public:
   NeighborGenerator(const RobustSoliton& dist, std::uint64_t seed);
 
   /// Fills `out` with symbol `index`'s distinct neighbors (source indices in
   /// [0, k)), in derivation order. Returns the degree (= out.size()).
-  unsigned generate(std::uint32_t index, std::vector<std::uint32_t>& out);
+  unsigned generate(std::uint32_t index, std::vector<std::uint32_t>& out) const;
 
  private:
   const RobustSoliton& dist_;  // borrowed; must outlive the generator
   std::uint64_t seed_;
-  util::Rng rng_;
-  std::vector<std::uint32_t> mark_;  // mark_[s] == stamp: s already drawn
-  std::uint32_t stamp_ = 0;
 };
 
 class LtCode final : public fec::ErasureCode {

@@ -1,16 +1,18 @@
 // The rateless plane: robust-soliton distribution fit, deterministic
 // (seed, index) -> neighborhood derivation across runs and threads, the
-// streaming encoder past the nominal n, BP/inactivation decoding at k up to
-// 65536 (the epsilon <= 0.05 acceptance bound, with the dense-GE path
-// provably exercised), structural/data decoder agreement, decoder pooling,
-// and the ControlInfo round-trip that lets a mirror rebuild the identical
-// code.
+// streaming encoder past the nominal n and shared by concurrent writers,
+// BP/inactivation decoding at k up to 65536 (the epsilon <= 0.05 acceptance
+// bound, with the dense-GE path provably exercised), exact-ML completion
+// against a dense GF(2) rank oracle (open-plan extensions included),
+// structural/data decoder agreement, decoder pooling, and the ControlInfo
+// round-trip that lets a mirror rebuild the identical code.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -57,6 +59,48 @@ std::size_t decode_with_shuffled(const lt::LtCode& code,
   }
   return 0;
 }
+
+// Dense GF(2) rank of the received system, kept incrementally: one k-bit
+// row per arriving symbol (its NeighborGenerator set), reduced against a
+// basis indexed by leading bit. Duplicates reduce to zero on their own.
+class RankOracle {
+ public:
+  explicit RankOracle(const lt::LtCode& code)
+      : gen_(code.distribution(), code.params().seed),
+        words_((code.source_count() + 63) / 64),
+        basis_(code.source_count() * words_, 0),
+        has_(code.source_count(), 0) {}
+
+  /// Adds symbol `index`; returns the rank after it.
+  std::size_t add(std::uint32_t index) {
+    gen_.generate(index, nbrs_);
+    row_.assign(words_, 0);
+    for (const auto s : nbrs_) row_[s >> 6] ^= 1ULL << (s & 63);
+    for (std::size_t w = 0; w < words_; ++w) {
+      while (row_[w] != 0) {
+        const std::size_t b =
+            w * 64 + static_cast<std::size_t>(__builtin_ctzll(row_[w]));
+        std::uint64_t* pivot = basis_.data() + b * words_;
+        if (has_[b] == 0) {
+          std::copy(row_.begin(), row_.end(), pivot);
+          has_[b] = 1;
+          return ++rank_;
+        }
+        for (std::size_t x = w; x < words_; ++x) row_[x] ^= pivot[x];
+      }
+    }
+    return rank_;
+  }
+
+ private:
+  lt::NeighborGenerator gen_;
+  std::size_t words_;
+  std::vector<std::uint64_t> basis_;  // row b: the pivot with leading bit b
+  std::vector<std::uint8_t> has_;
+  std::size_t rank_ = 0;
+  std::vector<std::uint32_t> nbrs_;
+  std::vector<std::uint64_t> row_;
+};
 
 TEST(RobustSoliton, RejectsBadParameters) {
   EXPECT_THROW(lt::RobustSoliton(0, 0.1, 0.5), std::invalid_argument);
@@ -226,6 +270,45 @@ TEST(LtEncoder, MatchesManualNeighborFoldIncludingPastNominalN) {
   EXPECT_EQ(got, want);
 }
 
+TEST(LtEncoder, ConcurrentWritersOnOneEncoderMatchASingleThreadedReference) {
+  // write_symbol is const, so one encoder may serve several engine workers:
+  // four threads share it, each streaming its own index range, and every
+  // symbol must equal the one a private encoder writes on this thread.
+  const std::size_t k = 65536;
+  const std::size_t p = 16;
+  const std::size_t threads = 4;
+  const std::size_t per_thread = 20000;
+  const auto code = make_code(k, p, 19);
+  util::SymbolMatrix src(k, p);
+  src.fill_random(23);
+  util::SymbolMatrix want(threads * per_thread, p);
+  {
+    const auto reference = code.make_encoder(src);
+    for (std::size_t i = 0; i < want.rows(); ++i) {
+      reference->write_symbol(static_cast<std::uint32_t>(i), want.row(i));
+    }
+  }
+  const auto shared = code.make_encoder(src);
+  util::SymbolMatrix got(threads * per_thread, p);
+  std::vector<std::thread> pool;
+  for (std::size_t t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      for (std::size_t i = t * per_thread; i < (t + 1) * per_thread; ++i) {
+        shared->write_symbol(static_cast<std::uint32_t>(i), got.row(i));
+      }
+    });
+  }
+  for (auto& th : pool) th.join();
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < want.rows(); ++i) {
+    if (!std::equal(want.row(i).begin(), want.row(i).end(),
+                    got.row(i).begin())) {
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << want.rows() << " symbols";
+}
+
 TEST(LtDecoder, RecoversAtFivePercentOverheadWithInactivation) {
   // The acceptance bound: k = 65536, random distinct symbols, completion at
   // <= 1.05 k — and the run must go through the inactivation/GE path, not
@@ -276,6 +359,73 @@ TEST(LtDecoder, StructuralAndDataDecodersAgreeStepByStep) {
   EXPECT_EQ(data.source(), util::ConstSymbolView(src));
   EXPECT_EQ(data.core().distinct(), oracle.core().distinct());
   EXPECT_EQ(data.core().inactivated(), oracle.core().inactivated());
+}
+
+TEST(LtDecoder, CompletesOnTheFirstArrivalOfFullRank) {
+  // Exact ML: both decoders must complete on the first arrival at which the
+  // received system reaches rank k — never earlier, never later — through
+  // full plans, open-plan extensions and peels in between. Indices come from
+  // a 3k window, so duplicates occur.
+  struct Case {
+    std::size_t k;
+    std::uint64_t seeds;
+  };
+  std::size_t extension_finishes = 0;
+  std::size_t after_peel = 0;  // ... whose plan saw a peel before finishing
+  for (const auto [k, seeds] : {Case{64, 40}, Case{300, 40}, Case{2000, 10}}) {
+    for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
+      SCOPED_TRACE("k=" + std::to_string(k) + " seed=" + std::to_string(seed));
+      const auto code = make_code(k, 8, seed);
+      util::SymbolMatrix src(k, 8);
+      src.fill_random(seed + 100);
+      const auto enc = code.make_encoder(src);
+      lt::LtDataDecoder data(code);
+      lt::LtStructuralDecoder structural(code);
+      RankOracle oracle(code);
+      util::Rng rng(1000 * k + seed);
+      std::vector<std::uint8_t> buf(8);
+      std::size_t peeled_at_plan = 0;
+      bool by_extension = false;
+      for (std::size_t step = 0;; ++step) {
+        ASSERT_LT(step, 50 * k);
+        const auto i = static_cast<std::uint32_t>(rng.below(3 * k));
+        enc->write_symbol(i, util::ByteSpan(buf.data(), buf.size()));
+        const std::size_t plans = data.core().plans();
+        const std::size_t extensions = data.core().extensions();
+        const bool full_rank = oracle.add(i) == k;
+        ASSERT_EQ(data.add_symbol(i, util::ConstByteSpan(buf.data(), 8)),
+                  full_rank)
+            << "arrival " << step;
+        ASSERT_EQ(structural.add_index(i), full_rank) << "arrival " << step;
+        if (data.core().plans() != plans) {
+          peeled_at_plan = data.core().peeled();
+        }
+        if (full_rank) {
+          by_extension = data.core().extensions() != extensions;
+          break;
+        }
+      }
+      EXPECT_EQ(data.source(), util::ConstSymbolView(src));
+      EXPECT_EQ(data.core().plans(), structural.core().plans());
+      EXPECT_EQ(data.core().extensions(), structural.core().extensions());
+      EXPECT_EQ(data.core().inactivated(), structural.core().inactivated());
+      EXPECT_EQ(data.core().peeled(), structural.core().peeled());
+      if (data.core().inactivated() > 0) {
+        EXPECT_GE(data.core().plans(), 1u);
+      }
+      if (data.core().plans() == 0) {
+        EXPECT_EQ(data.core().extensions(), 0u);
+      }
+      if (by_extension) {
+        ++extension_finishes;
+        if (data.core().peeled() > peeled_at_plan) ++after_peel;
+      }
+    }
+  }
+  EXPECT_GT(extension_finishes, 0u);
+  EXPECT_GT(after_peel, 0u)
+      << "no decode finished through an extension after a peel between "
+         "attempts";
 }
 
 TEST(LtDecoder, DuplicatesNeverAdvanceState) {
