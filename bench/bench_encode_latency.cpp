@@ -14,6 +14,12 @@
 //  * encode-buffer memory — the n x P encoding a legacy producer holds, vs
 //    the encoder's state_bytes() beyond the borrowed source.
 //
+// A second table times the Tornado cold start, which the rows above leave
+// out: building the code from its parameters (the graph construction every
+// sender and joining client runs), then make_encoder(), then the worst-case
+// first symbol. Its encode_cold_start records carry mb_per_s = k * P / t, so
+// tools/bench_diff gates them.
+//
 // Emits JSON-lines records to BENCH_results.json like the other benches.
 #include <algorithm>
 #include <cstdio>
@@ -93,6 +99,25 @@ void report(const char* codec, std::size_t k, const Row& row) {
                        0, static_cast<double>(row.state_bytes)});
 }
 
+/// Construction from the params, make_encoder, then the worst-case first
+/// symbol; median seconds over 3 runs.
+void cold_start(const char* codec, const core::TornadoParams& params) {
+  util::SymbolMatrix source(params.k, kPacket);
+  source.fill_random(11);
+  util::SymbolMatrix scratch(1, kPacket);
+  const double t = bench::time_median(3, [&] {
+    const core::TornadoCode code(params);
+    const auto encoder = code.make_encoder(source);
+    encoder->write_symbol(
+        static_cast<std::uint32_t>(code.encoded_count() - 1), scratch.row(0));
+  });
+  const double mb_per_s = static_cast<double>(params.k * kPacket) / t / 1e6;
+  std::printf("%-12s %8zu %12.4f %10.1f\n", codec, params.k, t, mb_per_s);
+  g_records.push_back({"encode_latency",
+                       "encode_cold_start/k=" + std::to_string(params.k),
+                       codec, t, mb_per_s, 0, 0});
+}
+
 }  // namespace
 
 int main() {
@@ -139,6 +164,15 @@ int main() {
       fec::InterleavedCode code(k, (k + 49) / 50, kPacket);
       report("inter50", k, measure(code));
     }
+  }
+
+  std::printf("\nCold start: Tornado construction from params + "
+              "make_encoder + worst-case first symbol\n\n");
+  std::printf("%-12s %8s %12s %10s\n", "CODE", "k", "t_cold(s)", "MB/s");
+  bench::print_rule(45);
+  for (std::size_t k = 1024; k <= k_max; k *= 4) {
+    cold_start("tornado_a", core::TornadoParams::tornado_a(k, kPacket, 42));
+    cold_start("tornado_b", core::TornadoParams::tornado_b(k, kPacket, 42));
   }
 
   std::printf("\nShape check: the encoder's first symbol costs one cascade "

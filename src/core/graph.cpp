@@ -1,7 +1,7 @@
 #include "core/graph.hpp"
 
 #include <algorithm>
-#include <set>
+#include <bit>
 #include <stdexcept>
 #include <utility>
 
@@ -9,139 +9,217 @@ namespace fountain::core {
 
 namespace {
 
-/// Repairs the edge list in place so that (a) no left node has two edges to
-/// the same check (such parallel edges cancel under XOR — in the worst case
-/// isolating a degree-2 node entirely) and (b) no two degree-2 left nodes
-/// have identical check neighbourhoods (a 2-node stopping set: if both
-/// packets are lost the peeling decoder can never separate them). Both
+using Edge = std::pair<std::uint32_t, std::uint32_t>;  // (right, left)
+
+/// Registry of degree-2 neighbourhoods: a set of packed (min, max) check
+/// pairs, open-addressed with linear probing. Sized once for every degree-2
+/// left node, so one round's inserts never exceed half its slots.
+class PairSet {
+ public:
+  explicit PairSet(std::size_t max_entries) {
+    std::size_t cap = 16;
+    while (cap < 2 * max_entries) cap *= 2;
+    slots_.assign(cap, kEmpty);
+    shift_ = 64 - std::countr_zero(cap);
+  }
+
+  void clear() { std::fill(slots_.begin(), slots_.end(), kEmpty); }
+
+  /// Inserts the unordered pair {a, b}; false if it was already present.
+  bool insert(std::uint32_t a, std::uint32_t b) {
+    const auto [lo, hi] = std::minmax(a, b);
+    const std::uint64_t key = (std::uint64_t{lo} << 32) | hi;
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = (key * 0x9e3779b97f4a7c15ULL) >> shift_;;
+         i = (i + 1) & mask) {
+      if (slots_[i] == key) return false;
+      if (slots_[i] == kEmpty) {
+        slots_[i] = key;
+        return true;
+      }
+    }
+  }
+
+ private:
+  // A packed pair has min <= max, so min > max never names one.
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0} << 32;
+  std::vector<std::uint64_t> slots_;
+  int shift_ = 0;
+};
+
+/// One pass of local repairs in left order: (a) a left node's parallel edges
+/// (they cancel under XOR — in the worst case isolating a degree-2 node
+/// entirely) and (b) a degree-2 node whose check pair an earlier one already
+/// holds (a 2-node stopping set: if both packets are lost the peeling decoder
+/// can never separate them). Each offending socket swaps its check with a
+/// random socket. Returns whether anything was rewired.
+bool repair_pairs(std::vector<Edge>& edges,
+                  const std::vector<std::size_t>& left_start, util::Rng& rng,
+                  PairSet& deg2_pairs) {
+  bool dirty = false;
+  deg2_pairs.clear();
+  for (std::size_t l = 0; l + 1 < left_start.size(); ++l) {
+    const std::size_t begin = left_start[l];
+    const std::size_t end = left_start[l + 1];
+    for (std::size_t i = begin; i < end; ++i) {
+      for (std::size_t j = i + 1; j < end; ++j) {
+        if (edges[i].first == edges[j].first) {
+          std::swap(edges[j].first, edges[rng.below(edges.size())].first);
+          dirty = true;
+        }
+      }
+    }
+    if (end - begin == 2 &&
+        !deg2_pairs.insert(edges[begin].first, edges[begin + 1].first)) {
+      std::swap(edges[begin].first, edges[rng.below(edges.size())].first);
+      dirty = true;
+    }
+  }
+  return dirty;
+}
+
+/// Calls fn(l, a, b) for each degree-2 left node l in left order, with its
+/// checks a and b read when l's turn comes.
+template <typename Fn>
+void for_each_deg2(const std::vector<Edge>& edges,
+                   const std::vector<std::size_t>& left_start, Fn&& fn) {
+  for (std::size_t l = 0; l + 1 < left_start.size(); ++l) {
+    if (left_start[l + 1] - left_start[l] != 2) continue;
+    fn(static_cast<std::uint32_t>(l), edges[left_start[l]].first,
+       edges[left_start[l] + 1].first);
+  }
+}
+
+/// The degree-2 subgraph over checks, as CSR: each degree-2 left node is an
+/// edge between its two checks. Rebuilt in place once per repair round;
+/// answers bounded path queries by a two-sided breadth-first search.
+class Deg2Graph {
+ public:
+  Deg2Graph(std::size_t right_count, std::size_t deg2_count)
+      : off_(right_count + 1), arcs_(2 * deg2_count),
+        mark_a_(right_count, 0), mark_b_(right_count, 0) {}
+
+  void rebuild(const std::vector<Edge>& edges,
+               const std::vector<std::size_t>& left_start) {
+    std::fill(off_.begin(), off_.end(), 0);
+    for_each_deg2(edges, left_start, [&](std::uint32_t, std::uint32_t a,
+                                         std::uint32_t b) {
+      ++off_[a + 1];
+      ++off_[b + 1];
+    });
+    for (std::size_t r = 1; r < off_.size(); ++r) off_[r] += off_[r - 1];
+    cursor_.assign(off_.begin(), off_.end() - 1);
+    for_each_deg2(edges, left_start, [&](std::uint32_t l, std::uint32_t a,
+                                         std::uint32_t b) {
+      arcs_[cursor_[a]++] = {b, l};
+      arcs_[cursor_[b]++] = {a, l};
+    });
+  }
+
+  /// Whether a path of at most `limit` edges joins a and b without using
+  /// the edges labelled `skip` (a == b counts as no path). Both sides grow
+  /// level by level, the smaller frontier first; they meet exactly when the
+  /// shortest path has r_a + r_b + 1 edges.
+  bool path_within(std::uint32_t a, std::uint32_t b, std::uint32_t skip,
+                   unsigned limit) {
+    if (a == b) return false;
+    if (++stamp_ == 0) {
+      std::fill(mark_a_.begin(), mark_a_.end(), 0);
+      std::fill(mark_b_.begin(), mark_b_.end(), 0);
+      stamp_ = 1;
+    }
+    mark_a_[a] = stamp_;
+    mark_b_[b] = stamp_;
+    front_a_.assign(1, a);
+    front_b_.assign(1, b);
+    for (unsigned depth = 0; depth < limit; ++depth) {
+      const bool from_a = front_a_.size() <= front_b_.size();
+      auto& front = from_a ? front_a_ : front_b_;
+      auto& mine = from_a ? mark_a_ : mark_b_;
+      const auto& theirs = from_a ? mark_b_ : mark_a_;
+      next_.clear();
+      for (const std::uint32_t c : front) {
+        for (std::size_t e = off_[c]; e < off_[c + 1]; ++e) {
+          const auto [other, via] = arcs_[e];
+          if (via == skip) continue;
+          if (theirs[other] == stamp_) return true;
+          if (mine[other] == stamp_) continue;
+          mine[other] = stamp_;
+          next_.push_back(other);
+        }
+      }
+      if (next_.empty()) return false;
+      front.swap(next_);
+    }
+    return false;
+  }
+
+ private:
+  struct Arc {
+    std::uint32_t other;  // the check at the far end
+    std::uint32_t via;    // the degree-2 left node this edge is
+  };
+  std::vector<std::size_t> off_;
+  std::vector<std::size_t> cursor_;
+  std::vector<Arc> arcs_;
+  // Visit marks per side: equal to stamp_ means visited by this query.
+  std::vector<std::uint32_t> mark_a_, mark_b_;
+  std::uint32_t stamp_ = 0;
+  std::vector<std::uint32_t> front_a_, front_b_, next_;
+};
+
+/// Repairs the edge list in place: the local defects of `repair_pairs` until
+/// a pass is clean, then short cycles in the degree-2 subgraph. The local
 /// defects occur with constant expectation in a plain socket-model graph and
 /// are what push a Tornado code's reception overhead from ~5% to ~30%+ at
-/// practical sizes. Repair swaps the check endpoints of offending sockets
-/// with random other sockets, preserving the exact left and check degree
-/// sequences.
-void repair_edges(std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges,
-                  const std::vector<unsigned>& left_degrees, util::Rng& rng,
+/// practical sizes. Every rewire swaps the check endpoints of two sockets,
+/// preserving the exact left and check degree sequences.
+void repair_edges(std::vector<Edge>& edges,
+                  const std::vector<unsigned>& left_degrees,
+                  std::size_t right_count, util::Rng& rng,
                   unsigned max_cycle) {
-  // edges[i] = (right, left). Build per-left socket index lists once.
+  // Build per-left socket index ranges once.
   const std::size_t left_count = left_degrees.size();
   std::vector<std::size_t> left_start(left_count + 1, 0);
+  std::size_t deg2_count = 0;
   for (std::size_t l = 0; l < left_count; ++l) {
     left_start[l + 1] = left_start[l] + left_degrees[l];
+    deg2_count += left_degrees[l] == 2;
   }
   // Sort edges by left so that a left node's sockets are contiguous.
   std::sort(edges.begin(), edges.end(),
             [](const auto& a, const auto& b) { return a.second < b.second; });
 
+  PairSet deg2_pairs(deg2_count);
   for (int round = 0; round < 200; ++round) {
-    bool dirty = false;
-    // Registry of degree-2 neighbourhoods seen this round.
-    std::set<std::pair<std::uint32_t, std::uint32_t>> deg2_pairs;
-    for (std::size_t l = 0; l < left_count; ++l) {
-      const std::size_t begin = left_start[l];
-      const std::size_t end = left_start[l + 1];
-      // (a) parallel edges within this left node.
-      for (std::size_t i = begin; i < end; ++i) {
-        for (std::size_t j = i + 1; j < end; ++j) {
-          if (edges[i].first == edges[j].first) {
-            std::swap(edges[j].first, edges[rng.below(edges.size())].first);
-            dirty = true;
-          }
-        }
-      }
-      // (b) duplicate degree-2 neighbourhoods.
-      if (end - begin == 2) {
-        auto pair = std::minmax(edges[begin].first, edges[begin + 1].first);
-        if (!deg2_pairs.emplace(pair.first, pair.second).second) {
-          std::swap(edges[begin].first,
-                    edges[rng.below(edges.size())].first);
-          dirty = true;
-        }
-      }
-    }
-    if (!dirty) break;
+    if (!repair_pairs(edges, left_start, rng, deg2_pairs)) break;
   }
 
-  // (c) Short cycles in the degree-2 subgraph. Each degree-2 left node is an
-  // edge between its two checks; a cycle of m such edges is a stopping set
-  // that survives whenever all m packets are lost (probability delta^m), so
-  // short cycles dominate the failure tail. Rewire until the degree-2
-  // subgraph has girth > kMaxCycle. Longer cycles are left alone: their
-  // full-loss probability is negligible.
-  const unsigned kMaxCycle = max_cycle;
-  const std::size_t right_count = [&] {
-    std::uint32_t max_r = 0;
-    for (const auto& [r, l] : edges) {
-      (void)l;
-      max_r = std::max(max_r, r);
-    }
-    return static_cast<std::size_t>(max_r) + 1;
-  }();
+  // (c) Short cycles in the degree-2 subgraph. A cycle of m degree-2 left
+  // nodes is a stopping set that survives whenever all m packets are lost
+  // (probability delta^m), so short cycles dominate the failure tail. Each
+  // round rewires every degree-2 node that closes a cycle of length <=
+  // max_cycle in the subgraph as it stood at the round's start, until a
+  // round finds none. Longer cycles are left alone: their full-loss
+  // probability is negligible. max_cycle - 1 wraps for 0, so 0 means
+  // unbounded.
+  const unsigned path_limit = max_cycle - 1;
+  Deg2Graph deg2(right_count, deg2_count);
   for (int round = 0; round < 60; ++round) {
-    // Adjacency of the degree-2 subgraph over checks.
-    std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> adj(
-        right_count);  // check -> (other check, left id)
-    for (std::size_t l = 0; l < left_count; ++l) {
-      if (left_start[l + 1] - left_start[l] != 2) continue;
-      const std::uint32_t a = edges[left_start[l]].first;
-      const std::uint32_t b = edges[left_start[l] + 1].first;
-      adj[a].emplace_back(b, static_cast<std::uint32_t>(l));
-      adj[b].emplace_back(a, static_cast<std::uint32_t>(l));
-    }
+    deg2.rebuild(edges, left_start);
     bool dirty = false;
-    std::vector<std::uint32_t> dist(right_count);
-    std::vector<std::uint32_t> queue;
-    for (std::size_t l = 0; l < left_count; ++l) {
-      if (left_start[l + 1] - left_start[l] != 2) continue;
-      const std::uint32_t a = edges[left_start[l]].first;
-      const std::uint32_t b = edges[left_start[l] + 1].first;
-      // BFS from a to b avoiding the edge l itself, bounded depth.
-      std::fill(dist.begin(), dist.end(), UINT32_MAX);
-      queue.clear();
-      queue.push_back(a);
-      dist[a] = 0;
-      bool found = false;
-      for (std::size_t head = 0; head < queue.size() && !found; ++head) {
-        const std::uint32_t c = queue[head];
-        if (dist[c] >= kMaxCycle - 1) break;
-        for (const auto& [next, via] : adj[c]) {
-          if (via == l) continue;
-          if (dist[next] != UINT32_MAX) continue;
-          if (next == b) {
-            found = true;
-            break;
-          }
-          dist[next] = dist[c] + 1;
-          queue.push_back(next);
-        }
-      }
-      if (found) {
-        // Break the cycle by moving one endpoint to a random other socket.
-        std::swap(edges[left_start[l]].first,
-                  edges[rng.below(edges.size())].first);
-        dirty = true;
-      }
-    }
+    for_each_deg2(edges, left_start, [&](std::uint32_t l, std::uint32_t a,
+                                         std::uint32_t b) {
+      if (!deg2.path_within(a, b, l, path_limit)) return;
+      // Break the cycle by moving one endpoint to a random other socket.
+      std::swap(edges[left_start[l]].first,
+                edges[rng.below(edges.size())].first);
+      dirty = true;
+    });
     if (!dirty) break;
     // Rewiring may reintroduce parallel edges / duplicate pairs; one cheap
     // clean-up pass per round.
-    std::set<std::pair<std::uint32_t, std::uint32_t>> deg2_pairs;
-    for (std::size_t l = 0; l < left_count; ++l) {
-      const std::size_t begin = left_start[l];
-      const std::size_t end = left_start[l + 1];
-      for (std::size_t i = begin; i < end; ++i) {
-        for (std::size_t j = i + 1; j < end; ++j) {
-          if (edges[i].first == edges[j].first) {
-            std::swap(edges[j].first, edges[rng.below(edges.size())].first);
-          }
-        }
-      }
-      if (end - begin == 2) {
-        auto pair = std::minmax(edges[begin].first, edges[begin + 1].first);
-        if (!deg2_pairs.emplace(pair.first, pair.second).second) {
-          std::swap(edges[begin].first, edges[rng.below(edges.size())].first);
-        }
-      }
-    }
+    repair_pairs(edges, left_start, rng, deg2_pairs);
   }
   // Degenerate parameter ranges (e.g. more degree-2 lefts than check pairs)
   // cannot be fully repaired; the graph is still usable, just with a tail of
@@ -159,7 +237,7 @@ BipartiteGraph BipartiteGraph::random(std::size_t left_count,
   if (left_count == 0 || right_count == 0) {
     throw std::invalid_argument("BipartiteGraph: empty side");
   }
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;  // (right, left)
+  std::vector<Edge> edges;
   const auto degrees = dist.sample_sequence(left_count, rng);
   std::size_t sockets = 0;
   for (auto d : degrees) sockets += d;
@@ -187,13 +265,13 @@ BipartiteGraph BipartiteGraph::random(std::size_t left_count,
     }
   }
 
-  repair_edges(edges, degrees, rng, max_cycle);
+  repair_edges(edges, degrees, right_count, rng, max_cycle);
 
   // Residual parallel edges (possible only in degenerate cases) cancel in
   // pairs: an even number of edges between the same pair contributes nothing
   // to an XOR.
   std::sort(edges.begin(), edges.end());
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> kept;
+  std::vector<Edge> kept;
   kept.reserve(edges.size());
   for (std::size_t i = 0; i < edges.size();) {
     std::size_t j = i;

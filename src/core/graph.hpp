@@ -3,10 +3,15 @@
 // check packet is the XOR of its left neighbours (paper Figure 1).
 //
 // Construction uses the socket model: left node degrees are sampled from the
-// heavy-tail distribution, each left socket is attached to a uniformly random
-// check node (Poisson-ish right degrees), and parallel edges are cancelled in
-// pairs (an even number of edges between the same pair contributes nothing to
-// an XOR).
+// left degree distribution, and the left sockets are attached to checks as
+// CheckDegreePolicy says — by default shuffled and dealt round-robin, so check
+// degrees differ by at most one. Repair then rewires sockets to remove
+// parallel edges, duplicate degree-2 neighbourhoods and short degree-2
+// cycles; any parallel edges left are cancelled in pairs (an even number of
+// edges between the same pair contributes nothing to an XOR).
+//
+// The graph a (sizes, distribution, seed, policy, max_cycle) tuple denotes is
+// part of the wire contract: both ends of a transfer build it independently.
 #pragma once
 
 #include <cstddef>
@@ -39,7 +44,11 @@ class BipartiteGraph {
   /// Builds a random graph with the given degree distribution on the left.
   /// `max_cycle`: degree-2-subgraph cycles up to this length are rewired
   /// away during construction (they are the dominant stopping sets); larger
-  /// values thin the overhead tail at higher construction cost.
+  /// values thin the overhead tail at higher construction cost. This is best
+  /// effort: repair stops after 60 rounds, and a degree-2 subgraph too dense
+  /// for the requested girth keeps some short cycles. 0 means no length
+  /// bound (every degree-2 cycle is a rewiring target); 1 disables cycle
+  /// repair.
   static BipartiteGraph random(
       std::size_t left_count, std::size_t right_count,
       const DegreeDistribution& dist, util::Rng& rng,

@@ -1,12 +1,17 @@
 // Structural invariants of the repaired Tornado graphs — the properties that
 // turned out to decide reception overhead in practice: no parallel edges, no
 // duplicate degree-2 neighbourhoods, no short cycles in the degree-2
-// subgraph, and degree-sequence preservation under repair.
+// subgraph, and degree-sequence preservation under repair — plus hash pins
+// of the graphs a seed denotes, which are part of the wire contract.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <queue>
 #include <set>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "core/degree.hpp"
 #include "core/graph.hpp"
@@ -52,16 +57,10 @@ unsigned deg2_cycle_through(
   return limit + 100;  // no short cycle found
 }
 
-class RepairInvariants : public ::testing::TestWithParam<int> {};
-
-TEST_P(RepairInvariants, HoldOnRandomGraphs) {
-  const int seed = GetParam();
-  util::Rng rng(static_cast<std::uint64_t>(seed));
-  const auto dist = tornado_a_dist();
-  const std::size_t left = 4096;
-  const auto g = BipartiteGraph::random(left, left / 2, dist, rng,
-                                        CheckDegreePolicy::kRegular, 8);
-
+/// Asserts the three repair invariants on a constructed graph: (a) no
+/// parallel edges, (b) no two degree-2 lefts sharing a neighbourhood, and
+/// (c) no degree-2 cycle of length <= max_cycle.
+void expect_repaired(const BipartiteGraph& g, unsigned max_cycle) {
   // (a) No parallel edges: every check's neighbour list is duplicate-free.
   for (std::size_t r = 0; r < g.right_count(); ++r) {
     std::set<std::uint32_t> seen;
@@ -71,11 +70,11 @@ TEST_P(RepairInvariants, HoldOnRandomGraphs) {
   }
 
   // (b) No two degree-2 lefts share a neighbourhood, and (c) the degree-2
-  // subgraph has no cycle of length <= 8.
+  // subgraph has no cycle of length <= max_cycle.
   std::set<std::pair<std::uint32_t, std::uint32_t>> pairs;
   std::map<std::uint32_t,
            std::vector<std::pair<std::uint32_t, std::uint32_t>>> adj;
-  for (std::uint32_t l = 0; l < left; ++l) {
+  for (std::uint32_t l = 0; l < g.left_count(); ++l) {
     const auto checks = g.left_checks(l);
     if (checks.size() != 2) continue;
     const auto pr = std::minmax(checks[0], checks[1]);
@@ -84,13 +83,35 @@ TEST_P(RepairInvariants, HoldOnRandomGraphs) {
     adj[checks[0]].emplace_back(checks[1], l);
     adj[checks[1]].emplace_back(checks[0], l);
   }
-  for (std::uint32_t l = 0; l < left; ++l) {
+  for (std::uint32_t l = 0; l < g.left_count(); ++l) {
     const auto checks = g.left_checks(l);
     if (checks.size() != 2) continue;
     const unsigned cycle =
-        deg2_cycle_through(adj, checks[0], checks[1], l, 7);
-    EXPECT_GT(cycle, 8u) << "short degree-2 cycle through left " << l;
+        deg2_cycle_through(adj, checks[0], checks[1], l, max_cycle - 1);
+    EXPECT_GT(cycle, max_cycle) << "short degree-2 cycle through left " << l;
   }
+}
+
+class RepairInvariants : public ::testing::TestWithParam<int> {};
+
+TEST_P(RepairInvariants, HoldOnRandomGraphs) {
+  const int seed = GetParam();
+  util::Rng rng(static_cast<std::uint64_t>(seed));
+  const std::size_t left = 4096;
+  expect_repaired(BipartiteGraph::random(left, left / 2, tornado_a_dist(), rng,
+                                         CheckDegreePolicy::kRegular, 8),
+                  8);
+}
+
+// The shape of Tornado A's large levels: girth repair at depth 12 on a
+// 16384-left level, where the repair converges inside its round cap.
+TEST_P(RepairInvariants, HoldAtGirthTwelveOnLargeLevels) {
+  const int seed = GetParam();
+  util::Rng rng(static_cast<std::uint64_t>(seed));
+  const std::size_t left = 16384;
+  expect_repaired(BipartiteGraph::random(left, left / 2, tornado_a_dist(), rng,
+                                         CheckDegreePolicy::kRegular, 12),
+                  12);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RepairInvariants,
@@ -187,6 +208,91 @@ TEST(Tornado, PerLevelDistributionFallback) {
     if (g.left_count() < 16 * 40) {
       EXPECT_LE(max_deg, 9u) << "level " << j << " should use the fallback";
     }
+  }
+}
+
+/// FNV-1a over a graph's check-side adjacency: both side sizes, then each
+/// check's degree and left neighbours in order. The left side is its
+/// transpose, so this fixes the whole graph.
+std::string graph_hash(std::span<const BipartiteGraph* const> graphs) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (v >> (8 * i)) & 0xffu;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto* g : graphs) {
+    mix(g->left_count());
+    mix(g->right_count());
+    for (std::size_t r = 0; r < g->right_count(); ++r) {
+      const auto neighbors = g->check_neighbors(r);
+      mix(neighbors.size());
+      for (const auto l : neighbors) mix(l);
+    }
+  }
+  char text[17];
+  std::snprintf(text, sizeof text, "%016llx",
+                static_cast<unsigned long long>(hash));
+  return text;
+}
+
+// Graph construction is a wire contract: a sender and its receivers build
+// the same code from shared parameters and seed, so a change to the graph a
+// seed denotes breaks interoperation between versions without any error.
+// These literals may change only with a deliberate wire-format change.
+TEST(GraphPins, TornadoCascadesAtSeedOne) {
+  struct Pin {
+    bool variant_b;
+    std::size_t k;
+    const char* hash;
+  };
+  const Pin pins[] = {
+      {false, 256, "c3ef4a2ecf59c258"},   {false, 4096, "04c54dc61b89867f"},
+      {false, 16384, "7e7d23f12c4b5fe0"}, {true, 256, "c3ef4a2ecf59c258"},
+      {true, 4096, "073fbbb39efdd590"},   {true, 16384, "0faf387de0236147"},
+  };
+  for (const auto& pin : pins) {
+    const core::Cascade cascade(
+        pin.variant_b ? core::TornadoParams::tornado_b(pin.k, 1024, 1)
+                      : core::TornadoParams::tornado_a(pin.k, 1024, 1));
+    std::vector<const BipartiteGraph*> graphs;
+    for (std::size_t j = 0; j < cascade.graph_count(); ++j) {
+      graphs.push_back(&cascade.graph(j));
+    }
+    EXPECT_EQ(graph_hash(graphs), pin.hash)
+        << (pin.variant_b ? "tornado_b" : "tornado_a") << " k=" << pin.k;
+  }
+}
+
+TEST(GraphPins, RawGraphsAcrossCycleDepths) {
+  struct Pin {
+    CheckDegreePolicy policy;
+    unsigned max_cycle;
+    const char* hash;
+  };
+  const Pin pins[] = {
+      {CheckDegreePolicy::kRegular, 0, "9e4af0bca3c1f887"},
+      {CheckDegreePolicy::kRegular, 1, "11ae06d4789848f3"},
+      {CheckDegreePolicy::kRegular, 2, "11ae06d4789848f3"},
+      {CheckDegreePolicy::kRegular, 3, "11ae06d4789848f3"},
+      {CheckDegreePolicy::kRegular, 8, "bcfd57896d95d46b"},
+      {CheckDegreePolicy::kRegular, 12, "44bb08a327278987"},
+      {CheckDegreePolicy::kPoisson, 0, "53b6dde4b30ab31f"},
+      {CheckDegreePolicy::kPoisson, 1, "8e8d8af9f3622f63"},
+      {CheckDegreePolicy::kPoisson, 2, "8e8d8af9f3622f63"},
+      {CheckDegreePolicy::kPoisson, 3, "2ffb22dfdea26e83"},
+      {CheckDegreePolicy::kPoisson, 8, "3c0fe8e20a4c6c53"},
+      {CheckDegreePolicy::kPoisson, 12, "96d3e27d35de0757"},
+  };
+  for (const auto& pin : pins) {
+    util::Rng rng(1);
+    const auto g = BipartiteGraph::random(2048, 1024, tornado_a_dist(), rng,
+                                          pin.policy, pin.max_cycle);
+    const BipartiteGraph* graphs[] = {&g};
+    EXPECT_EQ(graph_hash(graphs), pin.hash)
+        << (pin.policy == CheckDegreePolicy::kRegular ? "regular" : "poisson")
+        << " max_cycle=" << pin.max_cycle;
   }
 }
 
