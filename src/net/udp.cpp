@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -42,8 +43,9 @@ Endpoint from_sockaddr(const sockaddr_in& addr) {
 UdpSocket::UdpSocket() {
   fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
   if (fd_ < 0) throw_errno("socket");
-  const int reuse = 1;
-  ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &reuse, sizeof(reuse));
+  const int on = 1;
+  ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &on, sizeof(on));
+  ::setsockopt(fd_, SOL_SOCKET, SO_RXQ_OVFL, &on, sizeof(on));
 }
 
 UdpSocket::~UdpSocket() {
@@ -51,12 +53,16 @@ UdpSocket::~UdpSocket() {
 }
 
 UdpSocket::UdpSocket(UdpSocket&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)) {}
+    : fd_(std::exchange(other.fd_, -1)),
+      drops_(std::exchange(other.drops_, 0)),
+      drop_stamp_(std::exchange(other.drop_stamp_, 0)) {}
 
 UdpSocket& UdpSocket::operator=(UdpSocket&& other) noexcept {
   if (this != &other) {
     if (fd_ >= 0) ::close(fd_);
     fd_ = std::exchange(other.fd_, -1);
+    drops_ = std::exchange(other.drops_, 0);
+    drop_stamp_ = std::exchange(other.drop_stamp_, 0);
   }
   return *this;
 }
@@ -110,21 +116,41 @@ std::optional<UdpSocket::Datagram> UdpSocket::receive(
     break;
   }
 
-  std::vector<std::uint8_t> buf(max_payload);
+  // No IPv4 UDP datagram carries more than 65507 bytes, so this buffer holds
+  // any of them whole; left uninitialised, it costs nothing per call.
+  std::array<std::uint8_t, 65536> buf;
+  iovec iov{buf.data(), std::min(max_payload, buf.size())};
+  alignas(cmsghdr) char control[CMSG_SPACE(sizeof(std::uint32_t))];
   sockaddr_in addr{};
-  socklen_t len = sizeof(addr);
+  msghdr msg{};
+  msg.msg_name = &addr;
+  msg.msg_iov = &iov;
+  msg.msg_iovlen = 1;
+  msg.msg_control = control;
   ssize_t got;
   do {
-    len = sizeof(addr);
-    // MSG_TRUNC makes recvfrom return the datagram's true wire length even
+    msg.msg_namelen = sizeof(addr);  // recvmsg rewrites both lengths
+    msg.msg_controllen = sizeof(control);
+    // MSG_TRUNC makes recvmsg return the datagram's true wire length even
     // when it exceeds the buffer, which is how truncation becomes visible.
-    got = ::recvfrom(fd_, buf.data(), buf.size(), MSG_TRUNC,
-                     reinterpret_cast<sockaddr*>(&addr), &len);
+    got = ::recvmsg(fd_, &msg, MSG_TRUNC);
   } while (got < 0 && errno == EINTR);
-  if (got < 0) throw_errno("recvfrom");
-  const bool truncated = static_cast<std::size_t>(got) > buf.size();
-  buf.resize(std::min(static_cast<std::size_t>(got), buf.size()));
-  return Datagram{std::move(buf), from_sockaddr(addr), truncated};
+  if (got < 0) throw_errno("recvmsg");
+  for (cmsghdr* c = CMSG_FIRSTHDR(&msg); c != nullptr;
+       c = CMSG_NXTHDR(&msg, c)) {
+    if (c->cmsg_level == SOL_SOCKET && c->cmsg_type == SO_RXQ_OVFL) {
+      // Cumulative and 32-bit: add the difference, so a wrap of the
+      // kernel's counter is not a wrap of drops().
+      std::uint32_t stamp;
+      std::memcpy(&stamp, CMSG_DATA(c), sizeof(stamp));
+      drops_ += static_cast<std::uint32_t>(stamp - drop_stamp_);
+      drop_stamp_ = stamp;
+    }
+  }
+  const auto kept = std::min(static_cast<std::size_t>(got), iov.iov_len);
+  return Datagram{std::vector<std::uint8_t>(buf.data(), buf.data() + kept),
+                  from_sockaddr(addr),
+                  static_cast<std::size_t>(got) > iov.iov_len};
 }
 
 void UdpSocket::join_multicast(const std::string& group_addr) {

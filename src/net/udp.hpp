@@ -50,15 +50,27 @@ class UdpSocket {
   /// Blocks up to `timeout`; returns std::nullopt on timeout. Interrupted
   /// system calls (EINTR) are retried against the original deadline, so a
   /// signal can neither abort the wait nor extend it. `max_payload` bounds
-  /// the receive buffer; longer datagrams come back with truncated = true.
+  /// the bytes kept; longer datagrams come back with truncated = true. The
+  /// datagram lands in a stack buffer first, so only its own bytes are
+  /// allocated.
   std::optional<Datagram> receive(std::chrono::milliseconds timeout,
                                   std::size_t max_payload = 65536);
+
+  /// Datagrams the kernel dropped at this socket, nearly always because its
+  /// receive queue was full: the per-socket form of BSD's udps_fullsock
+  /// (Linux SO_RXQ_OVFL). The kernel stamps its cumulative count on each
+  /// datagram it queues, so drops() covers the drops before the last
+  /// datagram receive() returned; drops after it show once the next one is
+  /// queued and read.
+  std::uint64_t drops() const { return drops_; }
 
   /// Joins an IPv4 multicast group (throws if unsupported on this host).
   void join_multicast(const std::string& group_addr);
 
  private:
   int fd_ = -1;
+  std::uint64_t drops_ = 0;
+  std::uint32_t drop_stamp_ = 0;  // the kernel's 32-bit count, last seen
 };
 
 }  // namespace fountain::net

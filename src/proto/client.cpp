@@ -1,34 +1,21 @@
 #include "proto/client.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 namespace fountain::proto {
 
 StatisticalDataClient::StatisticalDataClient(const fec::ErasureCode& code,
-                                             double initial_margin,
-                                             double step)
+                                             double /*initial_margin*/,
+                                             double /*step*/)
     : code_(code),
-      initial_margin_(initial_margin),
-      threshold_(1.0 + initial_margin),
-      step_(step),
-      store_(code.encoded_count(), code.symbol_size()),
       have_(code.encoded_count(), 0),
-      decoder_(code.make_decoder()) {
-  if (initial_margin < 0.0 || step <= 0.0) {
-    throw std::invalid_argument("StatisticalDataClient: bad margins");
-  }
-  order_.reserve(code.encoded_count());
-}
+      decoder_(code.make_decoder()) {}
 
 void StatisticalDataClient::reset() {
-  threshold_ = 1.0 + initial_margin_;
   std::fill(have_.begin(), have_.end(), 0);
-  order_.clear();
   decoder_->reset();
   distinct_ = 0;
-  attempts_ = 0;
   rejected_ = 0;
   duplicates_ = 0;
   complete_ = false;
@@ -40,35 +27,16 @@ bool StatisticalDataClient::on_packet(std::uint32_t index,
   if (index >= code_.encoded_count() ||
       payload.size() != code_.symbol_size()) {
     ++rejected_;  // adversarial or mismatched sender: drop, never decode
-    return complete_;
+    return false;
   }
   if (have_[index]) {
     ++duplicates_;
-  } else {
-    have_[index] = 1;
-    std::memcpy(store_.row(index).data(), payload.data(), payload.size());
-    order_.push_back(index);
-    ++distinct_;
+    return false;
   }
-  const auto needed = static_cast<std::size_t>(
-      threshold_ * static_cast<double>(code_.source_count()));
-  if (distinct_ >= needed) {
-    if (try_decode()) {
-      complete_ = true;
-    } else {
-      threshold_ += step_;
-    }
-  }
+  have_[index] = 1;
+  ++distinct_;
+  complete_ = decoder_->add_symbol(index, payload);
   return complete_;
-}
-
-bool StatisticalDataClient::try_decode() {
-  ++attempts_;
-  decoder_->reset();  // one decoder, reused across attempts
-  for (const std::uint32_t index : order_) {
-    if (decoder_->add_symbol(index, store_.row(index))) return true;
-  }
-  return decoder_->complete();
 }
 
 util::ConstSymbolView StatisticalDataClient::source() const {

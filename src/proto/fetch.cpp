@@ -22,8 +22,9 @@ FetchResult fetch_control(const FetchTransport& transport,
   if (policy.backoff_multiplier < 1.0) {
     throw std::invalid_argument("fetch_control: backoff multiplier < 1");
   }
-  if (policy.jitter < 0.0) {
-    throw std::invalid_argument("fetch_control: negative jitter");
+  // Outside [0, 1] the sleep factor 1 + jitter (2u - 1) can go negative.
+  if (!(policy.jitter >= 0.0 && policy.jitter <= 1.0)) {
+    throw std::invalid_argument("fetch_control: jitter outside [0, 1]");
   }
 
   util::Rng rng(policy.seed);

@@ -32,7 +32,8 @@ struct FetchPolicy {
   std::chrono::milliseconds initial_timeout{200};
   double backoff_multiplier = 2.0;
   /// Retry sleeps are scaled by a uniform factor in [1 - jitter, 1 + jitter]
-  /// so a thundering herd of restarting clients decorrelates.
+  /// so a thundering herd of restarting clients decorrelates; 0 <= jitter
+  /// <= 1, so no sleep is negative.
   double jitter = 0.1;
   std::chrono::milliseconds max_backoff{2000};
   /// Drives the jitter draws; identical seeds replay identical schedules.
@@ -70,7 +71,7 @@ using FetchSleeper = std::function<void(std::chrono::milliseconds)>;
 
 /// Runs the retry/failover loop over mirrors [0, mirror_count). Throws
 /// std::invalid_argument on a null transport, zero mirrors, zero attempts,
-/// backoff_multiplier < 1, or negative jitter; never throws afterwards.
+/// backoff_multiplier < 1, or jitter outside [0, 1]; never throws afterwards.
 FetchResult fetch_control(const FetchTransport& transport,
                           std::size_t mirror_count, const FetchPolicy& policy,
                           const FetchSleeper& sleeper = {});

@@ -32,7 +32,7 @@ TEST(EndToEnd, TornadoOverLossyCarousel) {
   const auto carousel =
       carousel::Carousel::random_permutation(code.encoded_count(), rng);
   net::BernoulliLoss loss(0.3, 2);
-  proto::StatisticalDataClient client(code, 0.05, 0.01);
+  proto::StatisticalDataClient client(code);
 
   bool done = false;
   for (std::uint64_t t = 0; t < 1000000 && !done; ++t) {
@@ -132,7 +132,7 @@ TEST(EndToEnd, UdpLoopbackFountainTransfer) {
     }
   });
 
-  proto::StatisticalDataClient client(code, 0.05, 0.01);
+  proto::StatisticalDataClient client(code);
   bool done = false;
   for (int i = 0; i < 200000 && !done; ++i) {
     const auto datagram = client_sock.receive(std::chrono::milliseconds(2000));

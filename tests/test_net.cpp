@@ -435,6 +435,48 @@ TEST(Udp, TruncatedDatagramIsSurfacedAsSuch) {
   EXPECT_EQ(got2->payload, fits);
 }
 
+TEST(Udp, ShortDatagramAfterALongOneKeepsOnlyItsOwnBytes) {
+  // The receive buffer is reused across calls: a short datagram must not
+  // come back padded with what a longer one left behind.
+  net::UdpSocket receiver;
+  receiver.bind({"127.0.0.1", 0});
+  const auto port = receiver.local_port();
+  net::UdpSocket sender;
+  const std::vector<std::uint8_t> big(2048, 0xAB);
+  const std::vector<std::uint8_t> small{1, 2, 3, 4, 5, 6, 7};
+  sender.send_to({"127.0.0.1", port}, util::ConstByteSpan(big));
+  sender.send_to({"127.0.0.1", port}, util::ConstByteSpan(small));
+  const auto first = receiver.receive(std::chrono::milliseconds(2000));
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->payload, big);
+  const auto second = receiver.receive(std::chrono::milliseconds(2000));
+  ASSERT_TRUE(second.has_value());
+  EXPECT_FALSE(second->truncated);
+  EXPECT_EQ(second->payload, small);
+}
+
+TEST(Udp, DropsCountWhatAFullReceiveQueueDiscarded) {
+  // Nobody reads while 5000 datagrams arrive, so the receive queue fills
+  // and the kernel drops the rest. Its count arrives stamped on the next
+  // datagram queued after the drops, so one more is sent and read after
+  // the drain: then every datagram is either received or dropped.
+  net::UdpSocket receiver;
+  receiver.bind({"127.0.0.1", 0});
+  const net::Endpoint to{"127.0.0.1", receiver.local_port()};
+  net::UdpSocket sender;
+  const std::vector<std::uint8_t> payload(64, 0x5A);
+  for (int i = 0; i < 5000; ++i) {
+    sender.send_to(to, util::ConstByteSpan(payload));
+  }
+  std::uint64_t received = 0;
+  while (receiver.receive(std::chrono::milliseconds(0))) ++received;
+  sender.send_to(to, util::ConstByteSpan(payload));
+  ASSERT_TRUE(receiver.receive(std::chrono::milliseconds(2000)));
+  ++received;
+  EXPECT_GT(receiver.drops(), 0u);
+  EXPECT_EQ(received + receiver.drops(), 5001u);
+}
+
 TEST(Udp, ManyDatagramsInOrderOnLoopback) {
   net::UdpSocket receiver;
   receiver.bind({"127.0.0.1", 0});

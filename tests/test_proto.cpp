@@ -9,7 +9,9 @@
 #include <set>
 #include <utility>
 
+#include "carousel/carousel.hpp"
 #include "core/tornado.hpp"
+#include "fec/codec_registry.hpp"
 #include "fec/reed_solomon.hpp"
 #include "proto/client.hpp"
 #include "proto/fetch.hpp"
@@ -252,53 +254,83 @@ TEST(Receiver, AsynchronousJoinStillCompletes) {
   EXPECT_GT(r.eta, 0.5);
 }
 
-TEST(StatisticalClient, DecodesAndReportsAttempts) {
-  core::TornadoCode code(core::TornadoParams::tornado_a(300, 16, 5));
-  util::SymbolMatrix source(300, 16);
-  source.fill_random(1);
-  util::SymbolMatrix encoding(code.encoded_count(), 16);
-  code.encode(source, encoding);
+TEST(StatisticalClient, CompletesOnTheSamePacketAsABareDecoder) {
+  // The client is a validator in front of the code's own decoder: fed a
+  // carousel stream with repeats, out-of-range indices and wrong-size
+  // payloads, it must complete on exactly the packet where a bare decoder,
+  // fed only the valid first copies, completes, with the same bytes. A
+  // client that waits for a threshold above k completes later (RS completes
+  // at exactly k distinct).
+  fec::CodecParams params;
+  params.k = 120;
+  params.symbol_size = 32;
+  params.seed = 9;
+  const auto& registry = fec::CodecRegistry::builtin();
+  for (const fec::CodecId id : registry.ids()) {
+    SCOPED_TRACE(registry.name(id));
+    const auto code = registry.create(id, params);
+    const std::size_t n = code->encoded_count();
+    util::SymbolMatrix source(params.k, params.symbol_size);
+    source.fill_random(31);
+    const auto encoder = code->make_encoder(source);
+    util::Rng rng(32);
+    const auto carousel = carousel::Carousel::random_permutation(n, rng);
+    util::SymbolMatrix symbol(1, params.symbol_size);
+    const std::vector<std::uint8_t> wrong_size(params.symbol_size + 1);
 
-  proto::StatisticalDataClient client(code, 0.0, 0.01);
-  util::Rng rng(6);
-  const auto order = rng.permutation(code.encoded_count());
-  for (const auto index : order) {
-    if (client.on_packet(index, encoding.row(index))) break;
+    proto::StatisticalDataClient client(*code);
+    const auto bare = code->make_decoder();
+    std::vector<std::uint8_t> seen(n, 0);
+    std::size_t distinct = 0;
+    std::size_t duplicates = 0;
+    std::size_t rejected = 0;
+    bool done = false;
+    for (std::uint64_t t = 0; t < 20 * n && !done; ++t) {
+      if (rng.chance(0.3)) continue;  // lost: the carousel wraps to repeats
+      // A duplicating link re-sends the previous slot's symbol.
+      const std::uint32_t valid =
+          carousel.packet_at(t > 0 && rng.chance(0.2) ? t - 1 : t);
+      encoder->write_symbol(valid, symbol.row(0));
+      std::uint32_t index = valid;
+      util::ConstByteSpan payload = symbol.row(0);
+      bool first_copy = false;
+      if (rng.chance(0.1)) {
+        index = static_cast<std::uint32_t>(n + rng.below(1000));
+        ++rejected;
+      } else if (rng.chance(0.1)) {
+        payload = util::ConstByteSpan(wrong_size);
+        ++rejected;
+      } else if (seen[index]) {
+        ++duplicates;
+      } else {
+        seen[index] = 1;
+        ++distinct;
+        first_copy = true;
+      }
+      const bool bare_done = first_copy && bare->add_symbol(index, payload);
+      done = client.on_packet(index, payload);
+      ASSERT_EQ(done, bare_done) << "slot " << t;
+    }
+    ASSERT_TRUE(done);
+    EXPECT_EQ(client.source(), bare->source());
+    EXPECT_EQ(client.source(), util::ConstSymbolView(source));
+    EXPECT_EQ(client.distinct_received(), distinct);
+    EXPECT_EQ(client.duplicates(), duplicates);
+    EXPECT_EQ(client.rejected(), rejected);
+    EXPECT_EQ(client.decode_attempts(), 1u);
   }
-  ASSERT_TRUE(client.complete());
-  EXPECT_EQ(client.source(), source);
-  // Starting the threshold at exactly k typically forces > 1 attempt.
-  EXPECT_GE(client.decode_attempts(), 1u);
-}
-
-TEST(StatisticalClient, HighInitialMarginDecodesInOneAttempt) {
-  core::TornadoCode code(core::TornadoParams::tornado_a(300, 16, 5));
-  util::SymbolMatrix source(300, 16);
-  source.fill_random(2);
-  util::SymbolMatrix encoding(code.encoded_count(), 16);
-  code.encode(source, encoding);
-
-  proto::StatisticalDataClient client(code, 0.30, 0.01);
-  util::Rng rng(7);
-  const auto order = rng.permutation(code.encoded_count());
-  for (const auto index : order) {
-    if (client.on_packet(index, encoding.row(index))) break;
-  }
-  ASSERT_TRUE(client.complete());
-  EXPECT_EQ(client.decode_attempts(), 1u);
-  EXPECT_EQ(client.source(), source);
 }
 
 TEST(StatisticalClient, ResetServesASecondTransfer) {
-  // The client reuses one incremental decoder across attempts and across
-  // reset()s — two full transfers through the same object must both verify.
+  // The client reuses one incremental decoder across reset()s — two full
+  // transfers through the same object must both verify.
   core::TornadoCode code(core::TornadoParams::tornado_a(300, 16, 6));
   util::SymbolMatrix source(300, 16);
   source.fill_random(3);
   util::SymbolMatrix encoding(code.encoded_count(), 16);
   code.encode(source, encoding);
 
-  proto::StatisticalDataClient client(code, 0.0, 0.01);
+  proto::StatisticalDataClient client(code);
   util::Rng rng(8);
   for (int transfer = 0; transfer < 2; ++transfer) {
     client.reset();
@@ -321,7 +353,7 @@ TEST(StatisticalClient, WorksOverAnyErasureCode) {
   util::SymbolMatrix encoding(80, 24);
   code->encode(source, encoding);
 
-  proto::StatisticalDataClient client(*code, 0.0, 0.01);
+  proto::StatisticalDataClient client(*code);
   util::Rng rng(9);
   const auto order = rng.permutation(80);
   for (const auto index : order) {
@@ -335,7 +367,6 @@ TEST(StatisticalClient, SourceBeforeCompleteThrows) {
   core::TornadoCode code(core::TornadoParams::tornado_a(100, 16, 5));
   proto::StatisticalDataClient client(code);
   EXPECT_THROW(client.source(), std::logic_error);
-  EXPECT_THROW(proto::StatisticalDataClient(code, -0.1), std::invalid_argument);
 }
 
 TEST(StatisticalClient, RejectsAdversarialIndicesAndSizesWithoutThrowing) {
@@ -348,7 +379,7 @@ TEST(StatisticalClient, RejectsAdversarialIndicesAndSizesWithoutThrowing) {
   util::SymbolMatrix encoding(80, 24);
   code->encode(source, encoding);
 
-  proto::StatisticalDataClient client(*code, 0.0, 0.01);
+  proto::StatisticalDataClient client(*code);
   std::vector<std::uint8_t> short_payload(23);
   std::vector<std::uint8_t> long_payload(25);
   util::Rng rng(12);
@@ -392,7 +423,7 @@ TEST(StatisticalClient, CountsDuplicatesAndDecodesFromExactlyKDistinct) {
     std::swap(stream[i - 1], stream[rng.below(i)]);
   }
 
-  proto::StatisticalDataClient client(*code, 0.0, 0.01);
+  proto::StatisticalDataClient client(*code);
   bool done = false;
   std::size_t processed = 0;
   for (const auto index : stream) {
@@ -548,6 +579,31 @@ TEST(FetchControl, ValidatesItsInputs) {
   policy.jitter = -0.1;
   EXPECT_THROW(proto::fetch_control(transport, 1, policy),
                std::invalid_argument);
+}
+
+TEST(FetchControl, JitterAboveOneIsRejectedAndOneNeverSleepsNegative) {
+  // The sleep factor is 1 + jitter (2u - 1) for u in [0, 1): above jitter 1
+  // it can go below 0, which would hand the sleeper a negative delay.
+  const proto::FetchTransport silent =
+      [](std::size_t, std::chrono::milliseconds) {
+        return std::optional<std::vector<std::uint8_t>>{};
+      };
+  proto::FetchPolicy policy;
+  policy.jitter = 1.5;
+  EXPECT_THROW(proto::fetch_control(silent, 1, policy), std::invalid_argument);
+
+  policy.jitter = 1.0;
+  std::size_t sleeps = 0;
+  std::chrono::milliseconds shortest = policy.max_backoff;
+  for (std::uint64_t seed = 0; seed < 1000; ++seed) {
+    policy.seed = seed;
+    proto::fetch_control(silent, 1, policy, [&](std::chrono::milliseconds d) {
+      ++sleeps;
+      shortest = std::min(shortest, d);
+    });
+  }
+  EXPECT_EQ(sleeps, 1000 * (policy.attempts_per_mirror - 1));
+  EXPECT_GE(shortest.count(), 0);
 }
 
 TEST(Session, AllReceiversComplete) {
