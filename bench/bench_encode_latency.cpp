@@ -151,10 +151,10 @@ int main() {
     }
     if (k <= rs_cap) {
       const auto code =
-          fec::make_reed_solomon(fec::RsKind::kCauchy, k, k, kPacket);
+          fec::make_reed_solomon(gf::RsKind::kCauchy, k, k, kPacket);
       report("cauchy", k, measure(*code));
       const auto vand =
-          fec::make_reed_solomon(fec::RsKind::kVandermonde, k, k, kPacket);
+          fec::make_reed_solomon(gf::RsKind::kVandermonde, k, k, kPacket);
       report("vandermonde", k, measure(*vand));
     } else {
       std::printf("%-12s %8zu   (skipped: beyond RS cap of %zu)\n",

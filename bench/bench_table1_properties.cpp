@@ -45,7 +45,7 @@ int main() {
   core::TornadoCode tornado_a(core::TornadoParams::tornado_a(kRef, kPacket, 4));
   core::TornadoCode tornado_b(core::TornadoParams::tornado_b(kRef, kPacket, 4));
   const auto cauchy =
-      fec::make_reed_solomon(fec::RsKind::kCauchy, kRef, kRef, kPacket);
+      fec::make_reed_solomon(gf::RsKind::kCauchy, kRef, kRef, kPacket);
 
   const auto oa = sim::sample_overhead_distribution(tornado_a, 100, 5);
   const auto ob = sim::sample_overhead_distribution(tornado_b, 100, 5);

@@ -81,7 +81,7 @@ int main() {
     std::string cauchy;
     if (k <= rs_cap) {
       const auto vc =
-          fec::make_reed_solomon(fec::RsKind::kVandermonde, k, k, kPacket);
+          fec::make_reed_solomon(gf::RsKind::kVandermonde, k, k, kPacket);
       const double tv = run_encode(*vc);
       vand_points.emplace_back(k, tv);
       log("vandermonde", k, tv);
@@ -89,7 +89,7 @@ int main() {
       std::snprintf(buf, sizeof(buf), "%.3f", tv);
       vand = buf;
       const auto cc =
-          fec::make_reed_solomon(fec::RsKind::kCauchy, k, k, kPacket);
+          fec::make_reed_solomon(gf::RsKind::kCauchy, k, k, kPacket);
       const double tc = run_encode(*cc);
       cauchy_points.emplace_back(k, tc);
       log("cauchy", k, tc);

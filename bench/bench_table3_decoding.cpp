@@ -100,7 +100,7 @@ int main() {
     char buf[32];
     if (k <= rs_cap) {
       const auto vc =
-          fec::make_reed_solomon(fec::RsKind::kVandermonde, k, k, kPacket);
+          fec::make_reed_solomon(gf::RsKind::kVandermonde, k, k, kPacket);
       const double tv = run_rs_decode(*vc, rng);
       vand_ref = tv;
       vand_ref_k = k;
@@ -108,7 +108,7 @@ int main() {
       std::snprintf(buf, sizeof(buf), "%.3f", tv);
       vand = buf;
       const auto cc =
-          fec::make_reed_solomon(fec::RsKind::kCauchy, k, k, kPacket);
+          fec::make_reed_solomon(gf::RsKind::kCauchy, k, k, kPacket);
       const double tc = run_rs_decode(*cc, rng);
       cauchy_ref = tc;
       cauchy_ref_k = k;

@@ -72,7 +72,7 @@ std::size_t max_blocks(std::size_t total, double p, std::size_t trials) {
 /// Measured Cauchy decode seconds for one block of k_b source packets with
 /// k_b/2 missing (the stretch-2 carousel mix).
 double cauchy_block_decode_seconds(std::size_t kb, util::Rng& rng) {
-  const auto code = fec::make_reed_solomon(fec::RsKind::kCauchy, kb, kb,
+  const auto code = fec::make_reed_solomon(gf::RsKind::kCauchy, kb, kb,
                                            kPacket);
   util::SymbolMatrix source(kb, kPacket);
   source.fill_random(4);

@@ -102,7 +102,8 @@ Cascade::Cascade(const TornadoParams& params) : params_(params) {
   if (tail_k + parity_count_ > gf::GF65536::kOrder) {
     throw std::invalid_argument("Cascade: RS tail exceeds GF(2^16)");
   }
-  tail_ = std::make_unique<TailCodec>(tail_k, parity_count_);
+  tail_ = std::make_unique<TailCodec>(gf::RsKind::kCauchy, tail_k,
+                                     parity_count_);
 
   const DegreeDistribution primary = params_.left_distribution();
   util::Rng rng(params_.seed);

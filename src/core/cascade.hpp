@@ -24,7 +24,7 @@
 #include "core/degree.hpp"
 #include "core/graph.hpp"
 #include "gf/gf65536.hpp"
-#include "gf/rs_cauchy.hpp"
+#include "gf/rs_codec.hpp"
 
 namespace fountain::core {
 
@@ -64,7 +64,7 @@ struct TornadoParams {
 /// "source and clients have agreed to the graph structure in advance".
 class Cascade {
  public:
-  using TailCodec = gf::CauchyCodec<gf::GF65536>;
+  using TailCodec = gf::RsCodec<gf::GF65536>;
 
   explicit Cascade(const TornadoParams& params);
 

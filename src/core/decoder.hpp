@@ -1,4 +1,5 @@
-// Tornado decoders. Both run the same bidirectional peeling process:
+// Tornado decoders. Both run one bidirectional peeling process,
+// TornadoPeeler:
 //
 //  rule (a): a check node whose value is known and which has exactly one
 //            unknown left neighbour recovers that neighbour
@@ -10,18 +11,22 @@
 //            number of received RS parity packets, the Reed-Solomon tail
 //            recovers the entire last level.
 //
-// TornadoDataDecoder carries real payloads (the paper's client). Substitution
-// is deferred and batched: when a rule fires, the whole neighborhood is
-// gathered into a pointer list and folded by one cache-blocked multi-row
-// pass (kern::xor_block_rows — four sources per L1-resident destination
-// tile). Each graph edge still costs exactly one P-byte XOR over the whole
-// decode — the (k+l) ln(1/eps) P bound of Table 1 — but the destination
-// packet is read from L1 ~d/4 times per degree-d check instead of making d
+// The peeler holds the index-level state and fires the rules; what a firing
+// does to payloads is a compile-time hook, so the rules exist once and the
+// index-only path pays nothing for the payload path.
+//
+// TornadoDataDecoder carries real payloads (the paper's client). Its hook
+// substitutes the moment a rule fires: the whole neighborhood is gathered
+// into a pointer list and folded by one cache-blocked multi-row pass
+// (kern::xor_block_rows — four sources per L1-resident destination tile).
+// Each graph edge still costs exactly one P-byte XOR over the whole decode —
+// the (k+l) ln(1/eps) P bound of Table 1 — but the destination packet is
+// read from L1 ~d/4 times per degree-d check instead of making d
 // round-trips, and there is no residual matrix at all (node storage is
 // halved versus the incremental-residual design). TornadoStructuralDecoder
-// runs the identical process on indices alone and is
-// what the receiver-population simulations use; decodability depends only on
-// which indices arrived, so the two agree by construction.
+// runs the peeler with an empty hook, on indices alone, and is what the
+// receiver-population simulations use; decodability depends only on which
+// indices arrived, so the two agree by construction.
 //
 // Contracts shared by both decoders: indices are the cascade's encoding
 // index space [0, encoded_count()); duplicate deliveries are counted once
@@ -32,6 +37,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/cascade.hpp"
@@ -40,14 +46,61 @@
 
 namespace fountain::core {
 
+/// Rules (a)-(c) on indices: which nodes are known, how many unknown left
+/// neighbours each check still has, and which parity symbols have arrived.
+/// Work items are cascade node indices on two explicit stacks, so the whole
+/// process is iterative — no recursion, no stack-depth hazards on long
+/// recovery chains. A Hook is called before the rule marks its node known:
+///   hook.recover(node, check, neighbors, left_off)  rule (a): `node` is
+///       `check` XOR its other neighbours (left_off + each of `neighbors`);
+///   hook.check_value(check)                          rule (b);
+///   hook.tail()                                      rule (c): every
+///       last-level node not yet known() is recovered.
+/// The template members are defined in decoder.cpp, for the two decoders.
+class TornadoPeeler {
+ public:
+  explicit TornadoPeeler(const Cascade& cascade);
+
+  bool complete() const { return known_source_ == cascade_.source_count(); }
+  bool known(std::size_t node) const { return known_[node] != 0; }
+  bool parity_seen(std::size_t p) const { return parity_seen_[p] != 0; }
+  std::size_t parity_received() const { return parity_received_; }
+
+  /// Marks encoding index `index` (in range) as arrived; false for a
+  /// duplicate. The caller stores its payload, then calls process().
+  bool receive(std::uint32_t index);
+  /// Back to the empty state: rule (b) fires on degree-zero checks, which
+  /// are the XOR of nothing.
+  template <class Hook>
+  void reset(Hook& hook);
+  /// Fires rules until none applies or the source is complete.
+  template <class Hook>
+  void process(Hook& hook);
+
+ private:
+  void make_known(std::size_t node);
+  template <class Hook>
+  void trigger(std::size_t check, Hook& hook);
+
+  const Cascade& cascade_;
+  std::vector<std::uint8_t> known_;          // per cascade node
+  std::vector<std::uint32_t> unknown_left_;  // per check node
+  std::vector<std::uint32_t> initial_unknown_;
+  std::vector<std::uint8_t> parity_seen_;
+  std::vector<std::uint32_t> pending_;       // newly-known nodes to propagate
+  std::vector<std::uint32_t> dirty_checks_;  // checks needing re-evaluation
+  std::size_t known_source_ = 0;
+  std::size_t known_tail_ = 0;
+  std::size_t parity_received_ = 0;
+  bool tail_done_ = false;
+};
+
 class TornadoDataDecoder final : public fec::IncrementalDecoder {
  public:
   explicit TornadoDataDecoder(const Cascade& cascade);
 
   bool add_symbol(std::uint32_t index, util::ConstByteSpan data) override;
-  bool complete() const override {
-    return known_source_ == cascade_.source_count();
-  }
+  bool complete() const override { return peel_.complete(); }
   void reset() override;
   /// The decoded prefix of the node matrix — source rows are stored exactly
   /// once (no mirror copy); valid only when complete().
@@ -55,32 +108,18 @@ class TornadoDataDecoder final : public fec::IncrementalDecoder {
     return nodes_.rows_view(0, cascade_.source_count());
   }
 
-  /// Distinct encoding symbols that have been fed in so far.
-  std::size_t distinct_received() const { return distinct_; }
-
  private:
-  void make_known(std::size_t node, util::ConstByteSpan data);
-  /// Marks a node whose row in nodes_ already holds its value.
-  void make_known_in_place(std::size_t node);
-  void process();
-  void trigger(std::size_t check_node);
-  void try_tail();
+  friend class TornadoPeeler;  // calls the hook below
+  void recover(std::size_t node, std::size_t check,
+               std::span<const std::uint32_t> neighbors, std::size_t left_off);
+  void check_value(std::size_t check);
+  void tail();
 
   const Cascade& cascade_;
+  TornadoPeeler peel_;
   util::SymbolMatrix nodes_;  // all cascade node values
   util::SymbolMatrix parity_data_;
-  std::vector<std::uint8_t> known_;          // per cascade node
-  std::vector<std::uint32_t> unknown_left_;  // per check node
-  std::vector<std::uint32_t> initial_unknown_;
-  std::vector<std::uint8_t> parity_seen_;
-  std::vector<std::uint32_t> pending_;       // newly-known nodes to propagate
-  std::vector<std::uint32_t> dirty_checks_;  // checks needing re-evaluation
   std::vector<const std::uint8_t*> gather_;  // substitution-source scratch
-  std::size_t known_source_ = 0;
-  std::size_t known_tail_ = 0;
-  std::size_t parity_received_ = 0;
-  std::size_t distinct_ = 0;
-  bool tail_done_ = false;
 };
 
 class TornadoStructuralDecoder final : public fec::StructuralDecoder {
@@ -88,28 +127,12 @@ class TornadoStructuralDecoder final : public fec::StructuralDecoder {
   explicit TornadoStructuralDecoder(const Cascade& cascade);
 
   bool add_index(std::uint32_t index) override;
-  bool complete() const override {
-    return known_source_ == cascade_.source_count();
-  }
+  bool complete() const override { return peel_.complete(); }
   void reset() override;
 
  private:
-  void make_known(std::size_t node);
-  void process();
-  void trigger(std::size_t check_node);
-  void try_tail();
-
   const Cascade& cascade_;
-  std::vector<std::uint8_t> known_;
-  std::vector<std::uint32_t> unknown_left_;
-  std::vector<std::uint32_t> initial_unknown_;
-  std::vector<std::uint8_t> parity_seen_;
-  std::vector<std::uint32_t> pending_;
-  std::vector<std::uint32_t> dirty_checks_;
-  std::size_t known_source_ = 0;
-  std::size_t known_tail_ = 0;
-  std::size_t parity_received_ = 0;
-  bool tail_done_ = false;
+  TornadoPeeler peel_;
 };
 
 }  // namespace fountain::core

@@ -45,8 +45,8 @@ std::unique_ptr<ErasureCode> make_rs(const CodecParams& params) {
   const auto parity = static_cast<std::size_t>(std::llround(
       (params.stretch - 1.0) * static_cast<double>(params.k)));
   return make_reed_solomon(
-      params.variant == 0 ? RsKind::kCauchy : RsKind::kVandermonde, params.k,
-      std::max<std::size_t>(parity, 1), params.symbol_size);
+      params.variant == 0 ? gf::RsKind::kCauchy : gf::RsKind::kVandermonde,
+      params.k, std::max<std::size_t>(parity, 1), params.symbol_size);
 }
 
 std::unique_ptr<ErasureCode> make_interleaved(const CodecParams& params) {

@@ -8,7 +8,7 @@
 
 #include "gf/gf256.hpp"
 #include "gf/gf65536.hpp"
-#include "gf/rs_cauchy.hpp"
+#include "gf/rs_codec.hpp"
 
 namespace fountain::fec {
 
@@ -22,8 +22,9 @@ class InterleavedCode::BlockCodec {
   virtual void encode_one(util::ConstSymbolView source,
                           std::size_t parity_row,
                           util::ByteSpan out) const = 0;
+  /// Reconstructs the block's missing source rows of `source` in place.
   virtual void decode(
-      util::SymbolMatrix& source, const std::vector<bool>& have_source,
+      util::SymbolView source, const std::vector<bool>& have_source,
       const std::vector<std::pair<std::uint32_t, util::ConstByteSpan>>& parity)
       const = 0;
 };
@@ -33,21 +34,22 @@ namespace {
 template <typename Field>
 class BlockCodecImpl final : public InterleavedCode::BlockCodec {
  public:
-  BlockCodecImpl(std::size_t k, std::size_t parity) : codec_(k, parity) {}
+  BlockCodecImpl(std::size_t k, std::size_t parity)
+      : codec_(gf::RsKind::kCauchy, k, parity) {}
 
   void encode_one(util::ConstSymbolView source, std::size_t parity_row,
                   util::ByteSpan out) const override {
     codec_.encode_one(source, parity_row, out);
   }
 
-  void decode(util::SymbolMatrix& source, const std::vector<bool>& have_source,
+  void decode(util::SymbolView source, const std::vector<bool>& have_source,
               const std::vector<std::pair<std::uint32_t, util::ConstByteSpan>>&
                   parity) const override {
     codec_.decode(source, have_source, parity);
   }
 
  private:
-  gf::CauchyCodec<Field> codec_;
+  gf::RsCodec<Field> codec_;
 };
 
 std::unique_ptr<InterleavedCode::BlockCodec> make_block_codec(
@@ -288,21 +290,16 @@ class InterleavedCode::Decoder final : public IncrementalDecoder {
 
   void finish_block(std::size_t b) {
     BlockState& block = blocks_[b];
-    const std::size_t kb = code_.block_source_[b];
-    // Pull this block's source rows into a dense scratch, decode, push back.
-    util::SymbolMatrix scratch(kb, code_.symbol_size());
-    std::memcpy(scratch.data(),
-                source_.data() + code_.source_offset_[b] * code_.symbol_size(),
-                scratch.size_bytes());
     std::vector<std::pair<std::uint32_t, util::ConstByteSpan>> parity;
     parity.reserve(block.parity_indices.size());
     for (std::size_t i = 0; i < block.parity_indices.size(); ++i) {
       parity.emplace_back(block.parity_indices[i], block.parity_store.row(i));
     }
-    code_.codecs_[code_.codec_of_block_[b]]->decode(scratch, block.have_source,
-                                                    parity);
-    std::memcpy(source_.data() + code_.source_offset_[b] * code_.symbol_size(),
-                scratch.data(), scratch.size_bytes());
+    // The block's source rows are a contiguous range of source_: decode
+    // them in place.
+    code_.codecs_[code_.codec_of_block_[b]]->decode(
+        source_.rows_view(code_.source_offset_[b], code_.block_source_[b]),
+        block.have_source, parity);
     block.done = true;
     ++blocks_done_;
   }

@@ -2,23 +2,15 @@
 
 namespace fountain::fec {
 
-std::unique_ptr<ErasureCode> make_reed_solomon(RsKind kind, std::size_t k,
+std::unique_ptr<ErasureCode> make_reed_solomon(gf::RsKind kind, std::size_t k,
                                                std::size_t parity,
                                                std::size_t symbol_size) {
-  const std::size_t n = k + parity;
-  switch (kind) {
-    case RsKind::kVandermonde:
-      if (n <= gf::GF256::kOrder) {
-        return std::make_unique<VandermondeCode8>(k, parity, symbol_size);
-      }
-      return std::make_unique<VandermondeCode16>(k, parity, symbol_size);
-    case RsKind::kCauchy:
-      if (n <= gf::GF256::kOrder) {
-        return std::make_unique<CauchyCode8>(k, parity, symbol_size);
-      }
-      return std::make_unique<CauchyCode16>(k, parity, symbol_size);
+  if (k + parity <= gf::GF256::kOrder) {
+    return std::make_unique<RsErasureCode<gf::GF256>>(kind, k, parity,
+                                                      symbol_size);
   }
-  throw std::invalid_argument("make_reed_solomon: unknown kind");
+  return std::make_unique<RsErasureCode<gf::GF65536>>(kind, k, parity,
+                                                      symbol_size);
 }
 
 }  // namespace fountain::fec

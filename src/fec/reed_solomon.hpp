@@ -1,4 +1,4 @@
-// ErasureCode adapters for the Reed-Solomon codecs. Systematic layout:
+// ErasureCode adapter for the Reed-Solomon codec. Systematic layout:
 // encoding indices [0, k) are the source symbols verbatim, [k, n) are parity.
 // Being MDS codes, *any* k distinct encoding symbols reconstruct the source —
 // the "reception overhead 0" row of the paper's Table 1.
@@ -14,8 +14,7 @@
 #include "fec/erasure_code.hpp"
 #include "gf/gf256.hpp"
 #include "gf/gf65536.hpp"
-#include "gf/rs_cauchy.hpp"
-#include "gf/rs_vandermonde.hpp"
+#include "gf/rs_codec.hpp"
 
 namespace fountain::fec {
 
@@ -47,11 +46,12 @@ class MdsStructuralDecoder final : public StructuralDecoder {
   std::vector<bool> seen_;
 };
 
-template <typename Codec>
+template <typename Field>
 class RsErasureCode final : public ErasureCode {
  public:
-  RsErasureCode(std::size_t k, std::size_t parity, std::size_t symbol_size)
-      : codec_(k, parity), symbol_size_(symbol_size) {}
+  RsErasureCode(gf::RsKind kind, std::size_t k, std::size_t parity,
+                std::size_t symbol_size)
+      : codec_(kind, k, parity), symbol_size_(symbol_size) {}
 
   std::size_t source_count() const override { return codec_.source_count(); }
   std::size_t encoded_count() const override {
@@ -59,8 +59,6 @@ class RsErasureCode final : public ErasureCode {
   }
   std::size_t symbol_size() const override { return symbol_size_; }
   CodecId codec_id() const override { return CodecId::kReedSolomon; }
-
-  const Codec& codec() const { return codec_; }
 
   std::unique_ptr<BlockEncoder> make_encoder(
       util::ConstSymbolView source) const override {
@@ -191,20 +189,13 @@ class RsErasureCode final : public ErasureCode {
     bool complete_ = false;
   };
 
-  Codec codec_;
+  gf::RsCodec<Field> codec_;
   std::size_t symbol_size_;
 };
 
-using VandermondeCode8 = RsErasureCode<gf::VandermondeCodec<gf::GF256>>;
-using VandermondeCode16 = RsErasureCode<gf::VandermondeCodec<gf::GF65536>>;
-using CauchyCode8 = RsErasureCode<gf::CauchyCodec<gf::GF256>>;
-using CauchyCode16 = RsErasureCode<gf::CauchyCodec<gf::GF65536>>;
-
-enum class RsKind { kVandermonde, kCauchy };
-
 /// Picks the smallest field that fits n = k + parity and returns the adapted
 /// code.
-std::unique_ptr<ErasureCode> make_reed_solomon(RsKind kind, std::size_t k,
+std::unique_ptr<ErasureCode> make_reed_solomon(gf::RsKind kind, std::size_t k,
                                                std::size_t parity,
                                                std::size_t symbol_size);
 

@@ -1,5 +1,6 @@
 #include "gf/cauchy_xor.hpp"
 
+#include <array>
 #include <stdexcept>
 
 #include "kern/kernels.hpp"
@@ -48,83 +49,6 @@ void cauchy_xor_fma(std::uint8_t* dst, const std::uint8_t* src,
       if (mask & (1u << j)) segs[count++] = src + j * seg;
     }
     kern::xor_block_rows(dst + r * seg, segs, count, seg);
-  }
-}
-
-CauchyXorCodec::CauchyXorCodec(std::size_t k, std::size_t parity)
-    : k_(k), parity_(parity) {
-  if (k == 0 || parity == 0 || k + parity > GF256::kOrder) {
-    throw std::invalid_argument("CauchyXorCodec: bad parameters");
-  }
-  gen_ = Matrix<GF256>(parity_, k_);
-  for (std::size_t i = 0; i < parity_; ++i) {
-    const auto y = static_cast<GF256::Element>(k_ + i);
-    for (std::size_t j = 0; j < k_; ++j) {
-      gen_.at(i, j) = GF256::inv(GF256::add(y, static_cast<GF256::Element>(j)));
-    }
-  }
-}
-
-void CauchyXorCodec::encode(const util::SymbolMatrix& source,
-                            util::SymbolMatrix& parity_out) const {
-  if (source.rows() != k_ || parity_out.rows() != parity_ ||
-      source.symbol_size() != parity_out.symbol_size() ||
-      source.symbol_size() % 8 != 0) {
-    throw std::invalid_argument("CauchyXorCodec: shape mismatch");
-  }
-  parity_out.fill_zero();
-  for (std::size_t j = 0; j < k_; ++j) {
-    const auto src = source.row(j);
-    for (std::size_t i = 0; i < parity_; ++i) {
-      cauchy_xor_fma(parity_out.row(i).data(), src.data(), src.size(),
-                     gen_.at(i, j));
-    }
-  }
-}
-
-void CauchyXorCodec::decode(
-    util::SymbolMatrix& source, const std::vector<bool>& have_source,
-    const std::vector<std::pair<std::uint32_t, util::ConstByteSpan>>& parity)
-    const {
-  std::vector<std::uint32_t> missing;
-  for (std::size_t j = 0; j < k_; ++j) {
-    if (!have_source[j]) missing.push_back(static_cast<std::uint32_t>(j));
-  }
-  if (missing.empty()) return;
-  const std::size_t x = missing.size();
-  if (parity.size() < x) {
-    throw std::invalid_argument("CauchyXorCodec: not enough parity");
-  }
-
-  const std::size_t bytes = source.symbol_size();
-  util::SymbolMatrix rhs(x, bytes);
-  std::vector<GF256::Element> xs(x);
-  std::vector<GF256::Element> ys(x);
-  for (std::size_t c = 0; c < x; ++c) {
-    xs[c] = static_cast<GF256::Element>(missing[c]);
-  }
-  for (std::size_t r = 0; r < x; ++r) {
-    const auto [pidx, pdata] = parity[r];
-    if (pidx >= parity_) throw std::out_of_range("CauchyXorCodec: parity idx");
-    ys[r] = static_cast<GF256::Element>(k_ + pidx);
-    util::xor_into(rhs.row(r), pdata);
-  }
-  for (std::size_t j = 0; j < k_; ++j) {
-    if (!have_source[j]) continue;
-    const auto src = source.row(j);
-    for (std::size_t r = 0; r < x; ++r) {
-      cauchy_xor_fma(rhs.row(r).data(), src.data(), bytes,
-                     gen_.at(parity[r].first, j));
-    }
-  }
-
-  const Matrix<GF256> inv = cauchy_inverse<GF256>(xs, ys);
-  for (std::size_t c = 0; c < x; ++c) {
-    auto dst = source.row(missing[c]);
-    std::fill(dst.begin(), dst.end(), 0);
-    for (std::size_t r = 0; r < x; ++r) {
-      cauchy_xor_fma(dst.data(), rhs.row(r).data(), bytes, inv.at(c, r));
-    }
   }
 }
 

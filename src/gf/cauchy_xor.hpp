@@ -1,48 +1,21 @@
-// XOR-only variant of the Cauchy Reed-Solomon codec, following the original
-// bit-matrix scheme of Blomer et al.: every GF(2^8) coefficient is expanded
-// into an 8x8 matrix over GF(2), packets are split into 8 equal segments, and
-// a coefficient multiply-accumulate becomes a handful of segment XORs. This
-// trades field-table lookups for pure XOR streaming, and is benchmarked
-// against the table-driven codec in the ablation bench.
+// The XOR-only multiply of Blomer et al.'s original bit-matrix scheme: a
+// GF(2^8) coefficient is expanded into an 8x8 matrix over GF(2), packets are
+// split into 8 equal segments, and a coefficient multiply-accumulate becomes
+// a handful of segment XORs. This trades field-table lookups for pure XOR
+// streaming; the micro bench measures it against the table-driven kernels.
 #pragma once
 
-#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "gf/gf256.hpp"
-#include "gf/rs_cauchy.hpp"
-#include "util/symbols.hpp"
 
 namespace fountain::gf {
 
 /// dst ^= M(c) * src where symbols are treated as 8 segments of
-/// bytes/8 bytes each. `bytes` must be a multiple of 8.
+/// bytes/8 bytes each: bit j of element t of a symbol is bit t of segment j.
+/// `bytes` must be a multiple of 8.
 void cauchy_xor_fma(std::uint8_t* dst, const std::uint8_t* src,
                     std::size_t bytes, GF256::Element c);
-
-/// Cauchy-RS codec whose data path is pure XOR (bit-matrix expansion of the
-/// GF(2^8) Cauchy generator). Coefficient-level math (submatrix inversion)
-/// reuses the analytic Cauchy inverse.
-class CauchyXorCodec {
- public:
-  CauchyXorCodec(std::size_t k, std::size_t parity);
-
-  std::size_t source_count() const { return k_; }
-  std::size_t parity_count() const { return parity_; }
-
-  void encode(const util::SymbolMatrix& source,
-              util::SymbolMatrix& parity_out) const;
-
-  void decode(util::SymbolMatrix& source, const std::vector<bool>& have_source,
-              const std::vector<std::pair<std::uint32_t, util::ConstByteSpan>>&
-                  parity) const;
-
- private:
-  std::size_t k_;
-  std::size_t parity_;
-  Matrix<GF256> gen_;
-};
 
 }  // namespace fountain::gf

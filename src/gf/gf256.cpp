@@ -89,11 +89,6 @@ void GF256::fma_buffer(std::uint8_t* dst, const std::uint8_t* src,
   kern::gf256_fma_block(dst, src, bytes, mul_ctx(c));
 }
 
-void GF256::scale_buffer(std::uint8_t* dst, std::size_t bytes, Element c) {
-  if (c == 1) return;
-  kern::gf256_scale_block(dst, bytes, mul_ctx(c));
-}
-
 void GF256::fma_rows(std::uint8_t* dst, const std::uint8_t* const* srcs,
                      const Element* coeffs, std::size_t count,
                      std::size_t bytes) {

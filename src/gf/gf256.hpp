@@ -36,8 +36,6 @@ class GF256 {
   /// scalar hosts).
   static void fma_buffer(std::uint8_t* dst, const std::uint8_t* src,
                          std::size_t bytes, Element c);
-  /// dst *= c over the whole buffer.
-  static void scale_buffer(std::uint8_t* dst, std::size_t bytes, Element c);
 
   /// dst ^= sum_i coeffs[i] * srcs[i], all rows `bytes` long — the RS
   /// row-synthesis primitive, routed through the cache-blocked

@@ -1,7 +1,6 @@
 #include "gf/gf65536.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 #include "kern/kernels.hpp"
@@ -72,18 +71,6 @@ void GF65536::fma_buffer(std::uint8_t* dst, const std::uint8_t* src,
     return;
   }
   kern::gf65536_fma_block(dst, src, bytes, mul_ctx(c));
-}
-
-void GF65536::scale_buffer(std::uint8_t* dst, std::size_t bytes, Element c) {
-  if (bytes % 2 != 0) {
-    throw std::invalid_argument("GF65536: buffer length must be even");
-  }
-  if (c == 1) return;
-  if (c == 0) {
-    std::memset(dst, 0, bytes);
-    return;
-  }
-  kern::gf65536_scale_block(dst, bytes, mul_ctx(c));
 }
 
 void GF65536::fma_rows(std::uint8_t* dst, const std::uint8_t* const* srcs,

@@ -40,8 +40,6 @@ class GF65536 {
   /// tables on scalar hosts).
   static void fma_buffer(std::uint8_t* dst, const std::uint8_t* src,
                          std::size_t bytes, Element c);
-  /// dst *= c; bytes must be a multiple of 2.
-  static void scale_buffer(std::uint8_t* dst, std::size_t bytes, Element c);
 
   /// dst ^= sum_i coeffs[i] * srcs[i] — the same RS row-synthesis entry
   /// point as GF256::fma_rows, routed through the cache-blocked

@@ -1,6 +1,6 @@
-// Dense matrices over a GF(2^w) field with Gauss-Jordan inversion and linear
-// solves. Used by the Vandermonde codec's systematization step, by decode
-// paths, and by tests that cross-check the analytic Cauchy inverse.
+// Dense matrices over a GF(2^w) field with Gauss-Jordan inversion. Used by
+// the Reed-Solomon codec's generator and Vandermonde decode path, and by
+// tests that cross-check the analytic Cauchy inverse.
 #pragma once
 
 #include <cstddef>
@@ -50,17 +50,6 @@ class Matrix {
     return out;
   }
 
-  std::vector<Element> multiply(const std::vector<Element>& v) const {
-    if (cols_ != v.size()) throw std::invalid_argument("Matrix: dim mismatch");
-    std::vector<Element> out(rows_, Element{0});
-    for (std::size_t i = 0; i < rows_; ++i) {
-      for (std::size_t j = 0; j < cols_; ++j) {
-        out[i] = Field::add(out[i], Field::mul(at(i, j), v[j]));
-      }
-    }
-    return out;
-  }
-
   /// Gauss-Jordan inversion. Throws std::domain_error on singular input.
   Matrix inverted() const {
     if (rows_ != cols_) throw std::invalid_argument("Matrix: not square");
@@ -87,37 +76,6 @@ class Matrix {
       }
     }
     return inv;
-  }
-
-  /// Solves A x = b in place of a temporary copy; A must be square and
-  /// nonsingular.
-  std::vector<Element> solve(const std::vector<Element>& b) const {
-    if (rows_ != cols_ || b.size() != rows_) {
-      throw std::invalid_argument("Matrix: solve dim mismatch");
-    }
-    const std::size_t n = rows_;
-    Matrix a(*this);
-    std::vector<Element> x(b);
-    for (std::size_t col = 0; col < n; ++col) {
-      std::size_t pivot = col;
-      while (pivot < n && a.at(pivot, col) == Element{0}) ++pivot;
-      if (pivot == n) throw std::domain_error("Matrix: singular");
-      if (pivot != col) {
-        swap_rows(a, pivot, col);
-        std::swap(x[pivot], x[col]);
-      }
-      const Element pinv = Field::inv(a.at(col, col));
-      scale_row(a, col, pinv);
-      x[col] = Field::mul(x[col], pinv);
-      for (std::size_t r = 0; r < n; ++r) {
-        if (r == col) continue;
-        const Element factor = a.at(r, col);
-        if (factor == Element{0}) continue;
-        add_scaled_row(a, r, col, factor);
-        x[r] = Field::add(x[r], Field::mul(factor, x[col]));
-      }
-    }
-    return x;
   }
 
   friend bool operator==(const Matrix&, const Matrix&) = default;

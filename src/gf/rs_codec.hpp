@@ -1,13 +1,23 @@
-// Systematic Cauchy Reed-Solomon erasure codec after Blomer, Kalfane,
-// Karpinski, Karp, Luby, Zuckerman, "An XOR-Based Erasure-Resilient Coding
-// Scheme" (ICSI TR-95-048) — the "Cauchy" column of the paper's Tables 2/3,
-// the per-block code of the interleaved baseline, and the tail code that
-// terminates the Tornado cascade.
+// Systematic Reed-Solomon erasure codec: the two baselines of the paper's
+// Tables 2 and 3, the per-block code of the interleaved baseline, and the
+// tail code that terminates the Tornado cascade.
 //
-// The generator is the Cauchy matrix C[i][j] = 1/(y_i + x_j). Its key
-// advantage over Vandermonde for decoding is that every square submatrix is
-// itself Cauchy and so can be inverted analytically in O(x^2) — no Gaussian
-// elimination.
+// Sources sit at the field points x_j = j and parities at y_i = k + i, all
+// distinct because k + l <= |F|. The two kinds differ only in the generator
+// and in how decoding inverts the x-by-x submatrix over the missing sources:
+//
+//  kVandermonde, in the style of Rizzo's FEC library ("Effective Erasure
+//    Codes for Reliable Computer Communication Protocols", CCR 1997): parity
+//    symbol i is the evaluation at y_i of the degree-(k-1) polynomial that
+//    interpolates the sources at the x_j. Built by Lagrange interpolation,
+//    this equals Rizzo's V * V_k^{-1} at O(k^2 + l*k) cost rather than
+//    O(k^3). The submatrix is inverted by Gauss-Jordan elimination: the
+//    O(x^3) cost that makes Vandermonde codes impractical at large k,
+//    exactly the effect the paper reports.
+//  kCauchy, after Blomer, Kalfane, Karpinski, Karp, Luby, Zuckerman, "An
+//    XOR-Based Erasure-Resilient Coding Scheme" (ICSI TR-95-048): C[i][j] =
+//    1/(y_i + x_j). Every square submatrix is itself Cauchy and so is
+//    inverted analytically in O(x^2) (cauchy_inverse below).
 #pragma once
 
 #include <algorithm>
@@ -20,6 +30,8 @@
 #include "util/symbols.hpp"
 
 namespace fountain::gf {
+
+enum class RsKind { kVandermonde, kCauchy };
 
 /// Analytic inverse of the square Cauchy matrix A[i][j] = 1/(xs[j] + ys[i])
 /// (characteristic-2 field; all points pairwise distinct, xs disjoint from
@@ -94,22 +106,44 @@ Matrix<Field> cauchy_inverse(const std::vector<typename Field::Element>& xs,
 }
 
 template <typename Field>
-class CauchyCodec {
+class RsCodec {
  public:
   using Element = typename Field::Element;
+  using Parity = std::vector<std::pair<std::uint32_t, util::ConstByteSpan>>;
 
-  CauchyCodec(std::size_t k, std::size_t parity) : k_(k), parity_(parity) {
+  RsCodec(RsKind kind, std::size_t k, std::size_t parity)
+      : kind_(kind), k_(k), parity_(parity) {
     if (k == 0 || parity == 0) {
-      throw std::invalid_argument("CauchyCodec: k and parity must be > 0");
+      throw std::invalid_argument("RsCodec: k and parity must be > 0");
     }
     if (k + parity > Field::kOrder) {
-      throw std::invalid_argument("CauchyCodec: k + parity exceeds field size");
+      throw std::invalid_argument("RsCodec: k + parity exceeds field size");
     }
     gen_ = Matrix<Field>(parity_, k_);
+    if (kind_ == RsKind::kCauchy) {
+      for (std::size_t i = 0; i < parity_; ++i) {
+        for (std::size_t j = 0; j < k_; ++j) {
+          gen_.at(i, j) = Field::inv(Field::add(y(i), x(j)));
+        }
+      }
+      return;
+    }
+    // Lagrange: gen[i][j] = N_i / ((y_i + x_j) d_j) with
+    // N_i = prod_m (y_i + x_m) and d_j = prod_{m != j} (x_j + x_m).
+    std::vector<Element> d(k_, Element{1});
+    for (std::size_t j = 0; j < k_; ++j) {
+      for (std::size_t m = 0; m < k_; ++m) {
+        if (m != j) d[j] = Field::mul(d[j], Field::add(x(j), x(m)));
+      }
+    }
     for (std::size_t i = 0; i < parity_; ++i) {
-      const auto y = static_cast<Element>(k_ + i);
+      Element numerator{1};
+      for (std::size_t m = 0; m < k_; ++m) {
+        numerator = Field::mul(numerator, Field::add(y(i), x(m)));
+      }
       for (std::size_t j = 0; j < k_; ++j) {
-        gen_.at(i, j) = Field::inv(Field::add(y, static_cast<Element>(j)));
+        gen_.at(i, j) =
+            Field::div(numerator, Field::mul(Field::add(y(i), x(j)), d[j]));
       }
     }
   }
@@ -117,13 +151,10 @@ class CauchyCodec {
   std::size_t source_count() const { return k_; }
   std::size_t parity_count() const { return parity_; }
 
-  Element coefficient(std::size_t parity_row, std::size_t source_col) const {
-    return gen_.at(parity_row, source_col);
-  }
-
-  /// Views allow encoding straight out of / into row ranges of a larger
-  /// matrix (the Tornado tail encodes `encoding` rows in place with no
-  /// intermediate copies); SymbolMatrix arguments convert implicitly.
+  /// Computes all parity symbols from the full source block. Views allow
+  /// encoding straight out of / into row ranges of a larger matrix (the
+  /// Tornado tail encodes `encoding` rows in place with no intermediate
+  /// copies); SymbolMatrix arguments convert implicitly.
   /// Parity-row-major: each parity symbol is produced by one multi-row pass
   /// over all k sources (generator rows are contiguous, so they feed
   /// Field::fma_rows directly) — the destination tile stays L1-resident
@@ -132,11 +163,10 @@ class CauchyCodec {
     if (source.rows() != k_ || parity_out.rows() != parity_ ||
         source.symbol_size() != parity_out.symbol_size() ||
         source.symbol_size() % Field::kSymbolAlignment != 0) {
-      throw std::invalid_argument("CauchyCodec: shape mismatch");
+      throw std::invalid_argument("RsCodec: shape mismatch");
     }
     parity_out.fill_zero();
-    std::vector<const std::uint8_t*> srcs(k_);
-    for (std::size_t j = 0; j < k_; ++j) srcs[j] = source.row(j).data();
+    const auto srcs = rows(source);
     for (std::size_t i = 0; i < parity_; ++i) {
       Field::fma_rows(parity_out.row(i).data(), srcs.data(), gen_.row(i), k_,
                       source.symbol_size());
@@ -148,20 +178,19 @@ class CauchyCodec {
   void encode_one(util::ConstSymbolView source, std::size_t parity_row,
                   util::ByteSpan out) const {
     if (out.size() % Field::kSymbolAlignment != 0) {
-      throw std::invalid_argument("CauchyCodec: symbol alignment");
+      throw std::invalid_argument("RsCodec: symbol alignment");
     }
     std::fill(out.begin(), out.end(), 0);
-    std::vector<const std::uint8_t*> srcs(k_);
-    for (std::size_t j = 0; j < k_; ++j) srcs[j] = source.row(j).data();
-    Field::fma_rows(out.data(), srcs.data(), gen_.row(parity_row), k_,
+    Field::fma_rows(out.data(), rows(source).data(), gen_.row(parity_row), k_,
                     source.symbol_size());
   }
 
-  /// Reconstructs missing source rows in place; see VandermondeCodec::decode
-  /// for the contract. Uses the analytic O(x^2) Cauchy submatrix inverse.
+  /// Reconstructs the missing source rows of `source` in place.
+  /// `have_source[j]` marks rows already present; `parity` lists received
+  /// parity symbols as (parity index, payload). Requires at least as many
+  /// parity symbols as missing source symbols; uses the first x of them.
   void decode(util::SymbolView source, const std::vector<bool>& have_source,
-              const std::vector<std::pair<std::uint32_t, util::ConstByteSpan>>&
-                  parity) const {
+              const Parity& parity) const {
     std::vector<std::uint32_t> missing;
     for (std::size_t j = 0; j < k_; ++j) {
       if (!have_source[j]) missing.push_back(static_cast<std::uint32_t>(j));
@@ -169,23 +198,18 @@ class CauchyCodec {
     if (missing.empty()) return;
     const std::size_t x = missing.size();
     if (parity.size() < x) {
-      throw std::invalid_argument("CauchyCodec: not enough parity");
+      throw std::invalid_argument("RsCodec: not enough parity");
     }
 
+    // rhs_r = parity_r - sum over known sources of gen[p_r][j] * src_j
     const std::size_t bytes = source.symbol_size();
     util::SymbolMatrix rhs(x, bytes);
-    std::vector<Element> xs(x);
-    std::vector<Element> ys(x);
-    for (std::size_t c = 0; c < x; ++c) {
-      xs[c] = static_cast<Element>(missing[c]);
-    }
     for (std::size_t r = 0; r < x; ++r) {
       const auto [pidx, pdata] = parity[r];
-      if (pidx >= parity_) throw std::out_of_range("CauchyCodec: parity index");
+      if (pidx >= parity_) throw std::out_of_range("RsCodec: parity index");
       if (pdata.size() != bytes) {
-        throw std::invalid_argument("CauchyCodec: payload size");
+        throw std::invalid_argument("RsCodec: payload size");
       }
-      ys[r] = static_cast<Element>(k_ + pidx);
       util::xor_into(rhs.row(r), pdata);
     }
     // rhs_r -= known-source contributions: one multi-row pass per parity row
@@ -209,9 +233,8 @@ class CauchyCodec {
                       known_srcs.size(), bytes);
     }
 
-    const Matrix<Field> inv = cauchy_inverse<Field>(xs, ys);
-    std::vector<const std::uint8_t*> rhs_rows(x);
-    for (std::size_t r = 0; r < x; ++r) rhs_rows[r] = rhs.row(r).data();
+    const Matrix<Field> inv = inverse(missing, parity);
+    const auto rhs_rows = rows(rhs);
     for (std::size_t c = 0; c < x; ++c) {
       auto dst = source.row(missing[c]);
       std::fill(dst.begin(), dst.end(), 0);
@@ -220,6 +243,37 @@ class CauchyCodec {
   }
 
  private:
+  Element x(std::size_t j) const { return static_cast<Element>(j); }
+  Element y(std::size_t i) const { return static_cast<Element>(k_ + i); }
+
+  static std::vector<const std::uint8_t*> rows(util::ConstSymbolView m) {
+    std::vector<const std::uint8_t*> out(m.rows());
+    for (std::size_t j = 0; j < m.rows(); ++j) out[j] = m.row(j).data();
+    return out;
+  }
+
+  /// The inverse of the generator submatrix whose rows are the first x
+  /// received parities and whose columns are the x missing sources.
+  Matrix<Field> inverse(const std::vector<std::uint32_t>& missing,
+                        const Parity& parity) const {
+    const std::size_t n = missing.size();
+    if (kind_ == RsKind::kCauchy) {
+      std::vector<Element> xs(n);
+      std::vector<Element> ys(n);
+      for (std::size_t c = 0; c < n; ++c) xs[c] = x(missing[c]);
+      for (std::size_t r = 0; r < n; ++r) ys[r] = y(parity[r].first);
+      return cauchy_inverse<Field>(xs, ys);
+    }
+    Matrix<Field> m(n, n);
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t c = 0; c < n; ++c) {
+        m.at(r, c) = gen_.at(parity[r].first, missing[c]);
+      }
+    }
+    return m.inverted();
+  }
+
+  RsKind kind_;
   std::size_t k_;
   std::size_t parity_;
   Matrix<Field> gen_;

@@ -90,15 +90,10 @@ struct Ops {
   /// dst ^= c * src over GF(2^8), c described by `ctx`.
   void (*gf256_fma)(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
                     const Gf256Ctx& ctx);
-  /// dst *= c over GF(2^8).
-  void (*gf256_scale)(std::uint8_t* dst, std::size_t n, const Gf256Ctx& ctx);
   /// dst ^= c * src over GF(2^16): `n` must be even, and the buffers hold
   /// 16-bit words in host byte order (little-endian on every SIMD target).
   void (*gf65536_fma)(std::uint8_t* dst, const std::uint8_t* src,
                       std::size_t n, const Gf65536Ctx& ctx);
-  /// dst *= c over GF(2^16), same word layout.
-  void (*gf65536_scale)(std::uint8_t* dst, std::size_t n,
-                        const Gf65536Ctx& ctx);
 };
 
 /// The active tier (selected once, then cached; see file comment).
@@ -121,35 +116,13 @@ inline void xor_block(std::uint8_t* dst, const std::uint8_t* a,
                       std::size_t n) {
   ops().xor_block(dst, a, n);
 }
-inline void xor_block_2(std::uint8_t* dst, const std::uint8_t* a,
-                        const std::uint8_t* b, std::size_t n) {
-  ops().xor_block_2(dst, a, b, n);
-}
-inline void xor_block_3(std::uint8_t* dst, const std::uint8_t* a,
-                        const std::uint8_t* b, const std::uint8_t* c,
-                        std::size_t n) {
-  ops().xor_block_3(dst, a, b, c, n);
-}
-inline void xor_block_4(std::uint8_t* dst, const std::uint8_t* a,
-                        const std::uint8_t* b, const std::uint8_t* c,
-                        const std::uint8_t* d, std::size_t n) {
-  ops().xor_block_4(dst, a, b, c, d, n);
-}
 inline void gf256_fma_block(std::uint8_t* dst, const std::uint8_t* src,
                             std::size_t n, const Gf256Ctx& ctx) {
   ops().gf256_fma(dst, src, n, ctx);
 }
-inline void gf256_scale_block(std::uint8_t* dst, std::size_t n,
-                              const Gf256Ctx& ctx) {
-  ops().gf256_scale(dst, n, ctx);
-}
 inline void gf65536_fma_block(std::uint8_t* dst, const std::uint8_t* src,
                               std::size_t n, const Gf65536Ctx& ctx) {
   ops().gf65536_fma(dst, src, n, ctx);
-}
-inline void gf65536_scale_block(std::uint8_t* dst, std::size_t n,
-                                const Gf65536Ctx& ctx) {
-  ops().gf65536_scale(dst, n, ctx);
 }
 
 // ---- Cache-blocked multi-row primitives (kernels_rows.cpp) ----

@@ -111,17 +111,6 @@ void gf256_fma(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
   if (i < n) scalar_gf256_fma(dst + i, src + i, n - i, ctx);
 }
 
-void gf256_scale(std::uint8_t* dst, std::size_t n, const Gf256Ctx& ctx) {
-  const __m256i lo_tbl = half_table(ctx.lo);
-  const __m256i hi_tbl = half_table(ctx.hi);
-  const __m256i nib_mask = _mm256_set1_epi8(0x0f);
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    store(dst + i, gf_mul32(load(dst + i), lo_tbl, hi_tbl, nib_mask));
-  }
-  if (i < n) scalar_gf256_scale(dst + i, n - i, ctx);
-}
-
 /// The eight half-tables of multiplication by c over GF(2^16), each
 /// broadcast into both lanes: lo[i][x] / hi[i][x] are the low / high byte
 /// of c * (x << 4i).
@@ -198,23 +187,8 @@ void gf65536_fma(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
   if (i < n) padded_tail<64>(dst + i, src + i, n - i, step);
 }
 
-void gf65536_scale(std::uint8_t* dst, std::size_t n, const Gf65536Ctx& ctx) {
-  const Gf16Tables t = gf16_tables(ctx);
-  const auto step = [&t](std::uint8_t* d, const std::uint8_t*) {
-    __m256i p0 = load(d);
-    __m256i p1 = load(d + 32);
-    gf16_mul_pair(p0, p1, t);
-    store(d, p0);
-    store(d + 32, p1);
-  };
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) step(dst + i, nullptr);
-  if (i < n) padded_tail<64>(dst + i, nullptr, n - i, step);
-}
-
-constexpr Ops kOps = {Isa::kAvx2,   &xor1,        &xor2,
-                      &xor3,        &xor4,        &gf256_fma,
-                      &gf256_scale, &gf65536_fma, &gf65536_scale};
+constexpr Ops kOps = {Isa::kAvx2, &xor1, &xor2, &xor3, &xor4,
+                      &gf256_fma, &gf65536_fma};
 
 }  // namespace
 

@@ -110,17 +110,6 @@ void gf256_fma(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
   if (i < n) scalar_gf256_fma(dst + i, src + i, n - i, ctx);
 }
 
-void gf256_scale(std::uint8_t* dst, std::size_t n, const Gf256Ctx& ctx) {
-  const __m512i lo_tbl = half_table(ctx.lo);
-  const __m512i hi_tbl = half_table(ctx.hi);
-  const __m512i nib_mask = _mm512_set1_epi8(0x0f);
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    store(dst + i, gf_mul64(load(dst + i), lo_tbl, hi_tbl, nib_mask));
-  }
-  if (i < n) scalar_gf256_scale(dst + i, n - i, ctx);
-}
-
 /// The eight GF(2^16) half-tables (see the AVX2 tier), broadcast into all
 /// four lanes: lo[i][x] / hi[i][x] are the low / high byte of c * (x << 4i).
 struct Gf16Tables {
@@ -201,23 +190,8 @@ void gf65536_fma(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
   if (i < n) padded_tail<128>(dst + i, src + i, n - i, step);
 }
 
-void gf65536_scale(std::uint8_t* dst, std::size_t n, const Gf65536Ctx& ctx) {
-  const Gf16Tables t = gf16_tables(ctx);
-  const auto step = [&t](std::uint8_t* d, const std::uint8_t*) {
-    __m512i p0 = load(d);
-    __m512i p1 = load(d + 64);
-    gf16_mul_pair(p0, p1, t);
-    store(d, p0);
-    store(d + 64, p1);
-  };
-  std::size_t i = 0;
-  for (; i + 128 <= n; i += 128) step(dst + i, nullptr);
-  if (i < n) padded_tail<128>(dst + i, nullptr, n - i, step);
-}
-
-constexpr Ops kOps = {Isa::kAvx512, &xor1,        &xor2,
-                      &xor3,        &xor4,        &gf256_fma,
-                      &gf256_scale, &gf65536_fma, &gf65536_scale};
+constexpr Ops kOps = {Isa::kAvx512, &xor1, &xor2, &xor3, &xor4,
+                      &gf256_fma, &gf65536_fma};
 
 }  // namespace
 

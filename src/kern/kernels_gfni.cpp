@@ -110,16 +110,6 @@ void gf256_fma(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
   if (i < n) scalar_gf256_fma(dst + i, src + i, n - i, ctx);
 }
 
-void gf256_scale(std::uint8_t* dst, std::size_t n, const Gf256Ctx& ctx) {
-  const __m512i matrix =
-      _mm512_set1_epi64(static_cast<long long>(ctx.affine));
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    store(dst + i, _mm512_gf2p8affine_epi64_epi8(load(dst + i), matrix, 0));
-  }
-  if (i < n) scalar_gf256_scale(dst + i, n - i, ctx);
-}
-
 /// The four GF2P8AFFINEQB matrices of multiplication by c over GF(2^16),
 /// broadcast to every qword: `lo_from_hi` maps the input's high byte to its
 /// contribution to the product's low byte, and so on.
@@ -187,23 +177,8 @@ void gf65536_fma(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
   if (i < n) padded_tail<128>(dst + i, src + i, n - i, step);
 }
 
-void gf65536_scale(std::uint8_t* dst, std::size_t n, const Gf65536Ctx& ctx) {
-  const Gf16Matrices m = gf16_matrices(ctx);
-  const auto step = [&m](std::uint8_t* d, const std::uint8_t*) {
-    __m512i p0 = load(d);
-    __m512i p1 = load(d + 64);
-    gf16_mul_pair(p0, p1, m);
-    store(d, p0);
-    store(d + 64, p1);
-  };
-  std::size_t i = 0;
-  for (; i + 128 <= n; i += 128) step(dst + i, nullptr);
-  if (i < n) padded_tail<128>(dst + i, nullptr, n - i, step);
-}
-
-constexpr Ops kOps = {Isa::kGfni,   &xor1,        &xor2,
-                      &xor3,        &xor4,        &gf256_fma,
-                      &gf256_scale, &gf65536_fma, &gf65536_scale};
+constexpr Ops kOps = {Isa::kGfni, &xor1, &xor2, &xor3, &xor4,
+                      &gf256_fma, &gf65536_fma};
 
 }  // namespace
 

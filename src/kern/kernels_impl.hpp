@@ -19,11 +19,8 @@ const Ops* neon_ops();     // AArch64 only
 void scalar_xor(std::uint8_t* dst, const std::uint8_t* a, std::size_t n);
 void scalar_gf256_fma(std::uint8_t* dst, const std::uint8_t* src,
                       std::size_t n, const Gf256Ctx& ctx);
-void scalar_gf256_scale(std::uint8_t* dst, std::size_t n, const Gf256Ctx& ctx);
 void scalar_gf65536_fma(std::uint8_t* dst, const std::uint8_t* src,
                         std::size_t n, const Gf65536Ctx& ctx);
-void scalar_gf65536_scale(std::uint8_t* dst, std::size_t n,
-                          const Gf65536Ctx& ctx);
 
 /// The split-nibble tables of multiplication by ctx's constant c:
 /// t[i][x] = c * (x << 4i) for nibble position i in [0, 4) and x in [0, 16),
@@ -35,16 +32,15 @@ void gf65536_nibble_tables(const Gf65536Ctx& ctx, std::uint16_t t[4][16]);
 /// exactly kStep bytes) on the sub-step tail [0, n) through zero-padded
 /// stack copies, so a tail costs one vector step instead of a scalar table
 /// rebuild. Each product word depends on its own input word only, so with
-/// n even the padding cannot reach the copied-back bytes. `src` may be null
-/// for in-place steps.
+/// n even the padding cannot reach the copied-back bytes.
 template <std::size_t kStep, typename Step>
 inline void padded_tail(std::uint8_t* dst, const std::uint8_t* src,
                         std::size_t n, Step&& step) {
   alignas(64) std::uint8_t d[kStep] = {};
   alignas(64) std::uint8_t s[kStep] = {};
-  for (std::size_t i = 0; i < n; ++i) d[i] = dst[i];
-  if (src != nullptr) {
-    for (std::size_t i = 0; i < n; ++i) s[i] = src[i];
+  for (std::size_t i = 0; i < n; ++i) {
+    d[i] = dst[i];
+    s[i] = src[i];
   }
   step(d, s);
   for (std::size_t i = 0; i < n; ++i) dst[i] = d[i];

@@ -77,17 +77,6 @@ void gf256_fma(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
   if (i < n) scalar_gf256_fma(dst + i, src + i, n - i, ctx);
 }
 
-void gf256_scale(std::uint8_t* dst, std::size_t n, const Gf256Ctx& ctx) {
-  const uint8x16_t lo_tbl = vld1q_u8(ctx.lo);
-  const uint8x16_t hi_tbl = vld1q_u8(ctx.hi);
-  const uint8x16_t nib_mask = vdupq_n_u8(0x0f);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    vst1q_u8(dst + i, gf_mul16(vld1q_u8(dst + i), lo_tbl, hi_tbl, nib_mask));
-  }
-  if (i < n) scalar_gf256_scale(dst + i, n - i, ctx);
-}
-
 /// The eight GF(2^16) half-tables: lo[i][x] / hi[i][x] are the low / high
 /// byte of c * (x << 4i), split out of the scalar tier's word tables by a
 /// de-interleaving load.
@@ -141,19 +130,8 @@ void gf65536_fma(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
   if (i < n) padded_tail<32>(dst + i, src + i, n - i, step);
 }
 
-void gf65536_scale(std::uint8_t* dst, std::size_t n, const Gf65536Ctx& ctx) {
-  const Gf16Tables t = gf16_tables(ctx);
-  const auto step = [&t](std::uint8_t* d, const std::uint8_t*) {
-    vst2q_u8(d, gf16_mul(vld2q_u8(d), t));
-  };
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) step(dst + i, nullptr);
-  if (i < n) padded_tail<32>(dst + i, nullptr, n - i, step);
-}
-
-constexpr Ops kOps = {Isa::kNeon,   &xor1,        &xor2,
-                      &xor3,        &xor4,        &gf256_fma,
-                      &gf256_scale, &gf65536_fma, &gf65536_scale};
+constexpr Ops kOps = {Isa::kNeon, &xor1, &xor2, &xor3, &xor4,
+                      &gf256_fma, &gf65536_fma};
 
 }  // namespace
 

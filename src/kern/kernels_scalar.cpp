@@ -65,11 +65,6 @@ void gf256_fma(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
   for (std::size_t i = 0; i < n; ++i) dst[i] ^= row[src[i]];
 }
 
-void gf256_scale(std::uint8_t* dst, std::size_t n, const Gf256Ctx& ctx) {
-  const std::uint8_t* row = ctx.full;
-  for (std::size_t i = 0; i < n; ++i) dst[i] = row[dst[i]];
-}
-
 inline std::uint16_t load16(const std::uint8_t* p) {
   std::uint16_t w;
   std::memcpy(&w, p, 2);
@@ -96,17 +91,8 @@ void gf65536_fma(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
   }
 }
 
-void gf65536_scale(std::uint8_t* dst, std::size_t n, const Gf65536Ctx& ctx) {
-  std::uint16_t t[4][16];
-  gf65536_nibble_tables(ctx, t);
-  for (std::size_t i = 0; i + 2 <= n; i += 2) {
-    store16(dst + i, mul16(t, load16(dst + i)));
-  }
-}
-
-constexpr Ops kOps = {Isa::kScalar, &xor1,        &xor2,
-                      &xor3,        &xor4,        &gf256_fma,
-                      &gf256_scale, &gf65536_fma, &gf65536_scale};
+constexpr Ops kOps = {Isa::kScalar, &xor1, &xor2, &xor3, &xor4,
+                      &gf256_fma, &gf65536_fma};
 
 }  // namespace
 
@@ -134,17 +120,9 @@ void scalar_gf256_fma(std::uint8_t* dst, const std::uint8_t* src,
                       std::size_t n, const Gf256Ctx& ctx) {
   gf256_fma(dst, src, n, ctx);
 }
-void scalar_gf256_scale(std::uint8_t* dst, std::size_t n,
-                        const Gf256Ctx& ctx) {
-  gf256_scale(dst, n, ctx);
-}
 void scalar_gf65536_fma(std::uint8_t* dst, const std::uint8_t* src,
                         std::size_t n, const Gf65536Ctx& ctx) {
   gf65536_fma(dst, src, n, ctx);
-}
-void scalar_gf65536_scale(std::uint8_t* dst, std::size_t n,
-                          const Gf65536Ctx& ctx) {
-  gf65536_scale(dst, n, ctx);
 }
 
 }  // namespace fountain::kern::detail

@@ -67,11 +67,8 @@ void xor4(std::uint8_t* dst, const std::uint8_t* a, const std::uint8_t* b,
   }
 }
 
-constexpr Ops kOps = {Isa::kSse2,          &xor1,
-                      &xor2,               &xor3,
-                      &xor4,               &scalar_gf256_fma,
-                      &scalar_gf256_scale, &scalar_gf65536_fma,
-                      &scalar_gf65536_scale};
+constexpr Ops kOps = {Isa::kSse2, &xor1, &xor2, &xor3, &xor4,
+                      &scalar_gf256_fma, &scalar_gf65536_fma};
 
 }  // namespace
 

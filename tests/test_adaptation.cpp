@@ -76,7 +76,7 @@ void run_fuzzed_scenario(std::uint64_t master_seed) {
 
   const unsigned g = 2 + static_cast<unsigned>(rng.below(4));  // 2..5 layers
   const std::size_t k = 24 + rng.below(60);
-  const auto code = fec::make_reed_solomon(fec::RsKind::kCauchy, k, k, 8);
+  const auto code = fec::make_reed_solomon(gf::RsKind::kCauchy, k, k, 8);
   proto::ProtocolConfig cfg;
   cfg.layers = g;
   const auto server = std::make_shared<proto::FountainServer>(
@@ -172,7 +172,7 @@ EquivalenceOutcome run_equivalence_scenario(std::uint64_t master_seed,
 
   const unsigned g = 2 + static_cast<unsigned>(rng.below(4));
   const std::size_t k = 24 + rng.below(40);
-  const auto code = fec::make_reed_solomon(fec::RsKind::kCauchy, k, k, 8);
+  const auto code = fec::make_reed_solomon(gf::RsKind::kCauchy, k, k, 8);
   proto::ProtocolConfig cfg;
   cfg.layers = g;
   const auto server = std::make_shared<proto::FountainServer>(
@@ -317,7 +317,7 @@ EquivalenceOutcome run_topology_scenario(std::uint64_t master_seed,
 
   const unsigned g = 2 + static_cast<unsigned>(rng.below(3));
   const std::size_t k = 24 + rng.below(40);
-  const auto code = fec::make_reed_solomon(fec::RsKind::kCauchy, k, k, 8);
+  const auto code = fec::make_reed_solomon(gf::RsKind::kCauchy, k, k, 8);
   proto::ProtocolConfig cfg;
   cfg.layers = g;
   const auto server = std::make_shared<proto::FountainServer>(
@@ -439,7 +439,7 @@ TEST(AdaptationSoak, TopologyPathFuzzThreadEquivalence) {
 
 TEST(AdaptationSoak, HomogeneousGroupConvergesToFairShare) {
   const std::size_t k = 256;
-  const auto code = fec::make_reed_solomon(fec::RsKind::kCauchy, k, k, 8);
+  const auto code = fec::make_reed_solomon(gf::RsKind::kCauchy, k, k, 8);
   proto::ProtocolConfig cfg;
   cfg.layers = 4;
   const auto server = std::make_shared<proto::FountainServer>(

@@ -37,7 +37,7 @@ TEST(Carousel, EmptyOrderThrows) {
 }
 
 TEST(Reception, LosslessRsReceiverNeedsExactlyK) {
-  const auto code = fec::make_reed_solomon(fec::RsKind::kCauchy, 50, 50, 16);
+  const auto code = fec::make_reed_solomon(gf::RsKind::kCauchy, 50, 50, 16);
   util::Rng rng(2);
   const auto c = Carousel::random_permutation(100, rng);
   const auto r = listen_to_carousel(
@@ -50,7 +50,7 @@ TEST(Reception, LosslessRsReceiverNeedsExactlyK) {
 }
 
 TEST(Reception, LossyReceiverStillCompletes) {
-  const auto code = fec::make_reed_solomon(fec::RsKind::kCauchy, 50, 50, 16);
+  const auto code = fec::make_reed_solomon(gf::RsKind::kCauchy, 50, 50, 16);
   util::Rng rng(4);
   const auto c = Carousel::random_permutation(100, rng);
   const auto r = listen_to_carousel(
@@ -63,7 +63,7 @@ TEST(Reception, LossyReceiverStillCompletes) {
 }
 
 TEST(Reception, HorizonBoundsTheRun) {
-  const auto code = fec::make_reed_solomon(fec::RsKind::kCauchy, 50, 50, 16);
+  const auto code = fec::make_reed_solomon(gf::RsKind::kCauchy, 50, 50, 16);
   const auto c = Carousel::sequential(100);
   const auto r = listen_to_carousel(
       *code, c, std::make_unique<net::BernoulliLoss>(0.0, 6), 0, 10);
@@ -74,7 +74,7 @@ TEST(Reception, HorizonBoundsTheRun) {
 TEST(Reception, StartOffsetChangesPhase) {
   // A receiver joining mid-cycle must still complete with exactly k distinct
   // packets under no loss (any k distinct suffice for RS).
-  const auto code = fec::make_reed_solomon(fec::RsKind::kCauchy, 20, 20, 16);
+  const auto code = fec::make_reed_solomon(gf::RsKind::kCauchy, 20, 20, 16);
   const auto c = Carousel::sequential(40);
   for (std::uint64_t start : {0ULL, 7ULL, 39ULL}) {
     const auto r = listen_to_carousel(

@@ -112,10 +112,10 @@ TEST(BlockEncoder, TornadoTailBoundary) {
 TEST(BlockEncoder, OddSymbolSizes) {
   // Families whose fields have byte alignment must accept odd symbol sizes
   // (GF(256) Reed-Solomon; interleaved with small GF(256) blocks).
-  const auto rs = fec::make_reed_solomon(fec::RsKind::kCauchy, 40, 40, 33);
+  const auto rs = fec::make_reed_solomon(gf::RsKind::kCauchy, 40, 40, 33);
   check_encoder_matches_block(*rs, 4321);
   const auto vand =
-      fec::make_reed_solomon(fec::RsKind::kVandermonde, 40, 40, 33);
+      fec::make_reed_solomon(gf::RsKind::kVandermonde, 40, 40, 33);
   check_encoder_matches_block(*vand, 4321);
   fec::InterleavedCode inter(100, 10, 33);
   check_encoder_matches_block(inter, 999);
@@ -252,7 +252,7 @@ TEST(CodecRegistry, PrivateRegistriesCanShadowFamilies) {
   registry.register_codec(CodecId::kReedSolomon, "vand_only",
                           [](const CodecParams& p) {
                             return fec::make_reed_solomon(
-                                fec::RsKind::kVandermonde, p.k, p.k,
+                                gf::RsKind::kVandermonde, p.k, p.k,
                                 p.symbol_size);
                           });
   CodecParams params;

@@ -157,7 +157,7 @@ TEST(Links, LossLinkAppliesRegimeChangesAtTheirTick) {
 }
 
 TEST(SessionChurn, AsynchronousJoinAndLeave) {
-  const auto code = fec::make_reed_solomon(fec::RsKind::kCauchy, 40, 40, 16);
+  const auto code = fec::make_reed_solomon(gf::RsKind::kCauchy, 40, 40, 16);
   const auto c = carousel::Carousel::sequential(80);
   SessionConfig config;
   config.horizon = 500;
@@ -277,7 +277,7 @@ TEST(SessionMultiSource, MirrorsComplementEachOther) {
 }
 
 TEST(SessionMultiSource, MismatchedCodecIsQuarantined) {
-  const auto code = fec::make_reed_solomon(fec::RsKind::kCauchy, 30, 30, 16);
+  const auto code = fec::make_reed_solomon(gf::RsKind::kCauchy, 30, 30, 16);
   const auto c = carousel::Carousel::sequential(code->encoded_count());
 
   SessionConfig config;
@@ -491,7 +491,7 @@ TEST(SessionValidation, BottleneckSpanningCohortsIsRejected) {
   // receivers are simulated concurrently; cohort_size 1 splits them. The
   // scenario is validated before any sharding, so it must throw — with the
   // documented message — at every thread count, including auto (0).
-  const auto code = fec::make_reed_solomon(fec::RsKind::kCauchy, 20, 20, 8);
+  const auto code = fec::make_reed_solomon(gf::RsKind::kCauchy, 20, 20, 8);
   const auto order = carousel::Carousel::sequential(code->encoded_count());
   for (const std::size_t threads : {0, 1, 2, 4, 8}) {
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
@@ -565,7 +565,7 @@ struct Outcome {
 /// at every (threads, run) combination.
 Outcome run_adaptive_scenario(std::size_t threads, std::size_t cohort_size,
                               std::size_t groups) {
-  const auto code = fec::make_reed_solomon(fec::RsKind::kCauchy, 60, 60, 8);
+  const auto code = fec::make_reed_solomon(gf::RsKind::kCauchy, 60, 60, 8);
   proto::ProtocolConfig cfg;
   cfg.layers = 4;
   const auto server = std::make_shared<proto::FountainServer>(
@@ -712,7 +712,7 @@ TEST(SessionValidation, ThreadsZeroNormalizesToHardwareConcurrency) {
   EXPECT_EQ(engine::resolve_threads(64), 64u);
 
   // And a session configured with threads = 0 runs to completion.
-  const auto code = fec::make_reed_solomon(fec::RsKind::kCauchy, 20, 20, 8);
+  const auto code = fec::make_reed_solomon(gf::RsKind::kCauchy, 20, 20, 8);
   const auto order = carousel::Carousel::sequential(code->encoded_count());
   SessionConfig config;
   config.threads = 0;

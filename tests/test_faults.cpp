@@ -71,7 +71,7 @@ TEST(FaultValidation, FaultScriptRejectsEmptyWindows) {
 }
 
 TEST(FaultValidation, SessionRejectsBadScriptsAtTheRightTime) {
-  const auto code = fec::make_reed_solomon(fec::RsKind::kCauchy, 20, 20, 8);
+  const auto code = fec::make_reed_solomon(gf::RsKind::kCauchy, 20, 20, 8);
   const auto order = carousel::Carousel::sequential(code->encoded_count());
   {
     Session session(*code);
@@ -216,7 +216,7 @@ TEST(FaultSession, CorruptedPacketsAreCountedAndNeverReachTheDecoder) {
   // receiver's checksum-rejection counter equals the number of corrupt
   // verdicts the link injected — every damaged packet was received, counted,
   // and withheld from the decoder — and the reconstruction is byte-exact.
-  const auto code = fec::make_reed_solomon(fec::RsKind::kCauchy, 30, 30, 8);
+  const auto code = fec::make_reed_solomon(gf::RsKind::kCauchy, 30, 30, 8);
   util::SymbolMatrix file(30, 8);
   file.fill_random(41);
   const auto encoder = code->make_encoder(file);
@@ -259,7 +259,7 @@ TEST(FaultSession, CorruptedPacketsAreCountedAndNeverReachTheDecoder) {
 }
 
 TEST(FaultSession, DuplicateCopiesAreDroppedBeforeTheDecoder) {
-  const auto code = fec::make_reed_solomon(fec::RsKind::kCauchy, 30, 30, 8);
+  const auto code = fec::make_reed_solomon(gf::RsKind::kCauchy, 30, 30, 8);
   util::SymbolMatrix file(30, 8);
   file.fill_random(43);
   const auto encoder = code->make_encoder(file);
@@ -295,7 +295,7 @@ TEST(FaultSession, DuplicateCopiesAreDroppedBeforeTheDecoder) {
 }
 
 TEST(FaultSession, DelayedPacketsArriveLateAndStillDecode) {
-  const auto code = fec::make_reed_solomon(fec::RsKind::kCauchy, 30, 30, 8);
+  const auto code = fec::make_reed_solomon(gf::RsKind::kCauchy, 30, 30, 8);
   util::SymbolMatrix file(30, 8);
   file.fill_random(47);
   const auto encoder = code->make_encoder(file);
@@ -332,7 +332,7 @@ TEST(FaultSession, ServerBlackoutPausesTheCarouselTickGrid) {
   // A blacked-out server emits nothing, but its tick grid keeps running: the
   // restart resumes the carousel schedule where it would be, so the receiver
   // finishes exactly 40 ticks (the outage length) later than the clean run.
-  const auto code = fec::make_reed_solomon(fec::RsKind::kCauchy, 20, 20, 8);
+  const auto code = fec::make_reed_solomon(gf::RsKind::kCauchy, 20, 20, 8);
   const auto order = carousel::Carousel::sequential(code->encoded_count());
   const auto run_once = [&](bool blackout) {
     SessionConfig config;
@@ -365,7 +365,7 @@ TEST(FaultSession, ServerBlackoutPausesTheCarouselTickGrid) {
 }
 
 TEST(FaultSession, StallWatchdogClassifiesDeadAirInsteadOfHanging) {
-  const auto code = fec::make_reed_solomon(fec::RsKind::kCauchy, 20, 20, 8);
+  const auto code = fec::make_reed_solomon(gf::RsKind::kCauchy, 20, 20, 8);
   const auto order = carousel::Carousel::sequential(code->encoded_count());
   const auto run_once = [&](engine::Time stall_timeout) {
     SessionConfig config;
@@ -397,7 +397,7 @@ TEST(FaultSession, MirrorDeathFailsOverToTheSurvivor) {
   // A receiver holding both completes from the survivor ("symbols from any
   // sender are interchangeable"); a receiver holding only the dead mirror is
   // classified by the watchdog.
-  const auto code = fec::make_reed_solomon(fec::RsKind::kCauchy, 20, 20, 8);
+  const auto code = fec::make_reed_solomon(gf::RsKind::kCauchy, 20, 20, 8);
   util::Rng rng(55);
   const auto c0 =
       carousel::Carousel::random_permutation(code->encoded_count(), rng);
@@ -455,7 +455,7 @@ ChaosOutcome run_chaos_scenario(std::uint64_t scenario, std::size_t threads) {
     owned = std::make_unique<core::TornadoCode>(
         core::TornadoParams::tornado_a(120, 8, 5));
   } else {
-    owned = fec::make_reed_solomon(fec::RsKind::kCauchy, 30, 30, 8);
+    owned = fec::make_reed_solomon(gf::RsKind::kCauchy, 30, 30, 8);
   }
   const fec::ErasureCode& code = *owned;
   util::SymbolMatrix file(code.source_count(), code.symbol_size());

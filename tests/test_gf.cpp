@@ -115,16 +115,6 @@ TEST(GF256, FmaBufferSpecialConstants) {
   }
 }
 
-TEST(GF256, ScaleBuffer) {
-  util::SymbolMatrix m(1, 100);
-  m.fill_random(8);
-  util::SymbolMatrix orig = m;
-  GF256::scale_buffer(m.row(0).data(), 100, 0x42);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(m.row(0)[i], GF256::mul(0x42, orig.row(0)[i]));
-  }
-}
-
 TEST(GF65536, MultiplicativeIdentityAndZero) {
   util::Rng rng(9);
   for (int i = 0; i < 2000; ++i) {
@@ -190,15 +180,6 @@ TEST(GF65536, OddBufferThrows) {
   util::SymbolMatrix m(2, 10);
   EXPECT_THROW(GF65536::fma_buffer(m.row(0).data(), m.row(1).data(), 9, 3),
                std::invalid_argument);
-  EXPECT_THROW(GF65536::scale_buffer(m.row(0).data(), 9, 3),
-               std::invalid_argument);
-}
-
-TEST(GF65536, ScaleBufferZeroClears) {
-  util::SymbolMatrix m(1, 32);
-  m.fill_random(14);
-  GF65536::scale_buffer(m.row(0).data(), 32, 0);
-  for (int i = 0; i < 32; ++i) EXPECT_EQ(m.row(0)[i], 0);
 }
 
 }  // namespace

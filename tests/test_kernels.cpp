@@ -1,10 +1,9 @@
 // Differential tests for the kern/ layer: every SIMD tier available on this
 // machine must produce bit-identical output to the scalar reference tier for
 // every kernel, across sizes 0..4096 (including odd lengths) and misaligned
-// buffer offsets. Also covers the batching XorAccumulator, the dispatch
-// override hooks, the GF(2^8) split-nibble tables against field arithmetic,
-// and every tier's GF(2^16) multiply against field arithmetic on all 65536
-// words.
+// buffer offsets. Also covers the dispatch override hooks, the GF(2^8)
+// split-nibble tables against field arithmetic, and every tier's GF(2^16)
+// multiply against field arithmetic on all 65536 words.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -13,8 +12,7 @@
 
 #include "gf/gf256.hpp"
 #include "gf/gf65536.hpp"
-#include "gf/rs_cauchy.hpp"
-#include "kern/accumulator.hpp"
+#include "gf/rs_codec.hpp"
 #include "kern/kernels.hpp"
 #include "util/random.hpp"
 #include "util/symbols.hpp"
@@ -164,14 +162,6 @@ TEST(Kernels, Gf256FmaDifferential) {
           ASSERT_EQ(expect, got)
               << "fma " << kern::isa_name(isa) << " c=" << unsigned(c)
               << " n=" << n << " off=" << off;
-
-          expect = d0;
-          scalar.gf256_scale(expect.data() + off, n, ctx);
-          got = d0;
-          simd.gf256_scale(got.data() + off, n, ctx);
-          ASSERT_EQ(expect, got)
-              << "scale " << kern::isa_name(isa) << " c=" << unsigned(c)
-              << " n=" << n << " off=" << off;
         }
       }
     }
@@ -232,8 +222,8 @@ const std::vector<gf::GF65536::Element> kGf16Constants = {
     0, 1, 2, 3, 0x100B, 0x8000, 0x8001, 0xBEEF, 0xFFFF};
 
 TEST(Kernels, Gf65536EveryTierMatchesFieldArithmeticOnEveryWord) {
-  // One buffer holding all 65536 words: each tier's scale and fma must
-  // reproduce GF65536::mul(c, x) for every x, which pins mul_ctx's basis
+  // One buffer holding all 65536 words: each tier's fma must reproduce
+  // GF65536::mul(c, x) for every x, which pins mul_ctx's basis
   // row, every tier's derivation from it (nibble tables, half-table split,
   // affine transpose) and the low/high byte split against the field itself.
   std::vector<std::uint8_t> words(2 * 65536);
@@ -245,18 +235,13 @@ TEST(Kernels, Gf65536EveryTierMatchesFieldArithmeticOnEveryWord) {
     const kern::Ops& ops = *kern::ops_for(isa);
     for (const gf::GF65536::Element c : kGf16Constants) {
       const kern::Gf65536Ctx ctx = gf::GF65536::mul_ctx(c);
-      auto scaled = words;
-      ops.gf65536_scale(scaled.data(), scaled.size(), ctx);
       std::vector<std::uint8_t> acc(words.size(), 0);
       ops.gf65536_fma(acc.data(), words.data(), words.size(), ctx);
       for (std::uint32_t x = 0; x < 65536; ++x) {
-        std::uint16_t s, a;
-        std::memcpy(&s, scaled.data() + 2 * x, 2);
+        std::uint16_t a;
         std::memcpy(&a, acc.data() + 2 * x, 2);
         const auto expected =
             gf::GF65536::mul(c, static_cast<gf::GF65536::Element>(x));
-        ASSERT_EQ(s, expected) << "scale " << kern::isa_name(isa)
-                               << " c=" << c << " x=" << x;
         ASSERT_EQ(a, expected) << "fma " << kern::isa_name(isa) << " c=" << c
                                << " x=" << x;
       }
@@ -283,14 +268,6 @@ TEST(Kernels, Gf65536FmaDifferential) {
           ASSERT_EQ(expect, got)
               << "fma " << kern::isa_name(isa) << " c=" << c << " n=" << n
               << " off=" << off;
-
-          expect = d0;
-          scalar.gf65536_scale(expect.data() + off, n, ctx);
-          got = d0;
-          simd.gf65536_scale(got.data() + off, n, ctx);
-          ASSERT_EQ(expect, got)
-              << "scale " << kern::isa_name(isa) << " c=" << c << " n=" << n
-              << " off=" << off;
         }
       }
     }
@@ -312,29 +289,6 @@ TEST(Kernels, DispatchedGf65536BufferMatchesReference) {
     }
     gf::GF65536::fma_buffer(dst.data(), src.data(), n, c);
     ASSERT_EQ(expect, dst) << "c=" << c;
-  }
-}
-
-TEST(Kernels, XorAccumulatorMatchesNaive) {
-  const std::size_t n = 777;
-  for (std::size_t count = 0; count <= 9; ++count) {
-    std::vector<std::vector<std::uint8_t>> sources;
-    for (std::size_t i = 0; i < count; ++i) {
-      sources.push_back(random_bytes(n, 50 + i));
-    }
-    const auto d0 = random_bytes(n, 49);
-
-    auto expect = d0;
-    for (const auto& s : sources) {
-      for (std::size_t i = 0; i < n; ++i) expect[i] ^= s[i];
-    }
-
-    auto got = d0;
-    {
-      kern::XorAccumulator acc(got.data(), n);
-      for (const auto& s : sources) acc.add(s.data());
-    }  // destructor flushes
-    ASSERT_EQ(expect, got) << "count=" << count;
   }
 }
 
@@ -500,7 +454,7 @@ TEST(Kernels, CauchyGf65536CodecIsBitIdenticalOnEveryTier) {
   // tier in turn: identical parity rows, and a decode that rebuilds the
   // erased sources from them. 1030-byte symbols leave a vector tail.
   constexpr std::size_t kK = 40, kParity = 24, kBytes = 1030;
-  const gf::CauchyCodec<gf::GF65536> codec(kK, kParity);
+  const gf::RsCodec<gf::GF65536> codec(gf::RsKind::kCauchy, kK, kParity);
   util::SymbolMatrix source(kK, kBytes);
   source.fill_random(5);
   util::SymbolMatrix reference;

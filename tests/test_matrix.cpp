@@ -4,7 +4,7 @@
 #include "gf/gf256.hpp"
 #include "gf/gf65536.hpp"
 #include "gf/matrix.hpp"
-#include "gf/rs_cauchy.hpp"
+#include "gf/rs_codec.hpp"
 #include "util/random.hpp"
 
 namespace fountain {
@@ -75,27 +75,11 @@ TEST(Matrix, SingularThrows) {
   EXPECT_THROW(dup.inverted(), std::domain_error);
 }
 
-TEST(Matrix, SolveMatchesMultiply) {
-  util::Rng rng(4);
-  for (int trial = 0; trial < 10; ++trial) {
-    Matrix<GF256> m = random_matrix<GF256>(7, rng);
-    std::vector<GF256::Element> x(7);
-    for (auto& v : x) v = static_cast<GF256::Element>(rng.below(256));
-    try {
-      const auto b = m.multiply(x);
-      EXPECT_EQ(m.solve(b), x);
-    } catch (const std::domain_error&) {
-      continue;
-    }
-  }
-}
-
 TEST(Matrix, DimensionMismatchThrows) {
   Matrix<GF256> a(2, 3);
   Matrix<GF256> b(2, 3);
   EXPECT_THROW(a.multiply(b), std::invalid_argument);
   EXPECT_THROW(a.inverted(), std::invalid_argument);
-  EXPECT_THROW(a.solve({1, 2}), std::invalid_argument);
 }
 
 template <typename Field>

@@ -47,7 +47,7 @@ std::vector<FountainCase> cases() {
   for (const std::size_t k : {40ul, 250ul}) {
     all.push_back({"cauchy",
                    [k] {
-                     return fec::make_reed_solomon(fec::RsKind::kCauchy, k, k,
+                     return fec::make_reed_solomon(gf::RsKind::kCauchy, k, k,
                                                    64);
                    },
                    0.0});
@@ -131,7 +131,7 @@ INSTANTIATE_TEST_SUITE_P(AllCodes, FountainProperty,
 
 TEST(MetricIdentities, EfficiencyFactorsMultiply) {
   // eta = eta_c * eta_d must hold for every reception result.
-  const auto code = fec::make_reed_solomon(fec::RsKind::kCauchy, 30, 30, 16);
+  const auto code = fec::make_reed_solomon(gf::RsKind::kCauchy, 30, 30, 16);
   util::Rng rng(5);
   const auto carousel =
       carousel::Carousel::random_permutation(code->encoded_count(), rng);

@@ -347,7 +347,7 @@ TEST(StatisticalClient, ResetServesASecondTransfer) {
 
 TEST(StatisticalClient, WorksOverAnyErasureCode) {
   // The client is codec-agnostic: here it drains a Reed-Solomon code.
-  const auto code = fec::make_reed_solomon(fec::RsKind::kCauchy, 40, 40, 24);
+  const auto code = fec::make_reed_solomon(gf::RsKind::kCauchy, 40, 40, 24);
   util::SymbolMatrix source(40, 24);
   source.fill_random(4);
   util::SymbolMatrix encoding(80, 24);
@@ -373,7 +373,7 @@ TEST(StatisticalClient, RejectsAdversarialIndicesAndSizesWithoutThrowing) {
   // on_packet is total over untrusted input: out-of-range indices and
   // wrong-size payloads are tallied and dropped, never thrown, and never
   // disturb the decode in progress.
-  const auto code = fec::make_reed_solomon(fec::RsKind::kCauchy, 40, 40, 24);
+  const auto code = fec::make_reed_solomon(gf::RsKind::kCauchy, 40, 40, 24);
   util::SymbolMatrix source(40, 24);
   source.fill_random(11);
   util::SymbolMatrix encoding(80, 24);
@@ -406,7 +406,7 @@ TEST(StatisticalClient, CountsDuplicatesAndDecodesFromExactlyKDistinct) {
   // interleaved order, and only k distinct indices exist in total (the
   // carousel's worst case). The client must count duplicates, decode once
   // the k distinct ones are in, and reconstruct byte-identically.
-  const auto code = fec::make_reed_solomon(fec::RsKind::kCauchy, 32, 32, 16);
+  const auto code = fec::make_reed_solomon(gf::RsKind::kCauchy, 32, 32, 16);
   util::SymbolMatrix source(32, 16);
   source.fill_random(21);
   util::SymbolMatrix encoding(64, 16);

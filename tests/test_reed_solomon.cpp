@@ -1,9 +1,11 @@
-// Reed-Solomon codecs: systematic encode, MDS decode from arbitrary subsets,
-// agreement between Vandermonde, Cauchy and the XOR-only Cauchy variant, and
-// the ErasureCode adapters.
+// Reed-Solomon codec: systematic encode and MDS decode from arbitrary subsets
+// for both generator kinds, the parity bytes each kind denotes, the XOR-only
+// bit-matrix multiply, and the ErasureCode adapter.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <tuple>
 
 #include "fec/reed_solomon.hpp"
@@ -14,7 +16,7 @@ namespace fountain {
 namespace {
 
 using fec::ErasureCode;
-using fec::RsKind;
+using gf::RsKind;
 
 /// Erases a random set of x source symbols, decodes them from x random
 /// parity symbols, and checks the reconstruction.
@@ -52,19 +54,19 @@ void roundtrip(Codec& codec, std::size_t symbol_size, std::size_t erasures,
 }
 
 TEST(Vandermonde, RoundTripSmall) {
-  gf::VandermondeCodec<gf::GF256> codec(10, 10);
+  gf::RsCodec<gf::GF256> codec(RsKind::kVandermonde, 10, 10);
   for (std::size_t x : {std::size_t{1}, std::size_t{5}, std::size_t{10}}) {
     roundtrip(codec, 64, x, 100 + x);
   }
 }
 
 TEST(Vandermonde, RoundTripGF65536) {
-  gf::VandermondeCodec<gf::GF65536> codec(300, 300);
+  gf::RsCodec<gf::GF65536> codec(RsKind::kVandermonde, 300, 300);
   roundtrip(codec, 128, 150, 7);
 }
 
 TEST(Vandermonde, NoErasuresIsNoop) {
-  gf::VandermondeCodec<gf::GF256> codec(5, 5);
+  gf::RsCodec<gf::GF256> codec(RsKind::kVandermonde, 5, 5);
   util::SymbolMatrix source(5, 32);
   source.fill_random(1);
   util::SymbolMatrix copy = source;
@@ -74,32 +76,33 @@ TEST(Vandermonde, NoErasuresIsNoop) {
 }
 
 TEST(Vandermonde, InsufficientParityThrows) {
-  gf::VandermondeCodec<gf::GF256> codec(6, 6);
+  gf::RsCodec<gf::GF256> codec(RsKind::kVandermonde, 6, 6);
   util::SymbolMatrix source(6, 32);
   std::vector<bool> have(6, false);
   EXPECT_THROW(codec.decode(source, have, {}), std::invalid_argument);
 }
 
 TEST(Vandermonde, FieldOverflowThrows) {
-  EXPECT_THROW((gf::VandermondeCodec<gf::GF256>(200, 100)),
+  EXPECT_THROW((gf::RsCodec<gf::GF256>(RsKind::kVandermonde, 200, 100)),
                std::invalid_argument);
-  EXPECT_THROW((gf::VandermondeCodec<gf::GF256>(0, 1)), std::invalid_argument);
+  EXPECT_THROW((gf::RsCodec<gf::GF256>(RsKind::kVandermonde, 0, 1)),
+               std::invalid_argument);
 }
 
 TEST(Cauchy, RoundTripSmall) {
-  gf::CauchyCodec<gf::GF256> codec(10, 10);
+  gf::RsCodec<gf::GF256> codec(RsKind::kCauchy, 10, 10);
   for (std::size_t x : {std::size_t{1}, std::size_t{4}, std::size_t{10}}) {
     roundtrip(codec, 64, x, 200 + x);
   }
 }
 
 TEST(Cauchy, RoundTripGF65536Large) {
-  gf::CauchyCodec<gf::GF65536> codec(500, 500);
+  gf::RsCodec<gf::GF65536> codec(RsKind::kCauchy, 500, 500);
   roundtrip(codec, 64, 250, 17);
 }
 
 TEST(Cauchy, EncodeOneMatchesEncode) {
-  gf::CauchyCodec<gf::GF256> codec(8, 4);
+  gf::RsCodec<gf::GF256> codec(RsKind::kCauchy, 8, 4);
   util::SymbolMatrix source(8, 48);
   source.fill_random(3);
   util::SymbolMatrix parity(4, 48);
@@ -118,7 +121,7 @@ TEST(Cauchy, MdsExhaustiveTinyCode) {
   constexpr std::size_t k = 3;
   constexpr std::size_t l = 3;
   constexpr std::size_t n = k + l;
-  gf::CauchyCodec<gf::GF256> codec(k, l);
+  gf::RsCodec<gf::GF256> codec(RsKind::kCauchy, k, l);
   util::SymbolMatrix source(k, 16);
   source.fill_random(4);
   util::SymbolMatrix parity(l, 16);
@@ -149,25 +152,83 @@ TEST(Cauchy, MdsExhaustiveTinyCode) {
   }
 }
 
+/// FNV-1a over the parity rows [k, 2k) that make_reed_solomon(kind, k, k)
+/// encodes from a seeded source of 64-byte symbols.
+std::string parity_hash(RsKind kind, std::size_t k) {
+  const auto code = fec::make_reed_solomon(kind, k, k, 64);
+  util::SymbolMatrix source(k, 64);
+  source.fill_random(1);
+  util::SymbolMatrix encoding(2 * k, 64);
+  code->encode(source, encoding);
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (std::size_t i = k; i < 2 * k; ++i) {
+    for (const std::uint8_t b : encoding.row(i)) {
+      hash ^= b;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  char text[17];
+  std::snprintf(text, sizeof text, "%016llx",
+                static_cast<unsigned long long>(hash));
+  return text;
+}
+
+// The parity a (k, parity, variant) triple denotes is a wire contract: a
+// sender and its receivers build the same code from shared parameters, so a
+// change to the generator breaks interoperation between versions without
+// any error. These literals may change only with a deliberate wire-format
+// change.
+TEST(RsPins, ParityOfASeededSource) {
+  struct Pin {
+    RsKind kind;
+    std::size_t k;  // 20 encodes over GF(2^8), 300 over GF(2^16)
+    const char* hash;
+  };
+  const Pin pins[] = {
+      {RsKind::kVandermonde, 20, "d5568a3d307c0eb2"},
+      {RsKind::kVandermonde, 300, "4ac18cdfb5449202"},
+      {RsKind::kCauchy, 20, "844797e79546d9b3"},
+      {RsKind::kCauchy, 300, "61c8dc3f25a89b1c"},
+  };
+  for (const auto& pin : pins) {
+    EXPECT_EQ(parity_hash(pin.kind, pin.k), pin.hash)
+        << (pin.kind == RsKind::kCauchy ? "cauchy" : "vandermonde")
+        << " k=" << pin.k;
+  }
+}
+
 TEST(CauchyXor, FmaMatchesFieldKernel) {
+  // Bit-sliced layout: bit j of element t lives at bit t of segment j. Slice
+  // random elements, fold them into a zeroed destination, un-slice, and
+  // compare every product with the field's multiply, for every constant.
+  constexpr std::size_t kElements = 64;
+  constexpr std::size_t kSegment = kElements / 8;
+  const auto bit = [](const std::uint8_t* segment, std::size_t t) {
+    return (segment[t / 8] >> (t % 8)) & 1u;
+  };
   util::Rng rng(5);
-  for (int trial = 0; trial < 50; ++trial) {
-    const auto c = static_cast<gf::GF256::Element>(rng.below(256));
-    util::SymbolMatrix a(2, 64);
-    a.fill_random(500 + trial);
-    util::SymbolMatrix b = a;
-    gf::cauchy_xor_fma(a.row(0).data(), a.row(1).data(), 64, c);
-    gf::GF256::fma_buffer(b.row(0).data(), b.row(1).data(), 64, c);
-    // The bit-matrix kernel permutes byte lanes (segment layout), so compare
-    // via decode semantics instead: applying it twice must cancel, and c = 1
-    // must equal plain XOR. Algebraic equivalence is covered by the codec
-    // round-trip below.
-    util::SymbolMatrix a2 = a;
-    gf::cauchy_xor_fma(a2.row(0).data(), a2.row(1).data(), 64, c);
-    util::SymbolMatrix orig(2, 64);
-    orig.fill_random(500 + trial);
-    EXPECT_TRUE(std::equal(a2.row(0).begin(), a2.row(0).end(),
-                           orig.row(0).begin()));
+  for (unsigned c = 0; c < 256; ++c) {
+    std::uint8_t x[kElements];
+    std::uint8_t src[8 * kSegment] = {};
+    for (std::size_t t = 0; t < kElements; ++t) {
+      x[t] = static_cast<std::uint8_t>(rng.below(256));
+      for (unsigned j = 0; j < 8; ++j) {
+        src[j * kSegment + t / 8] |=
+            static_cast<std::uint8_t>(((x[t] >> j) & 1u) << (t % 8));
+      }
+    }
+    std::uint8_t dst[8 * kSegment] = {};
+    gf::cauchy_xor_fma(dst, src, sizeof dst,
+                       static_cast<gf::GF256::Element>(c));
+    for (std::size_t t = 0; t < kElements; ++t) {
+      unsigned product = 0;
+      for (unsigned j = 0; j < 8; ++j) {
+        product |= bit(dst + j * kSegment, t) << j;
+      }
+      ASSERT_EQ(product,
+                gf::GF256::mul(static_cast<gf::GF256::Element>(c), x[t]))
+          << "c=" << c << " element " << t;
+    }
   }
 }
 
@@ -175,27 +236,6 @@ TEST(CauchyXor, UnalignedThrows) {
   util::SymbolMatrix m(2, 12);
   EXPECT_THROW(gf::cauchy_xor_fma(m.row(0).data(), m.row(1).data(), 12, 3),
                std::invalid_argument);
-}
-
-TEST(CauchyXor, RoundTrip) {
-  gf::CauchyXorCodec codec(12, 12);
-  const std::size_t bytes = 96;  // multiple of 8
-  util::SymbolMatrix source(12, bytes);
-  source.fill_random(6);
-  util::SymbolMatrix parity(12, bytes);
-  codec.encode(source, parity);
-
-  util::SymbolMatrix damaged = source;
-  std::vector<bool> have(12, true);
-  for (std::size_t v : {1u, 4u, 7u, 9u}) {
-    have[v] = false;
-    auto row = damaged.row(v);
-    std::fill(row.begin(), row.end(), 0);
-  }
-  std::vector<std::pair<std::uint32_t, util::ConstByteSpan>> got;
-  for (std::uint32_t p : {0u, 3u, 5u, 11u}) got.emplace_back(p, parity.row(p));
-  codec.decode(damaged, have, got);
-  EXPECT_EQ(damaged, source);
 }
 
 struct WrapperParam {

@@ -11,7 +11,7 @@ namespace fountain {
 namespace {
 
 TEST(OverheadSampling, RsHasZeroOverhead) {
-  const auto code = fec::make_reed_solomon(fec::RsKind::kCauchy, 40, 40, 16);
+  const auto code = fec::make_reed_solomon(gf::RsKind::kCauchy, 40, 40, 16);
   const auto samples = sim::sample_overhead_distribution(*code, 50, 1);
   ASSERT_EQ(samples.size(), 50u);
   for (const double o : samples) EXPECT_DOUBLE_EQ(o, 0.0);  // MDS

@@ -290,7 +290,7 @@ TEST(PathLinkDifferential, Fig7ScenarioIsByteIdenticalAtEveryThreadCount) {
   // controllers, trace log — replayed at threads {1, 2, 4} with the groups
   // in separate cohorts. Reports and every cc trace record must equal the
   // sequential single-cohort run.
-  const auto code = fec::make_reed_solomon(fec::RsKind::kCauchy, 40, 40, 8);
+  const auto code = fec::make_reed_solomon(gf::RsKind::kCauchy, 40, 40, 8);
   proto::ProtocolConfig cfg;
   cfg.layers = 4;
   const auto server = std::make_shared<proto::FountainServer>(
@@ -316,7 +316,7 @@ TEST(EdgeQueues, OfferedLoadReturnsToZeroUnderChurn) {
   // horizon. After a churned, congestion-coupled run over a shared tree,
   // every edge queue must have carried load and be back at zero, up to the
   // rounding of the accumulated rate differences.
-  const auto code = fec::make_reed_solomon(fec::RsKind::kCauchy, 40, 40, 8);
+  const auto code = fec::make_reed_solomon(gf::RsKind::kCauchy, 40, 40, 8);
   proto::ProtocolConfig cfg;
   cfg.layers = 4;
   const auto server = std::make_shared<proto::FountainServer>(
@@ -397,7 +397,7 @@ TEST(PathComposition, EngineDeliveryMatchesTheProductEndToEnd) {
   // crosses a 3-edge chain whose queues carry 9.0 of background load, so
   // with the receiver's own packet the per-edge losses are again
   // {0.2, 0.1, 0.25} and received/addressed must approach 0.54.
-  const auto code = fec::make_reed_solomon(fec::RsKind::kCauchy, 20, 20, 8);
+  const auto code = fec::make_reed_solomon(gf::RsKind::kCauchy, 20, 20, 8);
   const auto order = carousel::Carousel::sequential(code->encoded_count());
 
   Topology chain;
@@ -435,7 +435,7 @@ TEST(PathComposition, FaultLinkAroundPathLinkReconcilesExactly) {
   // Chaos composition: adversarial delivery stacked on a congested 2-edge
   // path. Every injected fault must be accounted for against the report,
   // and the decoded bytes must still round-trip.
-  const auto code = fec::make_reed_solomon(fec::RsKind::kCauchy, 30, 30, 8);
+  const auto code = fec::make_reed_solomon(gf::RsKind::kCauchy, 30, 30, 8);
   util::SymbolMatrix file(30, 8);
   file.fill_random(53);
   const auto encoder = code->make_encoder(file);
@@ -491,7 +491,7 @@ TEST(SessionValidation, PathsSharingOnlyTheLastEdgeAreRejected) {
   // final edge: a check over the first edge alone would call them
   // independent — the full-edge-set check must couple them and reject
   // cohort_size 1, with the documented message, at every thread count.
-  const auto code = fec::make_reed_solomon(fec::RsKind::kCauchy, 20, 20, 8);
+  const auto code = fec::make_reed_solomon(gf::RsKind::kCauchy, 20, 20, 8);
   const auto order = carousel::Carousel::sequential(code->encoded_count());
   const auto shared_last = std::make_shared<SharedBottleneck>(5.0);
   for (const std::size_t threads : {0u, 1u, 2u, 4u, 8u}) {
@@ -525,7 +525,7 @@ TEST(SessionValidation, PathsSharingOnlyTheLastEdgeAreRejected) {
 }
 
 TEST(ProtoTopology, ClientsOnLeavesCompleteAndBadSpecsThrow) {
-  const auto code = fec::make_reed_solomon(fec::RsKind::kCauchy, 24, 24, 8);
+  const auto code = fec::make_reed_solomon(gf::RsKind::kCauchy, 24, 24, 8);
   proto::ProtocolConfig cfg;
 
   proto::TopologySpec topo;

@@ -229,33 +229,52 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(16, 16, 'A')));  // RS-degenerate
 
 TEST(Tornado, StructuralAgreesWithDataDecoder) {
-  // The structural decoder must declare completion at exactly the same
-  // packet count as the payload decoder for the same arrival order.
-  TornadoCode code(TornadoParams::tornado_a(500, 16, 3));
-  util::SymbolMatrix source(500, 16);
-  source.fill_random(1);
-  util::SymbolMatrix encoding(code.encoded_count(), 16);
-  code.encode(source, encoding);
+  // Both decoders run one peeling process, so they must complete on exactly
+  // the same packet for the same arrival order, with the data decoder's
+  // source equal to the file. k = 16 and 33 close the cascade with the RS
+  // tail alone or after one small level. One decoder pair serves every trial
+  // through reset(), and every index arrives twice.
+  for (const char variant : {'A', 'B'}) {
+    for (const std::size_t k : {std::size_t{16}, std::size_t{33},
+                                std::size_t{500}}) {
+      TornadoCode code(variant == 'A'
+                           ? TornadoParams::tornado_a(k, 16, 3)
+                           : TornadoParams::tornado_b(k, 16, 3));
+      util::SymbolMatrix source(k, 16);
+      source.fill_random(k);
+      util::SymbolMatrix encoding(code.encoded_count(), 16);
+      code.encode(source, encoding);
 
-  util::Rng rng(4);
-  for (int trial = 0; trial < 20; ++trial) {
-    const auto order = rng.permutation(code.encoded_count());
-    auto data = code.make_decoder();
-    auto structural = code.make_structural_decoder();
-    std::size_t data_done = 0;
-    std::size_t structural_done = 0;
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      if (data_done == 0 &&
-          data->add_symbol(order[i], encoding.row(order[i]))) {
-        data_done = i + 1;
+      auto data = code.make_decoder();
+      auto structural = code.make_structural_decoder();
+      util::Rng rng(4 + k);
+      for (int trial = 0; trial < 20; ++trial) {
+        data->reset();
+        structural->reset();
+        std::vector<std::uint32_t> order(2 * code.encoded_count());
+        for (std::size_t i = 0; i < order.size(); ++i) {
+          order[i] = static_cast<std::uint32_t>(i % code.encoded_count());
+        }
+        rng.shuffle(order);
+        std::size_t data_done = 0;
+        std::size_t structural_done = 0;
+        for (std::size_t i = 0; i < order.size(); ++i) {
+          if (data_done == 0 &&
+              data->add_symbol(order[i], encoding.row(order[i]))) {
+            data_done = i + 1;
+          }
+          if (structural_done == 0 && structural->add_index(order[i])) {
+            structural_done = i + 1;
+          }
+          if (data_done && structural_done) break;
+        }
+        ASSERT_NE(data_done, 0u);
+        EXPECT_EQ(data_done, structural_done)
+            << variant << " k=" << k << " trial " << trial;
+        EXPECT_EQ(data->source(), source)
+            << variant << " k=" << k << " trial " << trial;
       }
-      if (structural_done == 0 && structural->add_index(order[i])) {
-        structural_done = i + 1;
-      }
-      if (data_done && structural_done) break;
     }
-    EXPECT_EQ(data_done, structural_done) << "trial " << trial;
-    EXPECT_EQ(data->source(), source);
   }
 }
 
