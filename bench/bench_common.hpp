@@ -80,7 +80,9 @@ struct JsonRecord {
   double mb_per_s = 0;  // payload throughput (0 when not meaningful)
   double symbols_per_s = 0;  // packet rate (0 when not meaningful)
   double value = 0;     // dimensionless metric (efficiency eta, overhead
-                        // fraction, receivers/s; 0 when not meaningful)
+                        // fraction, receivers/s, a deterministic count; 0
+                        // when not meaningful). Ten significant digits, so
+                        // counts below 10^10 read back exactly.
 };
 
 /// Appends records to the JSON perf log as JSON Lines (one object per line;
@@ -101,7 +103,7 @@ inline void append_json(const std::vector<JsonRecord>& records) {
     std::fprintf(f,
                  "{\"schema\":%d,\"bench\":\"%s\",\"name\":\"%s\","
                  "\"kernel\":\"%s\",\"seconds\":%.9g,\"mb_per_s\":%.6g,"
-                 "\"symbols_per_s\":%.6g,\"value\":%.6g}\n",
+                 "\"symbols_per_s\":%.6g,\"value\":%.10g}\n",
                  kJsonSchemaVersion, r.bench.c_str(), r.name.c_str(),
                  r.kernel.c_str(), r.seconds, r.mb_per_s, r.symbols_per_s,
                  r.value);

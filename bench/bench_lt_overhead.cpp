@@ -13,15 +13,18 @@
 //      at minimal overhead keeps one GF(2) mask row per resolved source
 //      (~resolved * inactivated/64 * 8 bytes), which at k = 1M can reach
 //      the GB range — measured once, not worth every CI cycle. Each k
-//      also prints the LT decoder's inactivated / plans / extensions
-//      counters (human-readable only, no record).
+//      also prints the LT decoder's deterministic counters: inactivated,
+//      plans, extensions, and plan_bytes (the mask bytes of the completed
+//      plan, its resolved_masks plus pivot_masks).
 //
 // JSON: "encode/..." and "decode/..." records are perf-gated by
-// tools/bench_diff; "overhead/..." records are statistics and ride along
-// ungated.
+// tools/bench_diff; "overhead/..." records are statistics and the four
+// decoder counters ("inactivated/...", "plans/...", "extensions/...",
+// "plan_bytes/...", number in `value`) are counts; both ride along ungated.
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -72,10 +75,12 @@ struct DecodeResult {
   double seconds = 0;
   double overhead = 0;  // packets_consumed / k - 1 at completion
   // LT decoder counters (zero for Tornado): sources inactivated by the
-  // successful plan, plans from scratch, and extensions of an open plan.
+  // successful plan, plans from scratch, extensions of an open plan, and
+  // the completed plan's mask bytes.
   std::size_t inactivated = 0;
   std::size_t plans = 0;
   std::size_t extensions = 0;
+  std::size_t plan_bytes = 0;
 };
 
 /// Decode from a fresh random permutation of the distinct encoding indices;
@@ -100,6 +105,7 @@ DecodeResult run_decode(const fec::ErasureCode& code,
       result.inactivated = lt_dec->core().inactivated();
       result.plans = lt_dec->core().plans();
       result.extensions = lt_dec->core().extensions();
+      result.plan_bytes = lt_dec->core().plan_bytes();
     }
   });
   return result;
@@ -219,9 +225,20 @@ int main() {
     std::printf("%-10zu %12.1f %10.4f %12.1f %10.4f\n", k,
                 mbps(lt_res.seconds), lt_res.overhead, mbps(tb_res.seconds),
                 tb_res.overhead);
-    std::printf("  lt decoder: %zu inactivated, %zu plans, %zu extensions\n",
-                lt_res.inactivated, lt_res.plans, lt_res.extensions);
-    const std::string name = "decode/k=" + std::to_string(k);
+    std::printf("  lt decoder: %zu inactivated, %zu plans, %zu extensions, "
+                "%zu plan bytes\n",
+                lt_res.inactivated, lt_res.plans, lt_res.extensions,
+                lt_res.plan_bytes);
+    const std::string at_k = "/k=" + std::to_string(k);
+    for (const auto& [counter, count] :
+         {std::pair{"inactivated", lt_res.inactivated},
+          std::pair{"plans", lt_res.plans},
+          std::pair{"extensions", lt_res.extensions},
+          std::pair{"plan_bytes", lt_res.plan_bytes}}) {
+      records.push_back({"lt_overhead", counter + at_k, "lt", 0, 0, 0,
+                         static_cast<double>(count)});
+    }
+    const std::string name = "decode" + at_k;
     records.push_back({"lt_overhead", name, "lt", lt_res.seconds,
                        mbps(lt_res.seconds),
                        static_cast<double>(k) / lt_res.seconds});

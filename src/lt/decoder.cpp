@@ -1,8 +1,10 @@
 #include "lt/decoder.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
+#include <functional>
 #include <stdexcept>
 
 #include "kern/kernels.hpp"
@@ -32,6 +34,71 @@ std::int64_t lowest_bit(const std::uint64_t* m, std::size_t words) {
     }
   }
   return -1;
+}
+
+/// Reduces `row` against `count` pivot rows `stride` words apart, whose
+/// pivot columns are vars[0..count). One sequential pass suffices: pivot
+/// p's row is zero on every earlier pivot column, so bits a fold introduces
+/// belong to later pivots. Rows may carry a payload after their mask; it
+/// rides along in every fold.
+void reduce(std::uint64_t* row, const std::uint64_t* pivots,
+            std::size_t stride, const std::uint32_t* vars, std::size_t count) {
+  for (std::size_t p = 0; p < count; ++p) {
+    if (test_bit(row, vars[p])) xor_words(row, pivots + p * stride, stride);
+  }
+}
+
+// Four-Russians grouping (M4RI; Albrecht, Bard and Hart, ACM TOMS 2010):
+// every kGroup consecutive pivots form a group. Once a group's rows are
+// final, a table holds all 2^kGroup combinations of them, and a later row
+// clears the group's pivot columns with one table row instead of up to
+// kGroup pivot rows.
+constexpr std::size_t kGroup = 8;
+constexpr std::size_t kTableRows = std::size_t{1} << kGroup;
+
+/// Fills `table` with kTableRows rows of `stride` words from one group's
+/// final rows, `stride` words apart, with pivot columns vars[0..kGroup):
+/// entry b is the one combination of them whose bits at those columns read
+/// b. The unit entries are the group in reduced echelon form.
+void fill_table(std::vector<std::uint64_t>& table, const std::uint64_t* rows,
+                std::size_t stride, const std::uint32_t* vars) {
+  table.resize(kTableRows * stride);
+  const auto entry = [&](std::size_t b) { return &table[b * stride]; };
+  std::fill(entry(0), entry(0) + stride, 0);
+  // Row t is zero on the earlier pivots' columns already; clear the later
+  // ones, last row first.
+  for (std::size_t t = kGroup; t-- > 0;) {
+    std::uint64_t* unit = entry(std::size_t{1} << t);
+    std::copy(rows + t * stride, rows + (t + 1) * stride, unit);
+    for (std::size_t u = t + 1; u < kGroup; ++u) {
+      if (test_bit(unit, vars[u])) {
+        xor_words(unit, entry(std::size_t{1} << u), stride);
+      }
+    }
+  }
+  // In Gray-code order, entry gray(i) is entry gray(i-1) XOR the unit entry
+  // of i's lowest bit.
+  for (std::size_t i = 1, prev = 0; i < kTableRows; ++i) {
+    const std::size_t gray = i ^ (i >> 1);
+    if (!std::has_single_bit(gray)) {
+      const std::uint64_t* from = entry(prev);
+      std::transform(from, from + stride,
+                     entry(std::size_t{1} << std::countr_zero(i)),
+                     entry(gray), std::bit_xor<>());
+    }
+    prev = gray;
+  }
+}
+
+/// Clears the group with pivot columns vars[0..kGroup) from `row` with the
+/// one table entry its bits at those columns select.
+void fold_group(std::uint64_t* row, const std::vector<std::uint64_t>& table,
+                std::size_t stride, const std::uint32_t* vars) {
+  std::size_t b = 0;
+  for (std::size_t t = 0; t < kGroup; ++t) {
+    b |= static_cast<std::size_t>(test_bit(row, vars[t])) << t;
+  }
+  if (b != 0) xor_words(row, &table[b * stride], stride);
 }
 
 }  // namespace
@@ -241,52 +308,75 @@ bool LtDecoderCore::plan_from_scratch() {
               plan_.resolved_masks.data() + j * words);
   }
 
-  // Incremental GE over the unused residual checks, accept-as-you-go (see
-  // eliminate()). The plan stays open for extension should it fall short.
+  // Grouped GE over the unused residual checks, accept-as-you-go in check
+  // order; the file comment in decoder.hpp says why the plan matches a
+  // one-pivot-at-a-time pass. A row meets the open group's pivots one by
+  // one; when kGroup pivots are accepted the group closes, and its table
+  // clears it from every later row in one fold. The plan stays open for
+  // extension should it fall short.
+  plan_cand_.clear();
+  for (std::uint32_t c = 0; c < checks; ++c) {
+    if (unknown_count_[c] >= 2 && plan_used_[c] == 0) plan_cand_.push_back(c);
+  }
+  const std::size_t ncand = plan_cand_.size();
+  plan_rows_.assign(ncand * words, 0);
+  for (std::size_t i = 0; i < ncand; ++i) {
+    plan_mask(plan_cand_[i], plan_rows_.data() + i * words);
+  }
   plan_.pivot_masks.reserve(ninact * words);
-  for (std::uint32_t c = 0; c < checks && plan_.pivot_var.size() < ninact;
-       ++c) {
-    if (unknown_count_[c] < 2 || plan_used_[c] != 0) continue;
-    eliminate(c);
+  std::size_t group = 0;  // first pivot of the open group
+  for (std::size_t i = 0; i < ncand && plan_.pivot_var.size() < ninact; ++i) {
+    std::uint64_t* row = plan_rows_.data() + i * words;
+    reduce(row, plan_.pivot_masks.data() + group * words, words,
+           plan_.pivot_var.data() + group, plan_.pivot_var.size() - group);
+    if (!accept(plan_cand_[i], row) ||
+        plan_.pivot_var.size() - group < kGroup) {
+      continue;
+    }
+    const std::uint32_t* vars = plan_.pivot_var.data() + group;
+    fill_table(plan_table_, plan_.pivot_masks.data() + group * words, words,
+               vars);
+    for (std::size_t r = i + 1; r < ncand; ++r) {
+      fold_group(plan_rows_.data() + r * words, plan_table_, words, vars);
+    }
+    group += kGroup;
   }
   plan_open_ = true;
   plan_checks_ = checks;
   return settle();
 }
 
-void LtDecoderCore::plan_mask(std::uint32_t check, std::uint64_t* mask) const {
+void LtDecoderCore::plan_mask(std::uint32_t check, std::uint64_t* mask) {
   const std::size_t words = plan_.words;
+  mask_gather_.clear();
   for (const auto n : check_neighbors(check)) {
     if (plan_state_[n] == kInactive) {
       flip_bit(mask, plan_pos_[n]);
     } else if (plan_state_[n] == kResolved) {
-      xor_words(mask, plan_.resolved_masks.data() + plan_pos_[n] * words,
-                words);
+      mask_gather_.push_back(reinterpret_cast<const std::uint8_t*>(
+          plan_.resolved_masks.data() + plan_pos_[n] * words));
     }
   }
+  kern::xor_block_rows(reinterpret_cast<std::uint8_t*>(mask),
+                       mask_gather_.data(), mask_gather_.size(),
+                       words * sizeof(std::uint64_t));
 }
 
 void LtDecoderCore::eliminate(std::uint32_t check) {
-  // The reduction is a single sequential pass over accepted pivots: pivot
-  // p's mask never contains an earlier pivot's variable, so bits introduced
-  // mid-pass always belong to later loop indices. The data decoder replays
-  // this exact loop over payload rows, so determinism here is load-bearing.
-  const std::size_t words = plan_.words;
-  plan_row_.assign(words, 0);
+  plan_row_.assign(plan_.words, 0);
   plan_mask(check, plan_row_.data());
-  const std::size_t rank = plan_.pivot_var.size();
-  for (std::size_t p = 0; p < rank; ++p) {
-    if (test_bit(plan_row_.data(), plan_.pivot_var[p])) {
-      xor_words(plan_row_.data(), plan_.pivot_masks.data() + p * words,
-                words);
-    }
-  }
-  const auto var = lowest_bit(plan_row_.data(), words);
-  if (var < 0) return;  // dependent equation
+  reduce(plan_row_.data(), plan_.pivot_masks.data(), plan_.words,
+         plan_.pivot_var.data(), plan_.pivot_var.size());
+  accept(check, plan_row_.data());
+}
+
+bool LtDecoderCore::accept(std::uint32_t check, const std::uint64_t* row) {
+  const auto var = lowest_bit(row, plan_.words);
+  if (var < 0) return false;  // dependent equation
   plan_.pivot_check.push_back(check);
   plan_.pivot_var.push_back(static_cast<std::uint32_t>(var));
-  plan_.pivot_masks.insert(plan_.pivot_masks.end(), plan_row_.begin(),
-                           plan_row_.end());
+  plan_.pivot_masks.insert(plan_.pivot_masks.end(), row, row + plan_.words);
+  return true;
 }
 
 bool LtDecoderCore::settle() {
@@ -400,33 +490,45 @@ void LtDataDecoder::apply_plan() {
   // nodes_.row(s) holds B(s) until step 4.
   fold(plan.resolved, /*skip_inactive=*/true);
 
-  // 2. Dense-system right-hand sides, replaying the planner's elimination
-  // pass byte-for-byte over payloads.
-  util::SymbolMatrix rhs(np, symbol_size_);
-  std::vector<std::uint64_t> mask(words);
+  // 2. Dense-system right-hand sides. Row j is pivot j's equation: its
+  // plan-time mask, then its payload with every non-inactive member folded
+  // in (final value or B row). The rows replay the planner's groups: each
+  // group's rows are finished one by one against its earlier pivots, then
+  // one table entry of mask and payload clears the group from each later
+  // row.
+  const std::size_t stride = words + (symbol_size_ + 7) / 8;
+  const auto equation = [&](std::size_t j) {
+    return rows_.data() + j * stride;
+  };
+  const auto rhs = [&](std::size_t j) {
+    return reinterpret_cast<std::uint8_t*>(equation(j) + words);
+  };
+  rows_.assign(np * stride, 0);
   for (std::size_t j = 0; j < np; ++j) {
     const auto c = plan.pivot_check[j];
-    auto dst = rhs.row(j);
-    std::memcpy(dst.data(), payload_row(c), symbol_size_);
+    core_.plan_mask(c, equation(j));
+    std::memcpy(rhs(j), payload_row(c), symbol_size_);
     gather_.clear();
     for (const auto n : core_.check_neighbors(c)) {
-      if (!core_.plan_inactive(n)) {
-        gather_.push_back(nodes_.row(n).data());  // final value or B row
-      }
+      if (!core_.plan_inactive(n)) gather_.push_back(nodes_.row(n).data());
     }
-    kern::xor_block_rows(dst.data(), gather_.data(), gather_.size(),
+    kern::xor_block_rows(rhs(j), gather_.data(), gather_.size(),
                          symbol_size_);
-    std::fill(mask.begin(), mask.end(), 0);
-    core_.plan_mask(c, mask.data());
-    for (std::size_t p = 0; p < j; ++p) {
-      if (test_bit(mask.data(), plan.pivot_var[p])) {
-        xor_words(mask.data(), plan.pivot_masks.data() + p * words, words);
-        kern::xor_block(dst.data(), rhs.row(p).data(), symbol_size_);
-      }
+  }
+  for (std::size_t first = 0; first < np; first += kGroup) {
+    const std::size_t end = std::min(first + kGroup, np);
+    const std::uint32_t* vars = plan.pivot_var.data() + first;
+    for (std::size_t j = first; j < end; ++j) {
+      reduce(equation(j), equation(first), stride, vars, j - first);
+      assert(std::equal(equation(j), equation(j) + words,
+                        plan.pivot_masks.begin() + j * words) &&
+             "payload elimination diverged from the structural plan");
     }
-    assert(std::equal(mask.begin(), mask.end(),
-                      plan.pivot_masks.begin() + j * words) &&
-           "payload elimination diverged from the structural plan");
+    if (end == np) break;
+    fill_table(table_, equation(first), stride, vars);
+    for (std::size_t j = end; j < np; ++j) {
+      fold_group(equation(j), table_, stride, vars);
+    }
   }
 
   // 3. Back-substitution, reverse acceptance order: every non-pivot bit of a
@@ -444,11 +546,10 @@ void LtDataDecoder::apply_plan() {
         gather_.push_back(nodes_.row(plan.inactive[b]).data());
       }
     }
-    auto dst = rhs.row(j);
-    kern::xor_block_rows(dst.data(), gather_.data(), gather_.size(),
+    kern::xor_block_rows(rhs(j), gather_.data(), gather_.size(),
                          symbol_size_);
-    std::memcpy(nodes_.row(plan.inactive[plan.pivot_var[j]]).data(),
-                dst.data(), symbol_size_);
+    std::memcpy(nodes_.row(plan.inactive[plan.pivot_var[j]]).data(), rhs(j),
+                symbol_size_);
   }
 
   // 4. Second triangular pass through the sparse defining checks: every

@@ -12,8 +12,15 @@
 // known. Every remaining unknown is thereby resolved into (defining check)
 // XOR (a sparse GF(2) combination of the inactivated set), and each leftover
 // residual check yields one dense equation over just the inactivated
-// variables. A small Gaussian elimination over those (typically a few dozen
-// to a few thousand variables — never the k x k system) decides solvability.
+// variables. A Gaussian elimination over those (typically a few dozen to a
+// few thousand variables — never the k x k system) decides solvability. It
+// runs in groups of eight pivots (the Method of Four Russians): a candidate
+// row meets the open group's pivots one by one, and each time eight are
+// accepted their 256 combinations fill a table, from which every later row
+// XORs the one entry its bits at the group's pivot columns select. A row
+// reduced against pivots 0..r-1 is the only row of its coset that is zero on
+// all r pivot columns, so the pivots, their order and their masks are the
+// ones a pass meeting every pivot one by one would accept.
 //
 // Open plan: an elimination that falls short of full rank keeps its
 // triangularization. The next due attempt only reduces the checks stored
@@ -38,7 +45,11 @@
 // (their defining checks without the inactive members), the dense
 // elimination over the inactivated rows, then a second triangular pass that
 // back-substitutes each resolved source through its sparse defining check —
-// never through its dense inactive-set mask.
+// never through its dense inactive-set mask. The dense elimination replays
+// the same groups over rows that carry a payload after their mask: a group's
+// rows are finished one by one, then a table of their mask-and-payload
+// combinations clears the group from every later row. By the coset argument
+// above the payloads are byte-identical to a one-pivot-at-a-time replay.
 //
 // Both decoders share LtDecoderCore, the index-level machinery, which owns
 // the plan; decodability depends only on which indices arrived, so the
@@ -128,7 +139,7 @@ class LtDecoderCore {
   bool try_inactivation();
 
   /// The plan of the last attempt; complete after try_inactivation()
-  /// returned true, until finish_plan() or reset().
+  /// returned true, and kept through finish_plan() until reset().
   const InactivationPlan& plan() const { return plan_; }
 
   /// True when `source` is in the plan's inactive set.
@@ -138,8 +149,9 @@ class LtDecoderCore {
 
   /// XORs the plan-time mask of `check`'s equation into `mask` (plan().words
   /// wide): members known at plan time are constants, resolved members add
-  /// their mask, inactive members their bit.
-  void plan_mask(std::uint32_t check, std::uint64_t* mask) const;
+  /// their mask (gathered, then folded in one kern::xor_block_rows pass),
+  /// inactive members their bit.
+  void plan_mask(std::uint32_t check, std::uint64_t* mask);
 
   /// Commits a successful plan and closes it: every source becomes known.
   void finish_plan();
@@ -152,6 +164,11 @@ class LtDecoderCore {
   std::size_t extensions() const { return extensions_; }
   std::size_t inactivated() const { return inactivated_; }
   std::size_t peeled() const { return peeled_; }
+  /// Bytes of the current plan's mask rows (resolved_masks + pivot_masks).
+  std::size_t plan_bytes() const {
+    return (plan_.resolved_masks.size() + plan_.pivot_masks.size()) *
+           sizeof(std::uint64_t);
+  }
 
  private:
   const LtCode* code_;
@@ -202,11 +219,19 @@ class LtDecoderCore {
   std::vector<std::uint32_t> plan_fire_;
   std::vector<std::uint8_t> plan_used_;   // per check: defining check flag
   std::vector<std::uint64_t> plan_row_;   // one equation row
+  std::vector<const std::uint8_t*> mask_gather_;  // plan_mask() scratch
+  // The grouped elimination of plan_from_scratch(): candidate check ids,
+  // their rows, and the table of the last closed group.
+  std::vector<std::uint32_t> plan_cand_;
+  std::vector<std::uint64_t> plan_rows_;
+  std::vector<std::uint64_t> plan_table_;
 
   bool plan_from_scratch();
-  /// Reduces `check`'s plan-time row against the pivots; accepts it as a
-  /// new pivot if independent.
+  /// Reduces `check`'s plan-time row against every pivot one by one and
+  /// accepts it if independent (extensions of an open plan).
   void eliminate(std::uint32_t check);
+  /// Accepts `check`'s reduced row as a new pivot unless it is zero.
+  bool accept(std::uint32_t check, const std::uint64_t* row);
   /// Ends an attempt: true at full rank, else fail(rank deficit).
   bool settle();
   /// Schedules the next attempt `deficit` distinct symbols on; false.
@@ -260,6 +285,10 @@ class LtDataDecoder final : public fec::IncrementalDecoder {
   std::vector<std::uint8_t> payload_;  // stored check payloads, row-major
   std::vector<PeelEvent> events_;      // scratch
   std::vector<const std::uint8_t*> gather_;  // substitution-source scratch
+  // apply_plan() step 2: one row per pivot (mask, then payload) and the
+  // table of the last finished group.
+  std::vector<std::uint64_t> rows_;
+  std::vector<std::uint64_t> table_;
 };
 
 }  // namespace fountain::lt

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -426,6 +427,94 @@ TEST(LtDecoder, CompletesOnTheFirstArrivalOfFullRank) {
   EXPECT_GT(after_peel, 0u)
       << "no decode finished through an extension after a peel between "
          "attempts";
+}
+
+/// FNV-1a over a plan's structure: resolution order, inactive set, and each
+/// pivot's check, variable and reduced mask.
+std::string plan_hash(const lt::InactivationPlan& plan) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (v >> (8 * i)) & 0xffu;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  mix(plan.resolved.size());
+  for (const auto& [check, source] : plan.resolved) {
+    mix(check);
+    mix(source);
+  }
+  mix(plan.inactive.size());
+  for (const auto s : plan.inactive) mix(s);
+  mix(plan.pivot_check.size());
+  for (std::size_t j = 0; j < plan.pivot_check.size(); ++j) {
+    mix(plan.pivot_check[j]);
+    mix(plan.pivot_var[j]);
+  }
+  for (const auto w : plan.pivot_masks) mix(w);
+  char text[17];
+  std::snprintf(text, sizeof text, "%016llx",
+                static_cast<unsigned long long>(hash));
+  return text;
+}
+
+TEST(LtPlanPins, SeededDecodesKeepTheirPlans) {
+  // An elimination that picked other pivots would still decode every file
+  // and complete on the same arrival, so no other test would notice it. The
+  // plan a (code seed, feed) pair produces is pinned here instead. Each feed
+  // completes through an extension of a rank-deficient plan.
+  struct Pin {
+    std::size_t k;
+    std::uint64_t code_seed;
+    std::uint64_t feed_seed;
+    std::size_t arrival;
+    std::size_t plans;
+    std::size_t extensions;
+    std::size_t inactivated;
+    std::size_t peeled;
+    std::size_t plan_bytes;
+    const char* hash;
+  };
+  const Pin pins[] = {
+      {2000, 3, 1, 2006, 2, 3, 116, 310, 27040, "5cfd5977bbb22f78"},
+      {2000, 3, 11, 2012, 1, 12, 139, 356, 39456, "88a9b8fb66874bbb"},
+      {16384, 5, 3, 16394, 2, 3, 749, 1727, 1407072, "b163e134c453763f"},
+      {16384, 5, 6, 16391, 2, 3, 812, 1713, 1525784, "7e974dea3c1c62d0"},
+  };
+  for (const auto& pin : pins) {
+    SCOPED_TRACE("k=" + std::to_string(pin.k) +
+                 " feed=" + std::to_string(pin.feed_seed));
+    const auto code = make_code(pin.k, 8, pin.code_seed);
+    util::SymbolMatrix src(pin.k, 8);
+    src.fill_random(pin.code_seed + 100);
+    const auto enc = code.make_encoder(src);
+    lt::LtDataDecoder data(code);
+    lt::LtStructuralDecoder structural(code);
+    std::vector<std::uint32_t> idx(3 * pin.k);
+    for (std::uint32_t i = 0; i < idx.size(); ++i) idx[i] = i;
+    std::mt19937_64 g(pin.feed_seed);
+    std::shuffle(idx.begin(), idx.end(), g);
+    std::vector<std::uint8_t> buf(8);
+    std::size_t arrival = 0;
+    for (const auto i : idx) {
+      ++arrival;
+      enc->write_symbol(i, util::ByteSpan(buf.data(), buf.size()));
+      const bool done =
+          data.add_symbol(i, util::ConstByteSpan(buf.data(), buf.size()));
+      ASSERT_EQ(structural.add_index(i), done) << "arrival " << arrival;
+      if (done) break;
+    }
+    const auto& core = data.core();
+    EXPECT_EQ(arrival, pin.arrival);
+    EXPECT_EQ(core.plans(), pin.plans);
+    EXPECT_EQ(core.extensions(), pin.extensions);
+    EXPECT_EQ(core.inactivated(), pin.inactivated);
+    EXPECT_EQ(core.peeled(), pin.peeled);
+    EXPECT_EQ(core.plan_bytes(), pin.plan_bytes);
+    EXPECT_EQ(plan_hash(core.plan()), pin.hash);
+    EXPECT_EQ(plan_hash(structural.core().plan()), pin.hash);
+    EXPECT_EQ(data.source(), util::ConstSymbolView(src));
+  }
 }
 
 TEST(LtDecoder, DuplicatesNeverAdvanceState) {
