@@ -9,7 +9,7 @@
 // Cauchy Reed-Solomon code — protecting the last level. Parity count is
 // chosen so the total encoding length is exactly n = round(c * k).
 //
-// Encoding index space (what `ReceivedSymbol::index` means everywhere):
+// Encoding index space (what a symbol index means everywhere):
 // [0, k) are the systematic source packets, [k, node_count()) the XOR check
 // packets in level order, and [node_count(), encoded_count()) the RS tail
 // parity. symbol_size is in bytes and must be even — the tail codec works

@@ -8,7 +8,7 @@
 // All of the paper's senders are naturally pure: a carousel is order[t % n], a
 // layered reverse-binary schedule is periodic in the round number, and the
 // prototype server's burst doubling admits a closed form (see
-// proto::FountainServer::round_at).
+// proto::FountainServer::emit).
 #pragma once
 
 #include <cstdint>

@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <utility>
+#include <string>
 
-// The builtin() factories must name every concrete code family, including
-// the Tornado facade that lives a layer up in core/. This is a deliberate,
-// TU-local inversion: the *header* stays within fec/, and keeping all
-// built-in registrations in this one translation unit avoids the classic
-// static-library pitfall of per-codec self-registration objects being
-// dropped by the linker.
+// create() must name every concrete code family, including the Tornado
+// facade that lives a layer up in core/ and the LT code in lt/. This is a
+// deliberate, TU-local inversion: the *header* stays within fec/.
 #include "core/tornado.hpp"
 #include "fec/interleaved.hpp"
 #include "fec/reed_solomon.hpp"
@@ -75,63 +72,23 @@ std::unique_ptr<ErasureCode> make_lt(const CodecParams& params) {
 }  // namespace
 
 const CodecRegistry& CodecRegistry::builtin() {
-  static const CodecRegistry registry = [] {
-    CodecRegistry r;
-    r.register_codec(CodecId::kTornado, "tornado", make_tornado);
-    r.register_codec(CodecId::kReedSolomon, "reed_solomon", make_rs);
-    r.register_codec(CodecId::kInterleaved, "interleaved", make_interleaved);
-    r.register_codec(CodecId::kLT, "lt", make_lt);
-    return r;
-  }();
+  static const CodecRegistry registry{};
   return registry;
-}
-
-void CodecRegistry::register_codec(CodecId id, std::string name,
-                                   Factory factory) {
-  if (!factory) {
-    throw std::invalid_argument("CodecRegistry: null factory");
-  }
-  for (Entry& entry : entries_) {
-    if (entry.id == id) {
-      entry.name = std::move(name);
-      entry.factory = std::move(factory);
-      return;
-    }
-  }
-  entries_.push_back(Entry{id, std::move(name), std::move(factory)});
-}
-
-const CodecRegistry::Entry* CodecRegistry::find(CodecId id) const {
-  for (const Entry& entry : entries_) {
-    if (entry.id == id) return &entry;
-  }
-  return nullptr;
-}
-
-bool CodecRegistry::contains(CodecId id) const { return find(id) != nullptr; }
-
-const std::string& CodecRegistry::name(CodecId id) const {
-  const Entry* entry = find(id);
-  if (entry == nullptr) {
-    throw std::out_of_range("CodecRegistry: unknown codec id");
-  }
-  return entry->name;
-}
-
-std::vector<CodecId> CodecRegistry::ids() const {
-  std::vector<CodecId> out;
-  out.reserve(entries_.size());
-  for (const Entry& entry : entries_) out.push_back(entry.id);
-  return out;
 }
 
 std::unique_ptr<ErasureCode> CodecRegistry::create(
     CodecId id, const CodecParams& params) const {
-  const Entry* entry = find(id);
-  if (entry == nullptr) {
-    throw std::out_of_range("CodecRegistry: unknown codec id");
+  switch (id) {
+    case CodecId::kTornado:
+      return make_tornado(params);
+    case CodecId::kReedSolomon:
+      return make_rs(params);
+    case CodecId::kInterleaved:
+      return make_interleaved(params);
+    case CodecId::kLT:
+      return make_lt(params);
   }
-  return entry->factory(params);
+  throw std::out_of_range("CodecRegistry: unknown codec id");
 }
 
 }  // namespace fountain::fec

@@ -6,16 +6,12 @@
 // pre-shared ErasureCode pointer, a receiver (or an engine::Session) can
 // instantiate the matching code for whatever family a sender announces.
 //
-// The registry with the three built-in families (Tornado, Reed-Solomon,
-// interleaved) is CodecRegistry::builtin(); scenarios can also build private
-// registries to add experimental codecs without touching the wire enum.
+// CodecRegistry::builtin().create() knows the four wire families: Tornado,
+// Reed-Solomon, interleaved and LT, one per CodecId value.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "fec/codec_id.hpp"
 #include "fec/erasure_code.hpp"
@@ -40,42 +36,19 @@ struct CodecParams {
 
 class CodecRegistry {
  public:
-  using Factory =
-      std::function<std::unique_ptr<ErasureCode>(const CodecParams&)>;
-
-  CodecRegistry() = default;
-
-  /// The process-wide registry holding the built-in codec families, one per
-  /// CodecId value. Constructed on first use; immutable afterwards.
+  /// The process-wide registry of the built-in codec families.
   static const CodecRegistry& builtin();
 
-  /// Registers a factory for `id`. Re-registering an id replaces its factory
-  /// (so tests can shadow a family in a private registry).
-  void register_codec(CodecId id, std::string name, Factory factory);
-
-  bool contains(CodecId id) const;
-  /// Human-readable family name; throws std::out_of_range for unknown ids.
-  const std::string& name(CodecId id) const;
-  /// Registered ids in registration order.
-  std::vector<CodecId> ids() const;
-
   /// Instantiates the code a sender advertising (id, params) is using.
-  /// Throws std::out_of_range for an unregistered id and propagates the
-  /// codec's own std::invalid_argument for unusable params; the returned
-  /// code always satisfies codec_id() == id, source_count() == params.k and
+  /// Throws std::out_of_range for an unknown id and propagates the codec's
+  /// own std::invalid_argument for unusable params; the returned code always
+  /// satisfies codec_id() == id, source_count() == params.k and
   /// symbol_size() == params.symbol_size.
   std::unique_ptr<ErasureCode> create(CodecId id,
                                       const CodecParams& params) const;
 
  private:
-  struct Entry {
-    CodecId id;
-    std::string name;
-    Factory factory;
-  };
-  const Entry* find(CodecId id) const;
-
-  std::vector<Entry> entries_;
+  CodecRegistry() = default;
 };
 
 }  // namespace fountain::fec

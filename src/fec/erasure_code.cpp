@@ -4,13 +4,6 @@
 
 namespace fountain::fec {
 
-void BlockEncoder::write_symbols(std::uint32_t first,
-                                 util::SymbolView out) const {
-  for (std::size_t i = 0; i < out.rows(); ++i) {
-    write_symbol(first + static_cast<std::uint32_t>(i), out.row(i));
-  }
-}
-
 void ErasureCode::encode(const util::SymbolMatrix& source,
                          util::SymbolMatrix& encoding) const {
   if (encoding.rows() != encoded_count() ||
@@ -18,18 +11,10 @@ void ErasureCode::encode(const util::SymbolMatrix& source,
     throw std::invalid_argument("ErasureCode::encode: encoding shape");
   }
   // make_encoder validates the source shape.
-  make_encoder(source)->write_symbols(0, encoding);
-}
-
-bool ErasureCode::decode(std::span<const ReceivedSymbol> received,
-                         util::SymbolMatrix& out) const {
-  auto decoder = make_decoder();
-  for (const auto& symbol : received) {
-    if (decoder->add_symbol(symbol.index, symbol.data)) break;
+  const auto encoder = make_encoder(source);
+  for (std::size_t i = 0; i < encoding.rows(); ++i) {
+    encoder->write_symbol(static_cast<std::uint32_t>(i), encoding.row(i));
   }
-  if (!decoder->complete()) return false;
-  out = util::SymbolMatrix(decoder->source());
-  return true;
 }
 
 }  // namespace fountain::fec

@@ -26,17 +26,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 
 #include "fec/codec_id.hpp"
 #include "util/symbols.hpp"
 
 namespace fountain::fec {
-
-struct ReceivedSymbol {
-  std::uint32_t index;
-  util::ConstByteSpan data;
-};
 
 /// Stateful on-demand encoder for one transfer. Created by
 /// ErasureCode::make_encoder over a borrowed source view (the view must
@@ -71,11 +65,6 @@ class BlockEncoder {
   /// families satisfy them. Throws std::invalid_argument on a wrong-sized
   /// buffer.
   virtual void write_symbol(std::uint32_t index, util::ByteSpan out) const = 0;
-
-  /// Batched variant: writes symbols [first, first + out.rows()) into the
-  /// rows of `out`. The default loops over write_symbol; codecs override it
-  /// when a contiguous range has a cheaper batch path.
-  virtual void write_symbols(std::uint32_t first, util::SymbolView out) const;
 };
 
 /// Index-only decodability oracle.
@@ -142,10 +131,6 @@ class ErasureCode {
   virtual std::unique_ptr<IncrementalDecoder> make_decoder() const = 0;
   virtual std::unique_ptr<StructuralDecoder> make_structural_decoder()
       const = 0;
-
-  /// One-shot convenience decode. Returns true on success and fills `out`.
-  bool decode(std::span<const ReceivedSymbol> received,
-              util::SymbolMatrix& out) const;
 };
 
 }  // namespace fountain::fec

@@ -6,14 +6,14 @@
 #include <map>
 #include <stdexcept>
 
+#include "fec/reed_solomon.hpp"
 #include "gf/gf256.hpp"
 #include "gf/gf65536.hpp"
-#include "gf/rs_codec.hpp"
 
 namespace fountain::fec {
 
-/// Field-erasing wrapper around a per-block Cauchy codec; blocks with the
-/// same (k, l) share one instance.
+/// Field-erasing wrapper around a per-block RS codec; blocks with the same
+/// (k, l) share one instance.
 class InterleavedCode::BlockCodec {
  public:
   virtual ~BlockCodec() = default;
@@ -34,8 +34,8 @@ namespace {
 template <typename Field>
 class BlockCodecImpl final : public InterleavedCode::BlockCodec {
  public:
-  BlockCodecImpl(std::size_t k, std::size_t parity)
-      : codec_(gf::RsKind::kCauchy, k, parity) {}
+  BlockCodecImpl(gf::RsKind kind, std::size_t k, std::size_t parity)
+      : codec_(kind, k, parity) {}
 
   void encode_one(util::ConstSymbolView source, std::size_t parity_row,
                   util::ByteSpan out) const override {
@@ -52,19 +52,19 @@ class BlockCodecImpl final : public InterleavedCode::BlockCodec {
   gf::RsCodec<Field> codec_;
 };
 
+/// The one place a field is picked: the smallest that fits n = k + parity.
 std::unique_ptr<InterleavedCode::BlockCodec> make_block_codec(
-    std::size_t k, std::size_t parity) {
+    gf::RsKind kind, std::size_t k, std::size_t parity) {
   if (k + parity <= gf::GF256::kOrder) {
-    return std::make_unique<BlockCodecImpl<gf::GF256>>(k, parity);
+    return std::make_unique<BlockCodecImpl<gf::GF256>>(kind, k, parity);
   }
-  return std::make_unique<BlockCodecImpl<gf::GF65536>>(k, parity);
+  return std::make_unique<BlockCodecImpl<gf::GF65536>>(kind, k, parity);
 }
 
-}  // namespace
-
-InterleavedCode::InterleavedCode(std::size_t total_source, std::size_t blocks,
-                                 std::size_t symbol_size, double stretch)
-    : total_source_(total_source), symbol_size_(symbol_size) {
+/// `total_source` split into `blocks` (k_b, l_b) pairs: sizes differing by
+/// at most one, parity round((stretch-1) * k_b) but at least 1.
+std::vector<std::pair<std::size_t, std::size_t>> split_blocks(
+    std::size_t total_source, std::size_t blocks, double stretch) {
   if (total_source == 0 || blocks == 0 || blocks > total_source) {
     throw std::invalid_argument("InterleavedCode: bad block count");
   }
@@ -73,27 +73,41 @@ InterleavedCode::InterleavedCode(std::size_t total_source, std::size_t blocks,
   }
   const std::size_t q = total_source / blocks;
   const std::size_t r = total_source % blocks;
-  std::size_t offset = 0;
-  std::map<std::pair<std::size_t, std::size_t>, std::size_t> codec_slots;
+  std::vector<std::pair<std::size_t, std::size_t>> out;
+  out.reserve(blocks);
   for (std::size_t b = 0; b < blocks; ++b) {
     const std::size_t kb = q + (b < r ? 1 : 0);
     const auto lb = std::max<std::size_t>(
         1, static_cast<std::size_t>(std::llround((stretch - 1.0) *
                                                  static_cast<double>(kb))));
+    out.emplace_back(kb, lb);
+  }
+  return out;
+}
+
+}  // namespace
+
+InterleavedCode::InterleavedCode(std::size_t total_source, std::size_t blocks,
+                                 std::size_t symbol_size, double stretch)
+    : InterleavedCode(split_blocks(total_source, blocks, stretch),
+                      symbol_size, gf::RsKind::kCauchy,
+                      CodecId::kInterleaved) {}
+
+InterleavedCode::InterleavedCode(
+    const std::vector<std::pair<std::size_t, std::size_t>>& blocks,
+    std::size_t symbol_size, gf::RsKind kind, CodecId codec_id)
+    : symbol_size_(symbol_size), codec_id_(codec_id) {
+  std::map<std::pair<std::size_t, std::size_t>, std::size_t> codec_slots;
+  for (const auto& [kb, lb] : blocks) {
     block_source_.push_back(kb);
     block_parity_.push_back(lb);
-    source_offset_.push_back(offset);
-    offset += kb;
+    source_offset_.push_back(total_source_);
+    total_source_ += kb;
     total_encoded_ += kb + lb;
-    const auto key = std::make_pair(kb, lb);
-    auto it = codec_slots.find(key);
-    if (it == codec_slots.end()) {
-      codec_slots.emplace(key, codecs_.size());
-      codec_of_block_.push_back(codecs_.size());
-      codecs_.push_back(make_block_codec(kb, lb));
-    } else {
-      codec_of_block_.push_back(it->second);
-    }
+    const auto [slot, fresh] =
+        codec_slots.try_emplace({kb, lb}, codecs_.size());
+    if (fresh) codecs_.push_back(make_block_codec(kind, kb, lb));
+    codec_of_block_.push_back(slot->second);
   }
 
   // Interleaved transmission order: one packet from each still-live block per
@@ -104,12 +118,19 @@ InterleavedCode::InterleavedCode(std::size_t total_source, std::size_t blocks,
                              *std::max_element(block_parity_.begin(),
                                                block_parity_.end());
   for (std::uint32_t t = 0; t < max_nb; ++t) {
-    for (std::uint32_t b = 0; b < blocks; ++b) {
+    for (std::uint32_t b = 0; b < block_count(); ++b) {
       if (t < block_source_[b] + block_parity_[b]) {
         index_map_.push_back(Position{b, t});
       }
     }
   }
+}
+
+std::unique_ptr<ErasureCode> make_reed_solomon(gf::RsKind kind, std::size_t k,
+                                               std::size_t parity,
+                                               std::size_t symbol_size) {
+  return std::unique_ptr<ErasureCode>(new InterleavedCode(
+      {{k, parity}}, symbol_size, kind, CodecId::kReedSolomon));
 }
 
 InterleavedCode::~InterleavedCode() = default;
@@ -184,8 +205,7 @@ class InterleavedCode::Structural final : public StructuralDecoder {
     }
     if (!seen_[index]) {
       seen_[index] = true;
-      const auto [b, pos] = code_.index_map_[index];
-      (void)pos;
+      const std::uint32_t b = code_.index_map_[index].block;
       if (block_distinct_[b] < code_.block_source_[b]) {
         if (++block_distinct_[b] == code_.block_source_[b]) ++blocks_done_;
       } else {

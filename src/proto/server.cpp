@@ -42,26 +42,6 @@ std::uint64_t FountainServer::schedule_rounds_before(
   return wall_round + bursts;
 }
 
-FountainServer::Round FountainServer::round_at(std::uint64_t wall_round) const {
-  Round round;
-  round.number = wall_round;
-  round.burst = is_burst_round(wall_round);
-  round.layers.reserve(config_.layers);
-  const std::uint64_t schedule_round = schedule_rounds_before(wall_round);
-  const std::uint64_t steps = round.burst ? 2 : 1;
-  for (unsigned l = 0; l < config_.layers; ++l) {
-    LayerRound lr;
-    lr.layer = l;
-    lr.sync_point = is_sync_point(l, wall_round);
-    for (std::uint64_t s = 0; s < steps; ++s) {
-      schedule_.append_layer_packets(l, schedule_round + s, lr.indices);
-    }
-    for (auto& index : lr.indices) index = permutation_[index];
-    round.layers.push_back(std::move(lr));
-  }
-  return round;
-}
-
 void FountainServer::emit(std::uint64_t round,
                           engine::PacketBatch& batch) const {
   const bool burst = is_burst_round(round);

@@ -5,10 +5,10 @@
 // join experiments). During a burst the schedule simply advances twice as
 // fast, so burst packets are fresh data and the One Level Property is kept.
 //
-// The server is an engine::PacketSource: round_at()/emit() are pure
-// functions of the wall round (burst doubling has a closed form, see
-// schedule_rounds_before), so session cohorts can replay the transmission
-// plan from any point without server-side state.
+// The server is an engine::PacketSource: emit() is a pure function of the
+// wall round (burst doubling has a closed form, see schedule_rounds_before),
+// so session cohorts can replay the transmission plan from any point without
+// server-side state.
 #pragma once
 
 #include <cstdint>
@@ -32,24 +32,6 @@ class FountainServer final : public engine::PacketSource {
   FountainServer(const ProtocolConfig& config, std::size_t encoding_length,
                  std::uint64_t permutation_seed = 0x5eed,
                  fec::CodecId codec = fec::CodecId::kTornado);
-
-  struct LayerRound {
-    unsigned layer = 0;
-    bool sync_point = false;
-    std::vector<std::uint32_t> indices;  // global encoding indices, in order
-  };
-
-  struct Round {
-    std::uint64_t number = 0;
-    bool burst = false;
-    std::vector<LayerRound> layers;
-  };
-
-  /// The transmissions of wall round `wall_round` — a pure function.
-  Round round_at(std::uint64_t wall_round) const;
-
-  /// Convenience cursor over round_at for sequential drivers.
-  Round next_round() { return round_at(wall_round_++); }
 
   // engine::PacketSource:
   fec::CodecId codec_id() const override { return codec_; }
@@ -81,7 +63,6 @@ class FountainServer final : public engine::PacketSource {
   sched::LayeredSchedule schedule_;
   fec::CodecId codec_;
   std::vector<std::uint32_t> permutation_;
-  std::uint64_t wall_round_ = 0;
 };
 
 }  // namespace fountain::proto

@@ -1,10 +1,13 @@
 // Interleaved block-code baseline: index mapping, per-block completion
-// semantics, and full data round-trips.
+// semantics, full data round-trips, and the encoding bytes a shape denotes.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
+#include <string>
 
 #include "fec/interleaved.hpp"
+#include "fec/reed_solomon.hpp"
 #include "util/random.hpp"
 
 namespace fountain {
@@ -197,6 +200,57 @@ TEST(Interleaved, DecoderResetReusesAcrossReceivers) {
     ASSERT_TRUE(done) << receiver;
     EXPECT_EQ(util::SymbolMatrix(decoder->source()), source) << receiver;
   }
+}
+
+/// FNV-1a over every row of the encoding of a seeded source.
+std::string encoding_hash(const fec::ErasureCode& code) {
+  util::SymbolMatrix source(code.source_count(), code.symbol_size());
+  source.fill_random(1);
+  util::SymbolMatrix encoding(code.encoded_count(), code.symbol_size());
+  code.encode(source, encoding);
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (std::size_t i = 0; i < encoding.rows(); ++i) {
+    for (const std::uint8_t b : encoding.row(i)) {
+      hash ^= b;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  char text[17];
+  std::snprintf(text, sizeof text, "%016llx",
+                static_cast<unsigned long long>(hash));
+  return text;
+}
+
+// The interleaved encoding is a wire contract: CodecId::kInterleaved travels
+// in every packet header, and a sender and its receivers build the code from
+// shared parameters, so a change to the block split, the index order or the
+// block codes breaks interoperation between versions without any error.
+// These literals may change only with a deliberate wire-format change.
+TEST(InterleavedPins, EncodingOfASeededSource) {
+  struct Pin {
+    std::size_t total;
+    std::size_t blocks;
+    std::size_t symbol_size;
+    double stretch;
+    const char* hash;
+  };
+  const Pin pins[] = {
+      // Blocks of 129 and 128: n_b = 258 over GF(2^16), 256 over GF(2^8).
+      {257, 2, 64, 2.0, "d6b7677a0ef5811c"},
+      {1000, 20, 32, 2.0, "27d0f46126aa7871"},
+      {100, 3, 16, 1.5, "618a8a2250a32133"},
+  };
+  for (const auto& pin : pins) {
+    EXPECT_EQ(encoding_hash(InterleavedCode(pin.total, pin.blocks,
+                                            pin.symbol_size, pin.stretch)),
+              pin.hash)
+        << pin.total << "/" << pin.blocks;
+  }
+  // A plain RS code is the one-block interleaved code: the same bytes.
+  EXPECT_EQ(encoding_hash(InterleavedCode(40, 1, 16)), "223cb9e2c5ef5cef");
+  EXPECT_EQ(encoding_hash(
+                *fec::make_reed_solomon(gf::RsKind::kCauchy, 40, 40, 16)),
+            "223cb9e2c5ef5cef");
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Reed-Solomon codec: systematic encode and MDS decode from arbitrary subsets
 // for both generator kinds, the parity bytes each kind denotes, the XOR-only
-// bit-matrix multiply, and the ErasureCode adapter.
+// bit-matrix multiply, and the ErasureCode make_reed_solomon builds.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,6 +10,8 @@
 
 #include "fec/reed_solomon.hpp"
 #include "gf/cauchy_xor.hpp"
+#include "gf/gf256.hpp"
+#include "gf/gf65536.hpp"
 #include "util/random.hpp"
 
 namespace fountain {
@@ -320,23 +322,21 @@ TEST(RsWrapper, DuplicatesAreIgnored) {
   EXPECT_EQ(decoder->source(), source);
 }
 
-TEST(RsWrapper, OneShotDecode) {
+TEST(RsWrapper, DecodesFromParityAlone) {
+  // Every source symbol missing: k parity symbols rebuild the file, k - 1 do
+  // not.
   const auto code = fec::make_reed_solomon(RsKind::kCauchy, 6, 6, 48);
   util::SymbolMatrix source(6, 48);
   source.fill_random(2);
   util::SymbolMatrix encoding(12, 48);
   code->encode(source, encoding);
 
-  std::vector<fec::ReceivedSymbol> received;
-  for (std::uint32_t i = 6; i < 12; ++i) {
-    received.push_back({i, encoding.row(i)});
+  auto decoder = code->make_decoder();
+  for (std::uint32_t i = 6; i < 11; ++i) {
+    EXPECT_FALSE(decoder->add_symbol(i, encoding.row(i)));
   }
-  util::SymbolMatrix out;
-  EXPECT_TRUE(code->decode(received, out));
-  EXPECT_EQ(out, source);
-
-  received.resize(5);
-  EXPECT_FALSE(code->decode(received, out));
+  EXPECT_TRUE(decoder->add_symbol(11, encoding.row(11)));
+  EXPECT_EQ(decoder->source(), source);
 }
 
 TEST(RsWrapper, BadIndexAndSizeThrow) {
@@ -346,6 +346,19 @@ TEST(RsWrapper, BadIndexAndSizeThrow) {
   EXPECT_THROW(decoder->add_symbol(8, m.row(0)), std::out_of_range);
   util::SymbolMatrix wrong(1, 8);
   EXPECT_THROW(decoder->add_symbol(0, wrong.row(0)), std::invalid_argument);
+  EXPECT_THROW(code->make_structural_decoder()->add_index(8),
+               std::out_of_range);
+  util::SymbolMatrix source(4, 16);
+  const auto encoder = code->make_encoder(source);
+  EXPECT_THROW(encoder->write_symbol(8, m.row(0)), std::out_of_range);
+  EXPECT_THROW(encoder->write_symbol(0, wrong.row(0)), std::invalid_argument);
+  // The codec checks k, parity and the field size.
+  EXPECT_THROW(fec::make_reed_solomon(RsKind::kCauchy, 0, 4, 16),
+               std::invalid_argument);
+  EXPECT_THROW(fec::make_reed_solomon(RsKind::kCauchy, 4, 0, 16),
+               std::invalid_argument);
+  EXPECT_THROW(fec::make_reed_solomon(RsKind::kCauchy, 40000, 30000, 16),
+               std::invalid_argument);
 }
 
 TEST(RsWrapper, FactoryPicksField) {
@@ -358,13 +371,13 @@ TEST(RsWrapper, FactoryPicksField) {
   source.fill_random(3);
   util::SymbolMatrix encoding(258, 32);
   big->encode(source, encoding);
-  std::vector<fec::ReceivedSymbol> received;
+  // From parity alone, over GF(2^16).
+  auto decoder = big->make_decoder();
   for (std::uint32_t i = 129; i < 258; ++i) {
-    received.push_back({i, encoding.row(i)});
+    decoder->add_symbol(i, encoding.row(i));
   }
-  util::SymbolMatrix out;
-  EXPECT_TRUE(big->decode(received, out));
-  EXPECT_EQ(out, source);
+  ASSERT_TRUE(decoder->complete());
+  EXPECT_EQ(decoder->source(), source);
 }
 
 TEST(RsWrapper, StretchFactor) {

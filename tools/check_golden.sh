@@ -39,6 +39,7 @@ one fig8_prototype "$(hash_of FOUNTAIN_FIG8_K=1024 FOUNTAIN_FIG8_RX=8 \
                        "$b/bench_fig8_prototype")"
 one fig7_adaptation "$(hash_of FOUNTAIN_BENCH_QUICK=1 "$b/bench_fig7_adaptation")"
 one fig7_tree "$(hash_of FOUNTAIN_BENCH_QUICK=1 "$b/bench_fig7_tree")"
+one fig6_trace "$(hash_of "$b/bench_fig6_trace")"
 one layered_session $(for t in 1 2 4; do
                         hash_of "$b/layered_session" 12 2000000 "$t"; done)
 one dispersity_routing "$(hash_of "$b/dispersity_routing")"
