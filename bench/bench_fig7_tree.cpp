@@ -133,15 +133,6 @@ ScenarioRun run_scenario(const fec::ErasureCode& code,
   return run;
 }
 
-bool same_report(const engine::ReceiverReport& a,
-                 const engine::ReceiverReport& b) {
-  return a.completed == b.completed && a.completed_at == b.completed_at &&
-         a.addressed == b.addressed && a.received == b.received &&
-         a.distinct == b.distinct && a.lost == b.lost &&
-         a.rejected == b.rejected && a.level_changes == b.level_changes &&
-         a.final_level == b.final_level && a.peak_level == b.peak_level;
-}
-
 }  // namespace
 
 int main() {
@@ -218,12 +209,9 @@ int main() {
   const ScenarioRun parallel =
       run_scenario(*code, server, trees, groups, horizon, 2, 16);
 
-  bool threads_equal = golden.reports.size() == parallel.reports.size();
-  for (std::size_t r = 0; threads_equal && r < golden.reports.size(); ++r) {
-    threads_equal = same_report(golden.reports[r], parallel.reports[r]);
-  }
-  threads_equal =
-      threads_equal && golden.log.records() == parallel.log.records();
+  const bool threads_equal =
+      golden.reports == parallel.reports &&
+      golden.log.records() == parallel.log.records();
 
   std::vector<bench::JsonRecord> records;
   const engine::Time tail_begin = horizon - horizon / 4;

@@ -25,12 +25,14 @@ using namespace fountain;
 
 std::vector<bench::JsonRecord> g_records;
 
-void record_mean_eta(const char* name, const proto::SessionResult& result) {
+void record_mean_eta(const char* name,
+                     const std::vector<engine::ReceiverReport>& reports,
+                     std::size_t k) {
   double eta = 0.0;
   std::size_t completed = 0;
-  for (const auto& r : result.receivers) {
+  for (const auto& r : reports) {
     if (!r.completed) continue;
-    eta += r.eta;
+    eta += r.efficiency(k);
     ++completed;
   }
   bench::JsonRecord record;
@@ -74,12 +76,14 @@ int main() {
       c.initial_level = 0;
       clients.push_back(c);
     }
-    const auto result = proto::run_session(*code, cfg, clients, 5, 4000000);
-    record_mean_eta("eta_mean/single_layer", result);
-    for (const auto& r : result.receivers) {
+    const auto reports = proto::run_session(*code, cfg, clients, 5, 4000000);
+    record_mean_eta("eta_mean/single_layer", reports, k);
+    for (const auto& r : reports) {
       std::printf("%-12.1f %10.1f %10.1f %10.1f%s\n",
-                  100.0 * r.observed_loss, 100.0 * r.eta_d, 100.0 * r.eta_c,
-                  100.0 * r.eta, r.completed ? "" : "  (incomplete)");
+                  100.0 * r.observed_loss(),
+                  100.0 * r.distinctness_efficiency(),
+                  100.0 * r.coding_efficiency(k), 100.0 * r.efficiency(k),
+                  r.completed ? "" : "  (incomplete)");
     }
     std::printf("\n");
   }
@@ -102,17 +106,18 @@ int main() {
       c.capacity_change_prob = 0.01;
       clients.push_back(c);
     }
-    auto result = proto::run_session(*code, cfg, clients, 6, 4000000);
-    record_mean_eta("eta_mean/four_layer", result);
-    std::sort(result.receivers.begin(), result.receivers.end(),
+    auto reports = proto::run_session(*code, cfg, clients, 6, 4000000);
+    record_mean_eta("eta_mean/four_layer", reports, k);
+    std::sort(reports.begin(), reports.end(),
               [](const auto& a, const auto& b) {
-                return a.observed_loss < b.observed_loss;
+                return a.observed_loss() < b.observed_loss();
               });
-    for (const auto& r : result.receivers) {
+    for (const auto& r : reports) {
       std::printf("%-12.1f %10.1f %10.1f %10.1f %8u%s\n",
-                  100.0 * r.observed_loss, 100.0 * r.eta_d, 100.0 * r.eta_c,
-                  100.0 * r.eta, r.level_changes,
-                  r.completed ? "" : "  (incomplete)");
+                  100.0 * r.observed_loss(),
+                  100.0 * r.distinctness_efficiency(),
+                  100.0 * r.coding_efficiency(k), 100.0 * r.efficiency(k),
+                  r.level_changes, r.completed ? "" : "  (incomplete)");
     }
   }
   std::printf("\nShape check vs paper: single layer keeps eta_d ~ 100%% below "

@@ -14,7 +14,7 @@
 //                         CPU-supported but the scalar tier was selected
 //                         (CI guard against silent dispatch regressions)
 //   FOUNTAIN_BENCH_QUICK  =1 shrinks sizes and timing windows (CI smoke run)
-//   FOUNTAIN_FORCE_SCALAR / FOUNTAIN_FORCE_ISA   override dispatch
+//   FOUNTAIN_FORCE_ISA    override dispatch
 #include <cstdio>
 #include <cstring>
 #include <functional>

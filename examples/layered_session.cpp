@@ -89,27 +89,29 @@ int main(int argc, char** argv) {
               receivers - shared_count, k, 2 * k);
   const auto code = fec::CodecRegistry::builtin().create(
       fec::CodecId::kTornado, params);
-  const auto result = proto::run_session(*code, cfg, clients, 3, max_rounds,
-                                         threads, network);
+  const auto reports = proto::run_session(*code, cfg, clients, 3, max_rounds,
+                                          threads, network);
 
   std::printf("%-4s %-11s %6s %9s %7s %6s %8s %8s %8s %10s\n", "rx", "policy",
               "join", "loss(%)", "moves", "level", "eta_d", "eta_c", "eta",
               "rounds");
-  for (std::size_t i = 0; i < result.receivers.size(); ++i) {
-    const auto& r = result.receivers[i];
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    const auto& r = reports[i];
     std::printf("%-4zu %-11s %6llu %9.1f %7u %6u %8.3f %8.3f %8.3f %10llu%s\n",
                 i, clients[i].loss_driven ? "loss-driven" : "burst-probe",
                 static_cast<unsigned long long>(clients[i].join),
-                100.0 * r.observed_loss, r.level_changes, r.final_level,
-                r.eta_d, r.eta_c, r.eta,
-                static_cast<unsigned long long>(r.rounds_to_complete),
+                100.0 * r.observed_loss(), r.level_changes, r.final_level,
+                r.distinctness_efficiency(), r.coding_efficiency(k),
+                r.efficiency(k),
+                static_cast<unsigned long long>(
+                    r.completed ? r.completed_at + 1 : 0),
                 r.completed ? "" : " (incomplete)");
   }
 
   double worst_eta = 1.0;
   bool all_done = true;
-  for (const auto& r : result.receivers) {
-    worst_eta = std::min(worst_eta, r.eta);
+  for (const auto& r : reports) {
+    worst_eta = std::min(worst_eta, r.efficiency(k));
     all_done = all_done && r.completed;
   }
   std::printf("\n%s; worst total efficiency %.3f\n",

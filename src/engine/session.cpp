@@ -53,13 +53,14 @@ bool mark_seen(std::vector<std::uint8_t>& seen, std::uint32_t index) {
   return true;
 }
 
-// Per-receiver adaptation state while its cohort runs: the subscription
+// Per-receiver state while its cohort runs: its sink, the subscription
 // level, the synthetic congestion environment of the legacy adaptive knobs
 // (drifting capacity + extra loss above it), and the active
 // cc::ReceiverPolicy — either the spec's explicit controller or the
 // built-in Section 7.2 burst-probe policy.
 struct AdaptState {
   std::uint8_t active = 0;  // 0 = not yet joined, 1 = live, 2 = finished
+  PacketSink* sink = nullptr;  // private or pooled, resolved at join
   unsigned level = 0;
   unsigned capacity = 0;
   unsigned max_level = 0;
@@ -176,25 +177,24 @@ class Session::CohortRunner {
   void finish_member(std::size_t m, ReceiverOutcome outcome, Time now);
   void apply_move(std::size_t m, const ScriptedMove& mv);
   void fire_source(std::uint32_t src_idx, Time now);
-  void process_batch(std::size_t m, Subscription& sub,
-                     const SourceState& src_state, Time now);
+  void process_batch(std::size_t m, Subscription& sub, Time now);
+  /// A packet reached member m at packet.at, from its source's firing or
+  /// late from a kDelay verdict: counts it received, quarantines a
+  /// codec-mismatched source, marks it seen and hands it to the sink.
+  /// Returns true when it completed the member.
+  bool receive(std::size_t m, const Delivery& packet);
   /// Stall watchdog: finishes member m with kStalled (returning true) when
   /// its distinct count has not grown for config.stall_timeout ticks.
   bool maybe_stall(std::size_t m, Time now);
-  /// A fault-delayed packet surfaces at its scheduled arrival tick.
-  void deliver_pending(std::uint32_t idx, Time now);
   /// Declares member m's current per-subscription offered rates to its
   /// links (shared bottlenecks aggregate them into queueing loss).
   void push_rates(std::size_t m);
 
-  /// A packet in flight between a kDelay verdict and its kArrive event.
+  /// A packet in flight between a kDelay verdict and its kArrive event;
+  /// packet.at is the arrival tick.
   struct Pending {
     std::uint32_t member = 0;
-    std::uint32_t source = 0;
-    std::uint32_t index = 0;
-    std::uint16_t layer = 0;
-    bool sync_point = false;
-    bool burst = false;
+    Delivery packet;
   };
 
   Session& s_;
@@ -285,9 +285,12 @@ void Session::CohortRunner::join_member(std::size_t m, Time now) {
   push_rates(m);
 
   Slot& slot = slots_[m];
-  if (!spec.sink) {
+  if (spec.sink) {
+    st.sink = spec.sink.get();
+  } else {
     if (!slot.sink) slot.sink = s_.make_pooled_sink();
     slot.sink->reset();
+    st.sink = slot.sink.get();
   }
   slot.seen.assign(s_.code_.encoded_count(), 0);
 }
@@ -350,7 +353,7 @@ void Session::CohortRunner::fire_source(std::uint32_t src_idx, Time now) {
     src_state.source->emit((now - src_state.start) / src_state.period, batch_);
     for (const auto& [m, sub_idx] : subscribers_[src_idx]) {
       if (adapt_[m].active != 1) continue;
-      process_batch(m, member(m).subs[sub_idx], src_state, now);
+      process_batch(m, member(m).subs[sub_idx], now);
     }
   }
   const Time next = now + src_state.period;
@@ -361,14 +364,10 @@ void Session::CohortRunner::fire_source(std::uint32_t src_idx, Time now) {
 }
 
 void Session::CohortRunner::process_batch(std::size_t m, Subscription& sub,
-                                          const SourceState& src_state,
                                           Time now) {
   AdaptState& st = adapt_[m];
   const SubscriptionPolicy& policy = member(m).spec.policy;
   ReceiverReport& rep = report(m);
-  Slot& slot = slots_[m];
-  PacketSink* sink =
-      member(m).spec.sink ? member(m).spec.sink.get() : slot.sink.get();
 
   // Capacity (the sustainable subscription level) drifts over time,
   // modelling changing cross-traffic on the receiver's bottleneck.
@@ -388,7 +387,8 @@ void Session::CohortRunner::process_batch(std::size_t m, Subscription& sub,
     if (seg.layer > st.level) continue;
     if (seg.layer == st.level && seg.sync_point) sp_on_my_level = true;
     for (std::uint32_t i = seg.begin; i < seg.end; ++i) {
-      const std::uint32_t index = batch_.indices[i];
+      const Delivery packet{now,       sub.source,     batch_.indices[i],
+                            seg.layer, seg.sync_point, batch_.burst};
       ++round_addressed;
       Verdict verdict = sub.link->transfer(now);
       // The congestion draw happens only on clean delivery, so without a
@@ -414,10 +414,8 @@ void Session::CohortRunner::process_batch(std::size_t m, Subscription& sub,
           // In flight: counted received at its kArrive tick, never lost.
           const Time arrival = now + verdict.delay;
           if (arrival < s_.config_.horizon) {
-            pending_.push_back(Pending{
-                static_cast<std::uint32_t>(m), sub.source, index,
-                static_cast<std::uint16_t>(seg.layer), seg.sync_point,
-                batch_.burst});
+            pending_.push_back(Pending{static_cast<std::uint32_t>(m), packet});
+            pending_.back().packet.at = arrival;
             queue_.push(Event{arrival, kArrive,
                               static_cast<std::uint32_t>(pending_.size() - 1),
                               0});
@@ -438,25 +436,14 @@ void Session::CohortRunner::process_batch(std::size_t m, Subscription& sub,
         case FaultKind::kDuplicate:
           break;
       }
-      ++rep.received;
       if (verdict.kind == FaultKind::kDuplicate) {
         // Copies 2..n carry an index already in hand this instant; the
         // receive path discards them without touching the decoder.
         rep.duplicates_dropped += verdict.copies - 1u;
       }
-      if (!src_state.codec_ok) {
-        ++rep.rejected;  // wrong code: never reaches the decoder
-        continue;
-      }
-      if (mark_seen(slot.seen, index)) {
-        ++rep.distinct;
-        st.last_progress = now;
-      }
-      if (sink->on_packet(Delivery{now, sub.source, index, seg.layer,
-                                   seg.sync_point, batch_.burst})) {
+      if (receive(m, packet)) {
         rep.addressed += round_addressed;
         rep.lost += round_lost;
-        finish_member(m, ReceiverOutcome::kCompleted, now);
         return;
       }
     }
@@ -497,29 +484,21 @@ bool Session::CohortRunner::maybe_stall(std::size_t m, Time now) {
   return true;
 }
 
-void Session::CohortRunner::deliver_pending(std::uint32_t idx, Time now) {
-  const Pending& p = pending_[idx];
-  const std::size_t m = p.member;
-  if (adapt_[m].active != 1) return;  // receiver finished while it flew
+bool Session::CohortRunner::receive(std::size_t m, const Delivery& packet) {
+  AdaptState& st = adapt_[m];
   ReceiverReport& rep = report(m);
-  Slot& slot = slots_[m];
   ++rep.received;
-  if (!s_.sources_[p.source].codec_ok) {
-    ++rep.rejected;
-    return;
+  if (!s_.sources_[packet.source].codec_ok) {
+    ++rep.rejected;  // wrong code: never reaches the decoder
+    return false;
   }
-  if (mark_seen(slot.seen, p.index)) {
+  if (mark_seen(slots_[m].seen, packet.index)) {
     ++rep.distinct;
-    adapt_[m].last_progress = now;
+    st.last_progress = packet.at;
   }
-  PacketSink* sink =
-      member(m).spec.sink ? member(m).spec.sink.get() : slot.sink.get();
-  // Late arrivals sit outside any firing round, so no round accounting and
-  // no policy hook — the next firing's RoundView reflects the firing only.
-  if (sink->on_packet(Delivery{now, p.source, p.index, p.layer, p.sync_point,
-                               p.burst})) {
-    finish_member(m, ReceiverOutcome::kCompleted, now);
-  }
+  if (!st.sink->on_packet(packet)) return false;
+  finish_member(m, ReceiverOutcome::kCompleted, packet.at);
+  return true;
 }
 
 void Session::CohortRunner::run() {
@@ -541,9 +520,14 @@ void Session::CohortRunner::run() {
           finish_member(e.a, ReceiverOutcome::kDeparted, e.at);
         }
         break;
-      case kArrive:
-        deliver_pending(e.a, e.at);
+      case kArrive: {
+        // Late arrivals sit outside any firing round, so no round accounting
+        // and no policy hook; one whose receiver finished while it flew is
+        // gone.
+        const Pending& p = pending_[e.a];
+        if (adapt_[p.member].active == 1) receive(p.member, p.packet);
         break;
+      }
       case kFire:
         fire_source(e.a, e.at);
         break;

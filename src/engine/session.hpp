@@ -168,6 +168,9 @@ struct ReceiverReport {
                          : static_cast<double>(distinct) /
                                static_cast<double>(received);
   }
+
+  friend bool operator==(const ReceiverReport&,
+                         const ReceiverReport&) = default;
 };
 
 struct SessionConfig {

@@ -67,12 +67,9 @@ bool cpu_has_avx512bw() { return false; }
 bool cpu_has_gfni512() { return false; }
 #endif
 
-/// Env override: FOUNTAIN_FORCE_SCALAR=1 wins, then FOUNTAIN_FORCE_ISA.
-/// Unknown or unsupported requests fall through to auto-selection.
+/// Env override: FOUNTAIN_FORCE_ISA. Unknown or unsupported requests fall
+/// through to auto-selection.
 const Ops* env_override() {
-  if (const char* v = std::getenv("FOUNTAIN_FORCE_SCALAR")) {
-    if (v[0] != '\0' && v[0] != '0') return &detail::scalar_ops();
-  }
   if (const char* v = std::getenv("FOUNTAIN_FORCE_ISA")) {
     if (std::strcmp(v, "scalar") == 0) return &detail::scalar_ops();
     if (std::strcmp(v, "sse2") == 0) return ops_for(Isa::kSse2);

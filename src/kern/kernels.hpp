@@ -8,10 +8,10 @@
 // GFNI -> AVX-512BW -> AVX2 -> SSE2 -> scalar on x86-64, NEON -> scalar on
 // AArch64 — selected once on first use (cpuid, with an XCR0 check for the
 // 512-bit tiers so a kernel that disables ZMM state is respected) and cached
-// in a function-pointer table. `FOUNTAIN_FORCE_SCALAR=1` (or
-// `FOUNTAIN_FORCE_ISA=scalar|sse2|avx2|avx512|gfni|neon`) overrides selection
-// at process start; `set_isa_override` does the same programmatically for
-// tests. Forcing a tier the host lacks falls through to auto-selection.
+// in a function-pointer table. `FOUNTAIN_FORCE_ISA=scalar|sse2|avx2|avx512|
+// gfni|neon` overrides selection at process start; `set_isa_override` does
+// the same programmatically for tests. Forcing a tier the host lacks falls
+// through to auto-selection.
 //
 // On top of the per-tier single-destination kernels, this header exposes the
 // cache-blocked multi-row primitives `xor_block_rows` / `gf256_fma_rows` /

@@ -29,7 +29,9 @@ inline void store(std::uint8_t* p, __m512i v) {
   _mm512_storeu_si512(reinterpret_cast<void*>(p), v);
 }
 
-void xor1(std::uint8_t* dst, const std::uint8_t* a, std::size_t n) {
+}  // namespace
+
+void avx512_xor1(std::uint8_t* dst, const std::uint8_t* a, std::size_t n) {
   std::size_t i = 0;
   for (; i + 128 <= n; i += 128) {
     store(dst + i, _mm512_xor_si512(load(dst + i), load(a + i)));
@@ -42,8 +44,8 @@ void xor1(std::uint8_t* dst, const std::uint8_t* a, std::size_t n) {
   if (i < n) scalar_xor(dst + i, a + i, n - i);
 }
 
-void xor2(std::uint8_t* dst, const std::uint8_t* a, const std::uint8_t* b,
-          std::size_t n) {
+void avx512_xor2(std::uint8_t* dst, const std::uint8_t* a,
+                 const std::uint8_t* b, std::size_t n) {
   std::size_t i = 0;
   for (; i + 64 <= n; i += 64) {
     store(dst + i,
@@ -53,8 +55,8 @@ void xor2(std::uint8_t* dst, const std::uint8_t* a, const std::uint8_t* b,
   for (; i < n; ++i) dst[i] ^= static_cast<std::uint8_t>(a[i] ^ b[i]);
 }
 
-void xor3(std::uint8_t* dst, const std::uint8_t* a, const std::uint8_t* b,
-          const std::uint8_t* c, std::size_t n) {
+void avx512_xor3(std::uint8_t* dst, const std::uint8_t* a,
+                 const std::uint8_t* b, const std::uint8_t* c, std::size_t n) {
   std::size_t i = 0;
   for (; i + 64 <= n; i += 64) {
     const __m512i ab = _mm512_xor_si512(load(a + i), load(b + i));
@@ -64,8 +66,9 @@ void xor3(std::uint8_t* dst, const std::uint8_t* a, const std::uint8_t* b,
   for (; i < n; ++i) dst[i] ^= static_cast<std::uint8_t>(a[i] ^ b[i] ^ c[i]);
 }
 
-void xor4(std::uint8_t* dst, const std::uint8_t* a, const std::uint8_t* b,
-          const std::uint8_t* c, const std::uint8_t* d, std::size_t n) {
+void avx512_xor4(std::uint8_t* dst, const std::uint8_t* a,
+                 const std::uint8_t* b, const std::uint8_t* c,
+                 const std::uint8_t* d, std::size_t n) {
   std::size_t i = 0;
   for (; i + 64 <= n; i += 64) {
     const __m512i ab = _mm512_xor_si512(load(a + i), load(b + i));
@@ -76,6 +79,8 @@ void xor4(std::uint8_t* dst, const std::uint8_t* a, const std::uint8_t* b,
     dst[i] ^= static_cast<std::uint8_t>(a[i] ^ b[i] ^ c[i] ^ d[i]);
   }
 }
+
+namespace {
 
 /// Broadcasts a 16-entry half-table into all four 128-bit lanes. The maskz
 /// form (full mask) is used instead of the plain intrinsic because GCC's
@@ -190,8 +195,8 @@ void gf65536_fma(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
   if (i < n) padded_tail<128>(dst + i, src + i, n - i, step);
 }
 
-constexpr Ops kOps = {Isa::kAvx512, &xor1, &xor2, &xor3, &xor4,
-                      &gf256_fma, &gf65536_fma};
+constexpr Ops kOps = {Isa::kAvx512, &avx512_xor1, &avx512_xor2,
+                      &avx512_xor3, &avx512_xor4, &gf256_fma, &gf65536_fma};
 
 }  // namespace
 

@@ -17,8 +17,9 @@
 // of eight VPSHUFB plus nibble extraction. The four matrices come from the
 // basis row in a handful of instructions (see gf16_matrices).
 //
-// XOR has no GFNI form; the 64-byte XOR kernels mirror the AVX-512BW tier so
-// that forcing `FOUNTAIN_FORCE_ISA=gfni` exercises a complete table.
+// XOR has no GFNI form: the table's XOR slots are the AVX-512BW tier's
+// kernels (declared in kernels_impl.hpp), so forcing `FOUNTAIN_FORCE_ISA=gfni`
+// still exercises a complete table.
 //
 // Hosts with VEX-only GFNI (no AVX-512, e.g. Alder Lake) fall back to the
 // AVX2 tier; the affine path is worth a dedicated VEX variant only if such
@@ -39,54 +40,6 @@ inline __m512i load(const std::uint8_t* p) {
 
 inline void store(std::uint8_t* p, __m512i v) {
   _mm512_storeu_si512(reinterpret_cast<void*>(p), v);
-}
-
-void xor1(std::uint8_t* dst, const std::uint8_t* a, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 128 <= n; i += 128) {
-    store(dst + i, _mm512_xor_si512(load(dst + i), load(a + i)));
-    store(dst + i + 64,
-          _mm512_xor_si512(load(dst + i + 64), load(a + i + 64)));
-  }
-  for (; i + 64 <= n; i += 64) {
-    store(dst + i, _mm512_xor_si512(load(dst + i), load(a + i)));
-  }
-  if (i < n) scalar_xor(dst + i, a + i, n - i);
-}
-
-void xor2(std::uint8_t* dst, const std::uint8_t* a, const std::uint8_t* b,
-          std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    store(dst + i,
-          _mm512_xor_si512(load(dst + i),
-                           _mm512_xor_si512(load(a + i), load(b + i))));
-  }
-  for (; i < n; ++i) dst[i] ^= static_cast<std::uint8_t>(a[i] ^ b[i]);
-}
-
-void xor3(std::uint8_t* dst, const std::uint8_t* a, const std::uint8_t* b,
-          const std::uint8_t* c, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    const __m512i ab = _mm512_xor_si512(load(a + i), load(b + i));
-    store(dst + i, _mm512_xor_si512(load(dst + i),
-                                    _mm512_xor_si512(ab, load(c + i))));
-  }
-  for (; i < n; ++i) dst[i] ^= static_cast<std::uint8_t>(a[i] ^ b[i] ^ c[i]);
-}
-
-void xor4(std::uint8_t* dst, const std::uint8_t* a, const std::uint8_t* b,
-          const std::uint8_t* c, const std::uint8_t* d, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    const __m512i ab = _mm512_xor_si512(load(a + i), load(b + i));
-    const __m512i cd = _mm512_xor_si512(load(c + i), load(d + i));
-    store(dst + i, _mm512_xor_si512(load(dst + i), _mm512_xor_si512(ab, cd)));
-  }
-  for (; i < n; ++i) {
-    dst[i] ^= static_cast<std::uint8_t>(a[i] ^ b[i] ^ c[i] ^ d[i]);
-  }
 }
 
 void gf256_fma(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
@@ -177,8 +130,8 @@ void gf65536_fma(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
   if (i < n) padded_tail<128>(dst + i, src + i, n - i, step);
 }
 
-constexpr Ops kOps = {Isa::kGfni, &xor1, &xor2, &xor3, &xor4,
-                      &gf256_fma, &gf65536_fma};
+constexpr Ops kOps = {Isa::kGfni, &avx512_xor1, &avx512_xor2,
+                      &avx512_xor3, &avx512_xor4, &gf256_fma, &gf65536_fma};
 
 }  // namespace
 

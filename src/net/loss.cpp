@@ -1,24 +1,19 @@
 #include "net/loss.hpp"
 
-#include <numeric>
 #include <stdexcept>
 
 namespace fountain::net {
 
 BernoulliLoss::BernoulliLoss(double p, std::uint64_t seed)
-    : p_(p), seed_(seed), rng_(seed) {
+    : p_(p), rng_(seed) {
   if (p < 0.0 || p >= 1.0) {
     throw std::invalid_argument("BernoulliLoss: p must be in [0, 1)");
   }
 }
 
-std::unique_ptr<LossModel> BernoulliLoss::clone() const {
-  return std::make_unique<BernoulliLoss>(p_, seed_);
-}
-
 GilbertElliottLoss::GilbertElliottLoss(double loss_rate, double mean_burst,
                                        std::uint64_t seed)
-    : loss_rate_(loss_rate), mean_burst_(mean_burst), seed_(seed), rng_(seed) {
+    : rng_(seed) {
   if (loss_rate < 0.0 || loss_rate >= 1.0) {
     throw std::invalid_argument("GilbertElliott: loss rate in [0, 1)");
   }
@@ -44,43 +39,19 @@ bool GilbertElliottLoss::lost() {
   return bad_;
 }
 
-void GilbertElliottLoss::reset() {
-  rng_.reseed(seed_);
-  bad_ = false;
-}
-
-std::unique_ptr<LossModel> GilbertElliottLoss::clone() const {
-  return std::make_unique<GilbertElliottLoss>(loss_rate_, mean_burst_, seed_);
-}
-
 TraceLoss::TraceLoss(std::shared_ptr<const std::vector<std::uint8_t>> trace,
                      std::size_t start_offset)
     : trace_(std::move(trace)) {
   if (!trace_ || trace_->empty()) {
     throw std::invalid_argument("TraceLoss: empty trace");
   }
-  start_ = start_offset % trace_->size();
-  pos_ = start_;
+  pos_ = start_offset % trace_->size();
 }
 
 bool TraceLoss::lost() {
   const bool result = (*trace_)[pos_] != 0;
   pos_ = (pos_ + 1) % trace_->size();
   return result;
-}
-
-double TraceLoss::nominal_loss_rate() const {
-  const auto lost_count =
-      std::accumulate(trace_->begin(), trace_->end(), std::size_t{0},
-                      [](std::size_t acc, std::uint8_t v) {
-                        return acc + (v != 0 ? 1 : 0);
-                      });
-  return static_cast<double>(lost_count) /
-         static_cast<double>(trace_->size());
-}
-
-std::unique_ptr<LossModel> TraceLoss::clone() const {
-  return std::make_unique<TraceLoss>(trace_, start_);
 }
 
 }  // namespace fountain::net

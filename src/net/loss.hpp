@@ -18,11 +18,6 @@ class LossModel {
   virtual ~LossModel() = default;
   /// Advances the process one packet and reports whether it was lost.
   virtual bool lost() = 0;
-  /// Restarts the process (fresh state, same parameters and seed stream).
-  virtual void reset() = 0;
-  /// Long-run loss fraction of the process.
-  virtual double nominal_loss_rate() const = 0;
-  virtual std::unique_ptr<LossModel> clone() const = 0;
 };
 
 /// Independent loss with fixed probability p.
@@ -31,13 +26,9 @@ class BernoulliLoss final : public LossModel {
   BernoulliLoss(double p, std::uint64_t seed);
 
   bool lost() override { return rng_.chance(p_); }
-  void reset() override { rng_.reseed(seed_); }
-  double nominal_loss_rate() const override { return p_; }
-  std::unique_ptr<LossModel> clone() const override;
 
  private:
   double p_;
-  std::uint64_t seed_;
   util::Rng rng_;
 };
 
@@ -51,19 +42,13 @@ class GilbertElliottLoss final : public LossModel {
   GilbertElliottLoss(double loss_rate, double mean_burst, std::uint64_t seed);
 
   bool lost() override;
-  void reset() override;
-  double nominal_loss_rate() const override { return loss_rate_; }
-  std::unique_ptr<LossModel> clone() const override;
 
   double p_good_to_bad() const { return p_gb_; }
   double p_bad_to_good() const { return p_bg_; }
 
  private:
-  double loss_rate_;
-  double mean_burst_;
   double p_gb_;
   double p_bg_;
-  std::uint64_t seed_;
   util::Rng rng_;
   bool bad_ = false;
 };
@@ -77,13 +62,9 @@ class TraceLoss final : public LossModel {
             std::size_t start_offset);
 
   bool lost() override;
-  void reset() override { pos_ = start_; }
-  double nominal_loss_rate() const override;
-  std::unique_ptr<LossModel> clone() const override;
 
  private:
   std::shared_ptr<const std::vector<std::uint8_t>> trace_;
-  std::size_t start_;
   std::size_t pos_;
 };
 

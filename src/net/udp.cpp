@@ -153,16 +153,4 @@ std::optional<UdpSocket::Datagram> UdpSocket::receive(
                   static_cast<std::size_t>(got) > iov.iov_len};
 }
 
-void UdpSocket::join_multicast(const std::string& group_addr) {
-  ip_mreq mreq{};
-  if (inet_pton(AF_INET, group_addr.c_str(), &mreq.imr_multiaddr) != 1) {
-    throw std::invalid_argument("UdpSocket: bad multicast address");
-  }
-  mreq.imr_interface.s_addr = htonl(INADDR_ANY);
-  if (::setsockopt(fd_, IPPROTO_IP, IP_ADD_MEMBERSHIP, &mreq, sizeof(mreq)) <
-      0) {
-    throw_errno("IP_ADD_MEMBERSHIP");
-  }
-}
-
 }  // namespace fountain::net

@@ -1,8 +1,7 @@
 // Minimal RAII wrapper over IPv4 UDP sockets — enough to run the digital
 // fountain server and client over real datagrams (the loopback example) the
-// way the paper's prototype ran over IP multicast UDP. Multicast join is
-// supported where the host allows it; the examples default to loopback
-// unicast so they run inside containers.
+// way the paper's prototype ran over IP multicast UDP. It speaks unicast
+// only; the examples run over loopback.
 #pragma once
 
 #include <chrono>
@@ -63,9 +62,6 @@ class UdpSocket {
   /// datagram receive() returned; drops after it show once the next one is
   /// queued and read.
   std::uint64_t drops() const { return drops_; }
-
-  /// Joins an IPv4 multicast group (throws if unsupported on this host).
-  void join_multicast(const std::string& group_addr);
 
  private:
   int fd_ = -1;

@@ -8,11 +8,11 @@
 
 namespace fountain::proto {
 
-SessionResult run_session(const fec::ErasureCode& code,
-                          const ProtocolConfig& proto,
-                          const std::vector<SimClientConfig>& clients,
-                          std::uint64_t seed, std::uint64_t max_rounds,
-                          std::size_t threads, const TopologySpec& network) {
+std::vector<engine::ReceiverReport> run_session(
+    const fec::ErasureCode& code, const ProtocolConfig& proto,
+    const std::vector<SimClientConfig>& clients, std::uint64_t seed,
+    std::uint64_t max_rounds, std::size_t threads,
+    const TopologySpec& network) {
   engine::SessionConfig engine_config;
   engine_config.horizon = max_rounds;
   engine_config.threads = threads;
@@ -71,29 +71,7 @@ SessionResult run_session(const fec::ErasureCode& code,
     }
   }
 
-  const std::vector<engine::ReceiverReport> reports = session.run();
-
-  SessionResult result;
-  result.receivers.resize(clients.size());
-  const std::size_t k = code.source_count();
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    const engine::ReceiverReport& er = reports[i];
-    ReceiverReport& rep = result.receivers[i];
-    rep.completed = er.completed;
-    rep.outcome = er.outcome;
-    rep.configured_base_loss = clients[i].base_loss;
-    rep.observed_loss = er.observed_loss();
-    rep.eta = er.efficiency(k);
-    rep.eta_c = er.coding_efficiency(k);
-    rep.eta_d = er.distinctness_efficiency();
-    rep.level_changes = er.level_changes;
-    rep.final_level = er.final_level;
-    rep.peak_level = er.peak_level;
-    rep.rounds_to_complete = er.completed ? er.completed_at + 1 : 0;
-    rep.corrupt_rejected = er.corrupt_rejected;
-    rep.duplicates_dropped = er.duplicates_dropped;
-  }
-  return result;
+  return session.run();
 }
 
 }  // namespace fountain::proto

@@ -2,8 +2,9 @@
 // the paper's Berkeley/CMU/Cornell testbed (Section 7.3). run_session wires
 // one FountainServer source and a population of adaptive receivers into the
 // discrete-event session engine (one engine tick = one protocol round) and
-// reports per-receiver loss and efficiency figures in the same form as the
-// paper's Figure 8 scatter plots.
+// returns the engine's per-receiver reports, whose observed_loss(),
+// distinctness_efficiency(), coding_efficiency(k) and efficiency(k) are the
+// axes of the paper's Figure 8 scatter plots.
 #pragma once
 
 #include <cstdint>
@@ -59,48 +60,23 @@ struct SimClientConfig {
   cc::LossDrivenConfig loss_driven_config;  // knobs when loss_driven
 };
 
-struct ReceiverReport {
-  bool completed = false;
-  engine::ReceiverOutcome outcome = engine::ReceiverOutcome::kHorizon;
-  double configured_base_loss = 0.0;
-  double observed_loss = 0.0;
-  double eta = 0.0;    // total protocol efficiency
-  double eta_c = 0.0;  // coding efficiency
-  double eta_d = 0.0;  // distinctness efficiency
-  unsigned level_changes = 0;
-  unsigned final_level = 0;
-  unsigned peak_level = 0;
-  std::uint64_t rounds_to_complete = 0;
-  // Fault-plane counters. The first two mirror the engine report (zero
-  // without fault injection); the last two are filled by the wire-path
-  // client (fetch_control) and stay zero in pure engine scenarios.
-  std::uint64_t corrupt_rejected = 0;    // checksum/framing rejects
-  std::uint64_t duplicates_dropped = 0;  // extra copies discarded
-  std::uint64_t retries = 0;             // control-channel repeat requests
-  std::uint64_t failovers = 0;           // control-channel mirror switches
-};
-
-struct SessionResult {
-  std::vector<ReceiverReport> receivers;
-};
-
 /// Runs a session until every receiver completes (or `max_rounds` elapse).
-/// One receiver per entry of `clients`; receiver i's channel and adaptation
-/// streams derive from seed + i deterministically. `threads` is forwarded
-/// to engine::SessionConfig::threads (0 = one worker per hardware thread);
-/// results are byte-identical at every thread count. Clients whose `leaf` is
-/// >= 0 run behind a PathLink across every edge of the `network` root → leaf
-/// path, so loss compounds along the path and receivers whose paths overlap
-/// couple through the shared per-edge queues; those receivers must fit in
-/// one engine cohort (the engine rejects the scenario otherwise, at any
-/// thread count). Throws std::out_of_range on a leaf that is not a node of
-/// `network` (any leaf, with the empty default) and std::invalid_argument if
-/// no path reaches it.
-SessionResult run_session(const fec::ErasureCode& code,
-                          const ProtocolConfig& proto,
-                          const std::vector<SimClientConfig>& clients,
-                          std::uint64_t seed, std::uint64_t max_rounds,
-                          std::size_t threads = 0,
-                          const TopologySpec& network = {});
+/// One receiver per entry of `clients`; entry i of the result is client i's
+/// report (a completing client took completed_at + 1 rounds), and its
+/// channel and adaptation streams derive from seed + i deterministically.
+/// `threads` is forwarded to engine::SessionConfig::threads (0 = one worker
+/// per hardware thread); results are byte-identical at every thread count.
+/// Clients whose `leaf` is >= 0 run behind a PathLink across every edge of
+/// the `network` root → leaf path, so loss compounds along the path and
+/// receivers whose paths overlap couple through the shared per-edge queues;
+/// those receivers must fit in one engine cohort (the engine rejects the
+/// scenario otherwise, at any thread count). Throws std::out_of_range on a
+/// leaf that is not a node of `network` (any leaf, with the empty default)
+/// and std::invalid_argument if no path reaches it.
+std::vector<engine::ReceiverReport> run_session(
+    const fec::ErasureCode& code, const ProtocolConfig& proto,
+    const std::vector<SimClientConfig>& clients, std::uint64_t seed,
+    std::uint64_t max_rounds, std::size_t threads = 0,
+    const TopologySpec& network = {});
 
 }  // namespace fountain::proto

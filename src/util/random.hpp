@@ -87,10 +87,6 @@ class Rng {
     return order;
   }
 
-  /// Derives an independent child generator; used to give each simulated
-  /// receiver its own stream without correlating across receivers.
-  Rng fork() { return Rng((*this)() ^ 0xa5a5a5a5deadbeefULL); }
-
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

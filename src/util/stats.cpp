@@ -30,23 +30,6 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto n1 = static_cast<double>(count_);
-  const auto n2 = static_cast<double>(other.count_);
-  const double n = n1 + n2;
-  mean_ += delta * n2 / n;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / n;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 void SampleSet::add(double x) {
   samples_.push_back(x);
   sorted_ = false;
@@ -89,32 +72,6 @@ double SampleSet::fraction_above(double x) const {
   const auto it = std::upper_bound(samples_.begin(), samples_.end(), x);
   return static_cast<double>(samples_.end() - it) /
          static_cast<double>(samples_.size());
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  if (bins == 0 || !(hi > lo)) {
-    throw std::invalid_argument("Histogram: bad range");
-  }
-}
-
-void Histogram::add(double x) {
-  auto idx = static_cast<long>(std::floor((x - lo_) / width_));
-  idx = std::clamp<long>(idx, 0, static_cast<long>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_low(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::tail_fraction(std::size_t i) const {
-  if (total_ == 0) return 0.0;
-  std::size_t acc = 0;
-  for (std::size_t b = i; b < counts_.size(); ++b) acc += counts_[b];
-  return static_cast<double>(acc) / static_cast<double>(total_);
 }
 
 }  // namespace fountain::util

@@ -1,6 +1,5 @@
 // Small statistics helpers shared by the simulation harness: streaming
-// moments (Welford), order statistics over collected samples, and fixed-width
-// histograms used to reproduce the paper's Figure 2.
+// moments (Welford) and order statistics over collected samples.
 #pragma once
 
 #include <cstddef>
@@ -20,9 +19,6 @@ class RunningStats {
   double stddev() const;
   double min() const { return count_ ? min_ : 0.0; }
   double max() const { return count_ ? max_ : 0.0; }
-
-  /// Merges another accumulator into this one (parallel-friendly).
-  void merge(const RunningStats& other);
 
  private:
   std::size_t count_ = 0;
@@ -55,30 +51,6 @@ class SampleSet {
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
   void ensure_sorted() const;
-};
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-/// edge bins. Used for the Figure 2 "percent unfinished vs overhead" curves.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  double bin_low(std::size_t i) const;
-  double bin_high(std::size_t i) const { return bin_low(i + 1); }
-  std::size_t count_in(std::size_t i) const { return counts_.at(i); }
-  /// Fraction of all samples in bins at or above bin i — i.e. the fraction of
-  /// trials still "unfinished" at the overhead represented by bin i.
-  double tail_fraction(std::size_t i) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace fountain::util

@@ -25,6 +25,7 @@
 #include "cc/trace.hpp"
 #include "engine/session.hpp"
 #include "engine/topology.hpp"
+#include "engine_test_util.hpp"
 #include "fec/reed_solomon.hpp"
 #include "net/loss.hpp"
 #include "proto/server.hpp"
@@ -283,19 +284,7 @@ TEST(AdaptationSoak, ThreadCountEquivalenceUnderFuzz) {
       const auto outcome = run_equivalence_scenario(seed, threads);
       ASSERT_EQ(golden.reports.size(), outcome.reports.size());
       for (std::size_t i = 0; i < golden.reports.size(); ++i) {
-        SCOPED_TRACE(::testing::Message() << "receiver " << i);
-        const auto& a = golden.reports[i];
-        const auto& b = outcome.reports[i];
-        EXPECT_EQ(a.completed, b.completed);
-        EXPECT_EQ(a.completed_at, b.completed_at);
-        EXPECT_EQ(a.addressed, b.addressed);
-        EXPECT_EQ(a.received, b.received);
-        EXPECT_EQ(a.distinct, b.distinct);
-        EXPECT_EQ(a.lost, b.lost);
-        EXPECT_EQ(a.rejected, b.rejected);
-        EXPECT_EQ(a.level_changes, b.level_changes);
-        EXPECT_EQ(a.final_level, b.final_level);
-        EXPECT_EQ(a.peak_level, b.peak_level);
+        EXPECT_EQ(golden.reports[i], outcome.reports[i]) << "receiver " << i;
       }
       ASSERT_EQ(golden.cc_records.size(), outcome.cc_records.size());
       for (std::size_t i = 0; i < golden.cc_records.size(); ++i) {
@@ -414,19 +403,7 @@ TEST(AdaptationSoak, TopologyPathFuzzThreadEquivalence) {
           run_topology_scenario(0x7031ULL * seed + seed, threads);
       ASSERT_EQ(golden.reports.size(), outcome.reports.size());
       for (std::size_t i = 0; i < golden.reports.size(); ++i) {
-        SCOPED_TRACE(::testing::Message() << "receiver " << i);
-        const auto& a = golden.reports[i];
-        const auto& b = outcome.reports[i];
-        EXPECT_EQ(a.completed, b.completed);
-        EXPECT_EQ(a.completed_at, b.completed_at);
-        EXPECT_EQ(a.addressed, b.addressed);
-        EXPECT_EQ(a.received, b.received);
-        EXPECT_EQ(a.distinct, b.distinct);
-        EXPECT_EQ(a.lost, b.lost);
-        EXPECT_EQ(a.rejected, b.rejected);
-        EXPECT_EQ(a.level_changes, b.level_changes);
-        EXPECT_EQ(a.final_level, b.final_level);
-        EXPECT_EQ(a.peak_level, b.peak_level);
+        EXPECT_EQ(golden.reports[i], outcome.reports[i]) << "receiver " << i;
       }
       ASSERT_EQ(golden.cc_records.size(), outcome.cc_records.size());
       for (std::size_t i = 0; i < golden.cc_records.size(); ++i) {

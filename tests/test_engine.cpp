@@ -19,6 +19,7 @@
 #include "engine/session.hpp"
 #include "engine/sources.hpp"
 #include "engine/topology.hpp"
+#include "engine_test_util.hpp"
 #include "fec/reed_solomon.hpp"
 #include "lt/lt_code.hpp"
 #include "net/loss.hpp"
@@ -619,12 +620,15 @@ Outcome run_adaptive_scenario(std::size_t threads, std::size_t cohort_size,
 
   Outcome out;
   out.reports = session.run();
+  for (const ReceiverReport& rep : out.reports) {
+    test::expect_conserved(rep, code->source_count());
+  }
   for (TraceSink* sink : sinks) out.traces.push_back(sink->trace());
   out.cc_records = log.records();
   return out;
 }
 
-/// Field-by-field report equality with readable failure context.
+/// Per-receiver trace and report equality, then the merged cc records.
 void expect_same_outcome(const Outcome& golden, const Outcome& other,
                          const std::string& label) {
   SCOPED_TRACE(label);
@@ -635,21 +639,7 @@ void expect_same_outcome(const Outcome& golden, const Outcome& other,
   }
   ASSERT_EQ(golden.reports.size(), other.reports.size());
   for (std::size_t i = 0; i < golden.reports.size(); ++i) {
-    const ReceiverReport& a = golden.reports[i];
-    const ReceiverReport& b = other.reports[i];
-    EXPECT_EQ(a.completed, b.completed) << i;
-    EXPECT_EQ(a.completed_at, b.completed_at) << i;
-    EXPECT_EQ(a.addressed, b.addressed) << i;
-    EXPECT_EQ(a.received, b.received) << i;
-    EXPECT_EQ(a.distinct, b.distinct) << i;
-    EXPECT_EQ(a.lost, b.lost) << i;
-    EXPECT_EQ(a.rejected, b.rejected) << i;
-    EXPECT_EQ(a.outcome, b.outcome) << i;
-    EXPECT_EQ(a.corrupt_rejected, b.corrupt_rejected) << i;
-    EXPECT_EQ(a.duplicates_dropped, b.duplicates_dropped) << i;
-    EXPECT_EQ(a.level_changes, b.level_changes) << i;
-    EXPECT_EQ(a.final_level, b.final_level) << i;
-    EXPECT_EQ(a.peak_level, b.peak_level) << i;
+    EXPECT_EQ(golden.reports[i], other.reports[i]) << "receiver " << i;
   }
   ASSERT_EQ(golden.cc_records.size(), other.cc_records.size());
   for (std::size_t i = 0; i < golden.cc_records.size(); ++i) {

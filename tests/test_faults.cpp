@@ -4,6 +4,7 @@
 // hung, with reports byte-identical at every thread count.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "engine/session.hpp"
 #include "engine/sink.hpp"
 #include "engine/sources.hpp"
+#include "engine_test_util.hpp"
 #include "fec/reed_solomon.hpp"
 #include "net/loss.hpp"
 #include "util/random.hpp"
@@ -527,9 +529,8 @@ ChaosOutcome run_chaos_scenario(std::uint64_t scenario, std::size_t threads) {
   ChaosOutcome out;
   out.reports = session.run();
   for (std::size_t r = 0; r < population; ++r) {
+    SCOPED_TRACE("receiver " + std::to_string(r));
     const ReceiverReport& rep = out.reports[r];
-    // Every ending is classified, and the flag agrees with the class.
-    EXPECT_EQ(rep.completed, rep.outcome == ReceiverOutcome::kCompleted) << r;
     // Fault accounting is exact per receiver: what the links injected is
     // what the report counted — corrupt packets never reached a decoder.
     FaultLink::Counters sum;
@@ -541,9 +542,10 @@ ChaosOutcome run_chaos_scenario(std::uint64_t scenario, std::size_t threads) {
       sum.corrupt_payload += link->counters().corrupt_payload;
       sum.truncated += link->counters().truncated;
     }
-    EXPECT_EQ(rep.corrupt_rejected, sum.corrupted()) << r;
-    EXPECT_EQ(rep.duplicates_dropped, sum.duplicated) << r;
-    EXPECT_EQ(rep.lost, sum.dropped) << r;
+    EXPECT_EQ(rep.corrupt_rejected, sum.corrupted());
+    EXPECT_EQ(rep.duplicates_dropped, sum.duplicated);
+    EXPECT_EQ(rep.lost, sum.dropped);
+    test::expect_conserved(rep, code.source_count(), sum.delayed > 0);
     out.injected_corrupt += sum.corrupted();
     out.injected_duplicates += sum.duplicated;
     out.injected_delays += sum.delayed;
@@ -551,35 +553,13 @@ ChaosOutcome run_chaos_scenario(std::uint64_t scenario, std::size_t threads) {
     bool verified = false;
     if (rep.completed) {
       verified = sinks[r]->complete() && sinks[r]->source() == file;
-      EXPECT_TRUE(verified) << "receiver " << r << " completed with bad bytes";
+      EXPECT_TRUE(verified) << "completed with bad bytes";
     }
     out.verified.push_back(verified ? 1 : 0);
   }
   EXPECT_FALSE(out.reports[0].completed);  // the scripted early leaver
   EXPECT_EQ(out.reports[0].outcome, ReceiverOutcome::kDeparted);
   return out;
-}
-
-void expect_same_reports(const std::vector<ReceiverReport>& golden,
-                         const std::vector<ReceiverReport>& other) {
-  ASSERT_EQ(golden.size(), other.size());
-  for (std::size_t i = 0; i < golden.size(); ++i) {
-    const ReceiverReport& a = golden[i];
-    const ReceiverReport& b = other[i];
-    EXPECT_EQ(a.completed, b.completed) << i;
-    EXPECT_EQ(a.outcome, b.outcome) << i;
-    EXPECT_EQ(a.completed_at, b.completed_at) << i;
-    EXPECT_EQ(a.addressed, b.addressed) << i;
-    EXPECT_EQ(a.received, b.received) << i;
-    EXPECT_EQ(a.distinct, b.distinct) << i;
-    EXPECT_EQ(a.lost, b.lost) << i;
-    EXPECT_EQ(a.rejected, b.rejected) << i;
-    EXPECT_EQ(a.corrupt_rejected, b.corrupt_rejected) << i;
-    EXPECT_EQ(a.duplicates_dropped, b.duplicates_dropped) << i;
-    EXPECT_EQ(a.level_changes, b.level_changes) << i;
-    EXPECT_EQ(a.final_level, b.final_level) << i;
-    EXPECT_EQ(a.peak_level, b.peak_level) << i;
-  }
 }
 
 TEST(ChaosSoak, FuzzedScenariosAreClassifiedVerifiedAndThreadInvariant) {
@@ -597,7 +577,7 @@ TEST(ChaosSoak, FuzzedScenariosAreClassifiedVerifiedAndThreadInvariant) {
     for (const std::size_t threads : {2, 4}) {
       SCOPED_TRACE("threads " + std::to_string(threads));
       const ChaosOutcome outcome = run_chaos_scenario(s, threads);
-      expect_same_reports(golden.reports, outcome.reports);
+      EXPECT_EQ(golden.reports, outcome.reports);
       EXPECT_EQ(golden.verified, outcome.verified);
       EXPECT_EQ(golden.injected_corrupt, outcome.injected_corrupt);
       EXPECT_EQ(golden.injected_duplicates, outcome.injected_duplicates);
@@ -632,6 +612,59 @@ TEST(ChaosSoak, FuzzedScenariosAreClassifiedVerifiedAndThreadInvariant) {
   EXPECT_GT(corrupt, 0u);
   EXPECT_GT(duplicates, 0u);
   EXPECT_GT(delays, 0u);
+}
+
+/// FNV-1a over all 13 fields of every report, each widened to 64 bits and
+/// mixed little-endian, in the field order of bench_population_scale's
+/// report hash.
+std::string report_hash(const std::vector<ReceiverReport>& reports) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const ReceiverReport& rep : reports) {
+    for (const std::uint64_t v :
+         {std::uint64_t{rep.completed}, static_cast<std::uint64_t>(rep.outcome),
+          rep.completed_at, rep.addressed, rep.received, rep.distinct,
+          rep.lost, rep.rejected, rep.corrupt_rejected, rep.duplicates_dropped,
+          std::uint64_t{rep.level_changes}, std::uint64_t{rep.final_level},
+          std::uint64_t{rep.peak_level}}) {
+      for (int i = 0; i < 8; ++i) {
+        hash ^= (v >> (8 * i)) & 0xffu;
+        hash *= 0x100000001b3ULL;
+      }
+    }
+  }
+  char text[17];
+  std::snprintf(text, sizeof text, "%016llx",
+                static_cast<unsigned long long>(hash));
+  return text;
+}
+
+// The chaos scenarios are the only seeded outputs that draw kDelay
+// verdicts, so these literals pin the delayed-arrival path, with duplication
+// and corruption around it, from one version to the next; the soak above
+// only compares thread counts within one version. They may change only with
+// a deliberate change to the engine's receive accounting.
+TEST(ChaosPins, SeededScenariosKeepTheirReports) {
+  const struct {
+    std::uint64_t scenario;
+    const char* hash;
+  } pins[] = {{0, "e7336f5493b173cd"},
+              {1, "4119731999e2d5cb"},
+              {2, "c331b8b5a016c5cc"}};
+  for (const auto& pin : pins) {
+    SCOPED_TRACE("scenario " + std::to_string(pin.scenario));
+    const ChaosOutcome out = run_chaos_scenario(pin.scenario, 1);
+    // A delayed packet is addressed at once but received only if it lands
+    // before its receiver finishes; fewer strays than delays means some
+    // arrived through the kArrive path.
+    std::uint64_t strays = 0;
+    for (const ReceiverReport& rep : out.reports) {
+      strays += rep.addressed - rep.received - rep.lost;
+    }
+    EXPECT_GT(out.injected_delays, strays);
+    EXPECT_GT(out.injected_duplicates, 0u);
+    EXPECT_GT(out.injected_corrupt, 0u);
+    EXPECT_EQ(report_hash(out.reports), pin.hash);
+  }
 }
 
 }  // namespace

@@ -20,21 +20,6 @@ TEST(BernoulliLoss, EmpiricalRate) {
   const int n = 50000;
   for (int i = 0; i < n; ++i) lost += loss.lost();
   EXPECT_NEAR(static_cast<double>(lost) / n, 0.25, 0.01);
-  EXPECT_DOUBLE_EQ(loss.nominal_loss_rate(), 0.25);
-}
-
-TEST(BernoulliLoss, ResetReplaysStream) {
-  net::BernoulliLoss loss(0.5, 2);
-  std::vector<bool> first;
-  for (int i = 0; i < 100; ++i) first.push_back(loss.lost());
-  loss.reset();
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(loss.lost(), first[i]);
-}
-
-TEST(BernoulliLoss, CloneIsIndependentCopy) {
-  net::BernoulliLoss loss(0.5, 3);
-  auto clone = loss.clone();
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(loss.lost(), clone->lost());
 }
 
 TEST(BernoulliLoss, InvalidProbabilityThrows) {
@@ -126,9 +111,6 @@ TEST(TraceLoss, PlaybackWrapsAndOffsets) {
   EXPECT_FALSE(loss.lost());  // position 4
   EXPECT_TRUE(loss.lost());   // wrapped to 0
   EXPECT_FALSE(loss.lost());
-  loss.reset();
-  EXPECT_TRUE(loss.lost());  // back at 3
-  EXPECT_NEAR(loss.nominal_loss_rate(), 0.4, 1e-12);
 }
 
 TEST(TraceLoss, EmptyTraceThrows) {

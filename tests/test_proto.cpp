@@ -11,6 +11,7 @@
 
 #include "carousel/carousel.hpp"
 #include "core/tornado.hpp"
+#include "engine_test_util.hpp"
 #include "fec/codec_registry.hpp"
 #include "fec/reed_solomon.hpp"
 #include "proto/client.hpp"
@@ -156,13 +157,14 @@ TEST(Server, EmitIsAPureFunctionOfTheRound) {
   }
 }
 
-// One fixed-level receiver listening to the server through the engine.
-proto::ReceiverReport run_one(const fec::ErasureCode& code,
-                              const ProtocolConfig& cfg,
-                              const SimClientConfig& client,
-                              std::uint64_t seed) {
-  const auto result = proto::run_session(code, cfg, {client}, seed, 200000);
-  return result.receivers.front();
+// One receiver listening to the server through the engine.
+engine::ReceiverReport run_one(const fec::ErasureCode& code,
+                               const ProtocolConfig& cfg,
+                               const SimClientConfig& client,
+                               std::uint64_t seed) {
+  const auto reports = proto::run_session(code, cfg, {client}, seed, 200000);
+  test::expect_conserved(reports.front(), code.source_count());
+  return reports.front();
 }
 
 TEST(Receiver, LosslessFixedLevelIsPerfectlyEfficient) {
@@ -174,11 +176,11 @@ TEST(Receiver, LosslessFixedLevelIsPerfectlyEfficient) {
   client.initial_level = 3;
   const auto r = run_one(code, cfg, client, 7);
   ASSERT_TRUE(r.completed);
-  EXPECT_DOUBLE_EQ(r.eta_d, 1.0);
-  EXPECT_DOUBLE_EQ(r.observed_loss, 0.0);
+  EXPECT_DOUBLE_EQ(r.distinctness_efficiency(), 1.0);
+  EXPECT_DOUBLE_EQ(r.observed_loss(), 0.0);
   // eta == eta_c in the no-duplicate regime; Tornado overhead keeps it < 1.
-  EXPECT_GT(r.eta, 0.85);
-  EXPECT_LE(r.eta, 1.0);
+  EXPECT_GT(r.efficiency(code.source_count()), 0.85);
+  EXPECT_LE(r.efficiency(code.source_count()), 1.0);
   EXPECT_EQ(r.level_changes, 0u);
 }
 
@@ -193,8 +195,8 @@ TEST(Receiver, ModerateLossStillNoDuplicatesAtFixedLevel) {
   client.initial_level = 3;
   const auto r = run_one(code, cfg, client, 8);
   ASSERT_TRUE(r.completed);
-  EXPECT_DOUBLE_EQ(r.eta_d, 1.0);
-  EXPECT_NEAR(r.observed_loss, 0.30, 0.05);
+  EXPECT_DOUBLE_EQ(r.distinctness_efficiency(), 1.0);
+  EXPECT_NEAR(r.observed_loss(), 0.30, 0.05);
 }
 
 TEST(Receiver, SevereLossForcesDuplicates) {
@@ -206,7 +208,7 @@ TEST(Receiver, SevereLossForcesDuplicates) {
   client.initial_level = 3;
   const auto r = run_one(code, cfg, client, 9);
   ASSERT_TRUE(r.completed);
-  EXPECT_LT(r.eta_d, 1.0);
+  EXPECT_LT(r.distinctness_efficiency(), 1.0);
 }
 
 TEST(Receiver, AdaptiveClientChangesLevels) {
@@ -238,8 +240,8 @@ TEST(Receiver, AsynchronousJoinStillCompletes) {
   client.join = 137;  // mid-cycle
   const auto r = run_one(code, cfg, client, 11);
   ASSERT_TRUE(r.completed);
-  EXPECT_GT(r.rounds_to_complete, 137u);
-  EXPECT_GT(r.eta, 0.5);
+  EXPECT_GT(r.completed_at + 1, 137u);
+  EXPECT_GT(r.efficiency(code.source_count()), 0.5);
 }
 
 TEST(StatisticalClient, CompletesOnTheSamePacketAsABareDecoder) {
@@ -606,18 +608,20 @@ TEST(Session, AllReceiversComplete) {
     c.initial_level = 3;
     clients.push_back(c);
   }
-  const auto result = proto::run_session(code, cfg, clients, 1, 200000);
-  ASSERT_EQ(result.receivers.size(), 5u);
-  for (const auto& r : result.receivers) {
+  const auto reports = proto::run_session(code, cfg, clients, 1, 200000);
+  ASSERT_EQ(reports.size(), 5u);
+  const std::size_t k = code.source_count();
+  for (const auto& r : reports) {
+    test::expect_conserved(r, k);
     EXPECT_TRUE(r.completed);
-    EXPECT_GT(r.eta, 0.0);
-    EXPECT_LE(r.eta, 1.0);
-    EXPECT_GE(r.eta_c, r.eta);  // eta = eta_c * eta_d <= eta_c
-    EXPECT_NEAR(r.eta, r.eta_c * r.eta_d, 1e-9);
+    EXPECT_GT(r.efficiency(k), 0.0);
+    EXPECT_LE(r.efficiency(k), 1.0);
+    EXPECT_GE(r.coding_efficiency(k), r.efficiency(k));  // eta_d <= 1
+    EXPECT_NEAR(r.efficiency(k),
+                r.coding_efficiency(k) * r.distinctness_efficiency(), 1e-9);
   }
   // Higher loss never finishes sooner.
-  EXPECT_LE(result.receivers.front().rounds_to_complete,
-            result.receivers.back().rounds_to_complete);
+  EXPECT_LE(reports.front().completed_at, reports.back().completed_at);
 }
 
 TEST(Session, HeterogeneousAdaptivePopulation) {
@@ -632,10 +636,11 @@ TEST(Session, HeterogeneousAdaptivePopulation) {
     c.capacity_change_prob = 0.02;
     clients.push_back(c);
   }
-  const auto result = proto::run_session(code, cfg, clients, 2, 400000);
-  std::size_t completed = 0;
-  for (const auto& r : result.receivers) completed += r.completed;
-  EXPECT_EQ(completed, result.receivers.size());
+  const auto reports = proto::run_session(code, cfg, clients, 2, 400000);
+  for (const auto& r : reports) {
+    test::expect_conserved(r, code.source_count());
+    EXPECT_TRUE(r.completed);
+  }
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "engine/sink.hpp"
 #include "engine/sources.hpp"
 #include "engine/topology.hpp"
+#include "engine_test_util.hpp"
 #include "fec/reed_solomon.hpp"
 #include "proto/server.hpp"
 #include "proto/session.hpp"
@@ -277,14 +278,6 @@ DiffRun run_fig7_like(const fec::ErasureCode& code,
   return run;
 }
 
-bool same_report(const ReceiverReport& a, const ReceiverReport& b) {
-  return a.completed == b.completed && a.completed_at == b.completed_at &&
-         a.addressed == b.addressed && a.received == b.received &&
-         a.distinct == b.distinct && a.lost == b.lost &&
-         a.rejected == b.rejected && a.level_changes == b.level_changes &&
-         a.final_level == b.final_level && a.peak_level == b.peak_level;
-}
-
 TEST(PathLinkDifferential, Fig7ScenarioIsByteIdenticalAtEveryThreadCount) {
   // The full adaptation loop — shared-queue coupling, loss-driven
   // controllers, trace log — replayed at threads {1, 2, 4} with the groups
@@ -303,8 +296,7 @@ TEST(PathLinkDifferential, Fig7ScenarioIsByteIdenticalAtEveryThreadCount) {
     const DiffRun path = run_fig7_like(*code, server, threads, 4);
     ASSERT_EQ(path.reports.size(), golden.reports.size());
     for (std::size_t r = 0; r < golden.reports.size(); ++r) {
-      EXPECT_TRUE(same_report(golden.reports[r], path.reports[r]))
-          << "receiver " << r;
+      EXPECT_EQ(golden.reports[r], path.reports[r]) << "receiver " << r;
     }
     EXPECT_TRUE(golden.log.records() == path.log.records());
   }
@@ -539,11 +531,13 @@ TEST(ProtoTopology, ClientsOnLeavesCompleteAndBadSpecsThrow) {
     clients[i].fixed_level = true;
     clients[i].base_loss = 0.02;
   }
-  const proto::SessionResult result =
+  const std::vector<engine::ReceiverReport> reports =
       proto::run_session(*code, cfg, clients, 0x1eaf, 4000, 2, topo);
-  ASSERT_EQ(result.receivers.size(), clients.size());
-  for (std::size_t i = 0; i < result.receivers.size(); ++i) {
-    EXPECT_TRUE(result.receivers[i].completed) << "client " << i;
+  ASSERT_EQ(reports.size(), clients.size());
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    SCOPED_TRACE("client " + std::to_string(i));
+    test::expect_conserved(reports[i], code->source_count());
+    EXPECT_TRUE(reports[i].completed);
   }
 
   // A leaf the topology does not have.

@@ -43,6 +43,9 @@ one fig6_trace "$(hash_of "$b/bench_fig6_trace")"
 one layered_session $(for t in 1 2 4; do
                         hash_of "$b/layered_session" 12 2000000 "$t"; done)
 one dispersity_routing "$(hash_of "$b/dispersity_routing")"
+one software_update $(for t in 1 2 4; do
+                        hash_of "$b/software_update" 60 512 "$t"; done)
+one mirror_aggregation "$(hash_of "$b/mirror_aggregation" 3)"
 pop="$(in_fresh_dir FOUNTAIN_BENCH_QUICK=1 "$b/bench_population_scale" \
          --threads 1,2,4 | sed -n 's/.*report hash \([0-9a-f]*\).*/\1/p')"
 if [[ "$(wc -w <<< "$pop")" -ne 3 ]]; then
