@@ -5,7 +5,7 @@
 //  * time-to-first-symbol — legacy whole-block encode() must finish the full
 //    n-symbol block before the first packet can leave; make_encoder() pays
 //    only its per-transfer precomputation (for Tornado, the one cascade XOR
-//    pass — the RS tail is deferred to the symbols that need it) plus one
+//    pass and the one O(l log l) encode of the l-symbol RS tail) plus one
 //    write_symbol. Measured against the *worst-case* first symbol (index
 //    n - 1, a tail/parity row), so the encoder number is an upper bound.
 //  * steady-state symbol rate — symbols/s streaming one full carousel cycle

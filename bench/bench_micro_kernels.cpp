@@ -1,8 +1,8 @@
 // Microbenchmarks for the data-path kernels underlying every timing table:
 // the dispatched XOR block kernels (per ISA tier, single- and multi-source),
 // the GF(2^8) and GF(2^16) multiply-accumulates (per tier, and the GF(2^16)
-// row combination of the Tornado RS tail), the XOR-Cauchy kernel, and
-// end-to-end Tornado encode/decode at a mid-size block.
+// row combination of the Reed-Solomon baselines), and end-to-end Tornado
+// encode/decode at a mid-size block.
 //
 // Standalone (no external benchmark library): each case is timed by
 // repetition until a minimum wall-clock window is filled, the per-op time
@@ -23,7 +23,6 @@
 
 #include "bench_common.hpp"
 #include "core/tornado.hpp"
-#include "gf/cauchy_xor.hpp"
 #include "gf/gf256.hpp"
 #include "gf/gf65536.hpp"
 #include "kern/kernels.hpp"
@@ -165,10 +164,6 @@ int main(int argc, char** argv) {
             gf::GF65536::fma_buffer(m.row(0).data(), m.row(1).data(), bytes,
                                     0xBEEF);
           });
-    h.run("cauchy_xor_fma/" + tag, kern::isa_name(kern::active_isa()),
-          double(bytes), [&] {
-            gf::cauchy_xor_fma(m.row(0).data(), m.row(1).data(), bytes, 0x8E);
-          });
   }
 
   // Multi-row folds: the cache-blocked primitives (one tiled pass over the
@@ -222,10 +217,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The Tornado RS tail's inner loop: one tail symbol is a GF(2^16)
-  // combination of every last-level row (1024 of them at k = 16384), at the
-  // packet size, through the field-level entry point that builds one
-  // multiply context per coefficient.
+  // The Reed-Solomon baselines' inner loop over GF(2^16): one parity symbol
+  // is a combination of every source row, at the packet size, through the
+  // field-level entry point that builds one multiply context per
+  // coefficient.
   {
     const std::size_t rows = quick ? 256 : 1024;
     const std::size_t bytes = 1024;

@@ -71,8 +71,9 @@ Cascade::Cascade(const TornadoParams& params) : params_(params) {
   const double beta = (params_.stretch - 1.0) / params_.stretch;
   // Tail threshold: stop the cascade while levels are still large enough to
   // concentrate (peeling on sub-500-node graphs is dominated by variance,
-  // not by the asymptotic threshold), but keep the RS tail <= 1024 so its
-  // quadratic decode cost stays negligible next to the XOR passes.
+  // not by the asymptotic threshold), and cap the last level at 1024. The
+  // cap decides the level sizes, and so the graphs, that a (k, seed) pair
+  // denotes: changing it is a wire change.
   const std::size_t threshold =
       std::max(params_.min_tail, std::min<std::size_t>(k / 8, 1024));
   level_size_.push_back(k);
@@ -98,12 +99,9 @@ Cascade::Cascade(const TornadoParams& params) : params_(params) {
   }
   parity_count_ = n - node_count_;
 
-  const std::size_t tail_k = level_size_.back();
-  if (tail_k + parity_count_ > gf::GF65536::kOrder) {
-    throw std::invalid_argument("Cascade: RS tail exceeds GF(2^16)");
-  }
-  tail_ = std::make_unique<TailCodec>(gf::RsKind::kCauchy, tail_k,
-                                     parity_count_);
+  // Throws std::invalid_argument when the tail's layout does not fit the
+  // field's 65536 points.
+  tail_ = std::make_unique<TailCodec>(level_size_.back(), parity_count_);
 
   const DegreeDistribution primary = params_.left_distribution();
   util::Rng rng(params_.seed);

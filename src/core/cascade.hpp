@@ -6,8 +6,11 @@
 // graph over level j. Levels halve (beta = 1/2 at the paper's stretch factor
 // c = 2; in general beta = (c-1)/c) until they reach ~sqrt(k), where the
 // recursion is closed by a conventional erasure code — here a systematic
-// Cauchy Reed-Solomon code — protecting the last level. Parity count is
-// chosen so the total encoding length is exactly n = round(c * k).
+// Reed-Solomon code over GF(2^16) in additive-FFT form (gf::FftRsCodec),
+// whose encode and decode cost O(l log l) for l tail symbols — protecting
+// the last level.
+// Parity count is chosen so the total encoding length is exactly
+// n = round(c * k).
 //
 // Encoding index space (what a symbol index means everywhere):
 // [0, k) are the systematic source packets, [k, node_count()) the XOR check
@@ -23,8 +26,7 @@
 
 #include "core/degree.hpp"
 #include "core/graph.hpp"
-#include "gf/gf65536.hpp"
-#include "gf/rs_codec.hpp"
+#include "gf/fft_rs_codec.hpp"
 
 namespace fountain::core {
 
@@ -64,7 +66,7 @@ struct TornadoParams {
 /// "source and clients have agreed to the graph structure in advance".
 class Cascade {
  public:
-  using TailCodec = gf::RsCodec<gf::GF65536>;
+  using TailCodec = gf::FftRsCodec;
 
   explicit Cascade(const TornadoParams& params);
 

@@ -16,7 +16,7 @@ CascadeEncoder::CascadeEncoder(const Cascade& cascade,
   if (source_.rows() != k || source_.symbol_size() != bytes) {
     throw std::invalid_argument("CascadeEncoder: source shape mismatch");
   }
-  checks_ = util::SymbolMatrix(cascade_.node_count() - k, bytes);
+  checks_ = util::SymbolMatrix(cascade_.encoded_count() - k, bytes);
 
   // Each check packet is the XOR of its left neighbours in the level graph:
   // initialize by copying the first neighbour (instead of zero-fill + XOR,
@@ -53,12 +53,15 @@ CascadeEncoder::CascadeEncoder(const Cascade& cascade,
 
   // The RS tail's source is the contiguous last level: the source itself
   // when the cascade has no check levels (k at or below the tail threshold),
-  // a check-state range otherwise.
+  // a check-state range otherwise. Its parity follows the check levels.
   const std::size_t tail_off =
       cascade_.level_offset(cascade_.level_count() - 1);
-  tail_ = tail_off < k
-              ? source_
-              : checks_.rows_view(tail_off - k, cascade_.tail_size());
+  const util::ConstSymbolView tail =
+      tail_off < k ? source_
+                   : checks_.rows_view(tail_off - k, cascade_.tail_size());
+  cascade_.tail().encode(
+      tail, checks_.rows_view(cascade_.node_count() - k,
+                              cascade_.parity_count()));
 }
 
 void CascadeEncoder::write_symbol(std::uint32_t index,
@@ -70,13 +73,8 @@ void CascadeEncoder::write_symbol(std::uint32_t index,
   if (out.size() != cascade_.symbol_size()) {
     throw std::invalid_argument("CascadeEncoder: output size");
   }
-  if (index < k) {
-    std::memcpy(out.data(), source_.row(index).data(), out.size());
-  } else if (index < cascade_.node_count()) {
-    std::memcpy(out.data(), checks_.row(index - k).data(), out.size());
-  } else {
-    cascade_.tail().encode_one(tail_, index - cascade_.node_count(), out);
-  }
+  const auto row = index < k ? source_.row(index) : checks_.row(index - k);
+  std::memcpy(out.data(), row.data(), out.size());
 }
 
 }  // namespace fountain::core

@@ -1,20 +1,18 @@
 // Tornado encoding as a streaming BlockEncoder. Construction runs the one
 // linear XOR pass down the cascade — the (k + l) * ln(1/eps) * P running
-// time of the paper's Table 1 — materializing only the check levels
-// (node rows [k, node_count()), < k rows at stretch 2). After that every
-// encoding symbol is served on demand: source and check symbols are single
-// memcpys, and RS tail parity rows are synthesized per index straight into
-// the caller's buffer (tail().encode_one over the last-level rows), so the
-// expensive tail matrix-multiply is paid only for tail symbols actually
-// requested — this is what makes time-to-first-symbol O(k) instead of the
-// whole-block O(k + tail * parity).
+// time of the paper's Table 1 — then encodes the Reed-Solomon tail once
+// (tail().encode over the last-level rows, O(l log l) per byte for l tail
+// symbols), materializing every non-source row: the check levels and the
+// tail parity, rows [k, encoded_count()), k rows at stretch 2. After that
+// every encoding symbol is a single memcpy.
 //
 // Invariants: `source` must be shaped for the cascade (k rows of
 // symbol_size() bytes; mismatches throw std::invalid_argument) and must
 // outlive the encoder (the view is borrowed, not copied). Encoding is
 // deterministic for a fixed cascade — write_symbol(i) is byte-identical to
 // row i of the whole-block encoding — so a server and the benches can
-// regenerate identical packet streams from any point.
+// regenerate identical packet streams from any point. write_symbol only
+// reads encoder state, so one encoder may serve several threads.
 #pragma once
 
 #include <memory>
@@ -43,8 +41,7 @@ class CascadeEncoder final : public fec::BlockEncoder {
  private:
   const Cascade& cascade_;      // borrowed; must outlive the encoder
   util::ConstSymbolView source_;
-  util::SymbolMatrix checks_;   // node rows [k, node_count()), level order
-  util::ConstSymbolView tail_;  // last-level rows (the RS tail's source)
+  util::SymbolMatrix checks_;   // rows [k, encoded_count()): levels, tail
 };
 
 }  // namespace fountain::core

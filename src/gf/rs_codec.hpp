@@ -1,6 +1,6 @@
 // Systematic Reed-Solomon erasure codec: the two baselines of the paper's
-// Tables 2 and 3, the per-block code of the interleaved baseline, and the
-// tail code that terminates the Tornado cascade.
+// Tables 2 and 3 and the per-block code of the interleaved baseline. (The
+// Tornado cascade's tail is the O(n log n) code in gf/fft_rs_codec.hpp.)
 //
 // Sources sit at the field points x_j = j and parities at y_i = k + i, all
 // distinct because k + l <= |F|. The two kinds differ only in the generator
@@ -152,9 +152,8 @@ class RsCodec {
   std::size_t parity_count() const { return parity_; }
 
   /// Computes all parity symbols from the full source block. Views allow
-  /// encoding straight out of / into row ranges of a larger matrix (the
-  /// Tornado tail encodes `encoding` rows in place with no intermediate
-  /// copies); SymbolMatrix arguments convert implicitly.
+  /// encoding straight out of / into row ranges of a larger matrix with no
+  /// intermediate copies; SymbolMatrix arguments convert implicitly.
   /// Parity-row-major: each parity symbol is produced by one multi-row pass
   /// over all k sources (generator rows are contiguous, so they feed
   /// Field::fma_rows directly) — the destination tile stays L1-resident
@@ -173,8 +172,8 @@ class RsCodec {
     }
   }
 
-  /// Encodes a single parity symbol (used by the Tornado cascade tail and
-  /// the streaming encoders, where a specific parity index is requested).
+  /// Encodes a single parity symbol (used by the streaming block-code
+  /// encoders, where a specific parity index is requested).
   void encode_one(util::ConstSymbolView source, std::size_t parity_row,
                   util::ByteSpan out) const {
     if (out.size() % Field::kSymbolAlignment != 0) {

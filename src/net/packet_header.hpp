@@ -43,7 +43,7 @@ enum class ParseError : std::uint8_t {
   kNone = 0,
   kTooShort = 1,         // fewer bytes than the fixed-size prefix
   kBadChecksum = 2,      // header checksum mismatch (byte [9])
-  kBadMagic = 3,         // control channel: magic != "FTN2"
+  kBadMagic = 3,         // control channel: magic != "FTN3"
   kBadCodec = 4,         // codec byte names no fec::CodecId
   kGroupOutOfRange = 5,  // group >= the receiver's group limit
   kBadField = 6,         // fields inconsistent (control channel)

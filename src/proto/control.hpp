@@ -22,7 +22,11 @@ namespace fountain::proto {
 struct ControlParseResult;
 
 struct ControlInfo {
-  static constexpr std::uint32_t kMagic = 0x46544E32;  // "FTN2"
+  /// "FTN3": bumped whenever what a data packet's payload means changes
+  /// without a packet field to say so (FTN3: the additive-FFT Tornado tail),
+  /// so a client of another version fails fetch_control with kBadMagic
+  /// instead of decoding wrong bytes.
+  static constexpr std::uint32_t kMagic = 0x46544E33;  // "FTN3"
   static constexpr std::size_t kWireSize = 52;
 
   std::uint64_t file_bytes = 0;     // true length before padding

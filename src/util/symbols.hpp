@@ -4,8 +4,8 @@
 // stream through memory; rows are exposed as spans. SymbolView /
 // ConstSymbolView are the non-owning counterparts: they let codecs encode
 // into (or decode out of) a sub-range of a larger matrix — e.g. the Tornado
-// RS tail reads and writes `encoding` rows directly — without intermediate
-// copies.
+// encoder's RS tail reads the last level and writes the parity as row
+// ranges of one matrix — without intermediate copies.
 //
 // Invariants: row(i) requires i < rows() (assert-checked in debug builds,
 // unchecked in release); returned spans and views alias the underlying

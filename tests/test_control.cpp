@@ -25,7 +25,7 @@ TEST(ControlInfo, SerializeParseRoundTrip) {
 
 TEST(ControlInfo, WireBytesArePinnedPerCodec) {
   // The 52-byte control datagram, big-endian, one hex group per field:
-  // magic "FTN2", file_bytes (u64), symbol_size, source_count, encoded_count
+  // magic "FTN3", file_bytes (u64), symbol_size, source_count, encoded_count
   // (u32 each), graph_seed (u64), variant, layers (u32 each),
   // permutation_seed (u64), codec (u32). One literal per codec family, so
   // no field can move without a test noticing.
@@ -35,20 +35,20 @@ TEST(ControlInfo, WireBytesArePinnedPerCodec) {
   };
   const Golden goldens[] = {
       {{1000000, 500, 2000, 4000, 7, 0, 4, 0x5eed, fec::CodecId::kTornado},
-       "46544E32 00000000000F4240 000001F4 000007D0 00000FA0 "
+       "46544E33 00000000000F4240 000001F4 000007D0 00000FA0 "
        "0000000000000007 00000000 00000004 0000000000005EED 00000000"},
       {{65536, 1024, 64, 128, 0x0123456789ABCDEFULL, 1, 1,
         0xFEDCBA9876543210ULL, fec::CodecId::kReedSolomon},
-       "46544E32 0000000000010000 00000400 00000040 00000080 "
+       "46544E33 0000000000010000 00000400 00000040 00000080 "
        "0123456789ABCDEF 00000001 00000001 FEDCBA9876543210 00000001"},
       {{2800, 1400, 2, 4, 0xDEADBEEF, 3, 8, 42, fec::CodecId::kInterleaved},
-       "46544E32 0000000000000AF0 00000578 00000002 00000004 "
+       "46544E33 0000000000000AF0 00000578 00000002 00000004 "
        "00000000DEADBEEF 00000003 00000008 000000000000002A 00000002"},
       // LT variant: delta = 0.5 in the high half (500), c = 0.03 in the
       // low half (30).
       {{32768, 64, 512, 1024, 1, 0x01F4001E, 2, 0x0102030405060708ULL,
         fec::CodecId::kLT},
-       "46544E32 0000000000008000 00000040 00000200 00000400 "
+       "46544E33 0000000000008000 00000040 00000200 00000400 "
        "0000000000000001 01F4001E 00000002 0102030405060708 00000003"},
   };
   for (const Golden& g : goldens) {
@@ -75,6 +75,11 @@ TEST(ControlInfo, RejectsBadMagicAndShortBuffers) {
   std::vector<std::uint8_t> wire(ControlInfo::kWireSize);
   info.serialize(util::ByteSpan(wire));
   wire[0] ^= 0xFF;
+  EXPECT_EQ(ControlInfo::parse(util::ConstByteSpan(wire)).error,
+            net::ParseError::kBadMagic);
+  // A server of the previous wire version ("FTN2") sends a different tail.
+  info.serialize(util::ByteSpan(wire));
+  wire[3] = '2';
   EXPECT_EQ(ControlInfo::parse(util::ConstByteSpan(wire)).error,
             net::ParseError::kBadMagic);
   std::vector<std::uint8_t> tiny(8);

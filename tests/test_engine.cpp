@@ -3,6 +3,7 @@
 // aggregation, codec quarantine, and loss-regime changes.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <memory>
 #include <set>
@@ -437,6 +438,81 @@ TEST(SessionPooling, SinksAreReusedAcrossCohorts) {
       EXPECT_TRUE(report.completed) << "data_sinks=" << data_sinks;
     }
   }
+}
+
+/// A pooled DataSink that compares the reconstructed source with the file
+/// once per receiver, on completion.
+class VerifyingDataSink final : public engine::PacketSink {
+ public:
+  VerifyingDataSink(const fec::ErasureCode& code,
+                    const fec::BlockEncoder& encoder,
+                    const util::SymbolMatrix& file,
+                    std::atomic<int>& verified)
+      : sink_(code.make_decoder(), encoder), file_(file), verified_(verified) {}
+
+  bool on_packet(const engine::Delivery& d) override {
+    if (!sink_.on_packet(d)) return false;
+    if (!checked_ && sink_.source() == util::ConstSymbolView(file_)) {
+      verified_.fetch_add(1, std::memory_order_relaxed);
+    }
+    checked_ = true;
+    return true;
+  }
+  bool complete() const override { return sink_.complete(); }
+  void reset() override {
+    sink_.reset();
+    checked_ = false;
+  }
+
+ private:
+  engine::DataSink sink_;
+  const util::SymbolMatrix& file_;
+  std::atomic<int>& verified_;
+  bool checked_ = false;
+};
+
+TEST(SessionDataPath, TwoWorkersShareOneTornadoEncoder) {
+  // Two engine workers run Tornado decoders side by side over one cascade
+  // and one encoder, each receiver ending in its own Reed-Solomon tail
+  // decode (256 last-level rows at k = 2048). The cascade's tail code is
+  // shared, so scratch it kept between calls would race here under TSan.
+  constexpr std::size_t kK = 2048;
+  constexpr int kReceivers = 8;
+  core::TornadoCode code(core::TornadoParams::tornado_a(kK, 64, 3));
+  ASSERT_EQ(code.cascade().tail_size(), 256u);
+  util::SymbolMatrix file(kK, 64);
+  file.fill_random(8);
+  const auto encoder = code.make_encoder(file);
+  util::Rng rng(12);
+  const auto order =
+      carousel::Carousel::random_permutation(code.encoded_count(), rng);
+
+  SessionConfig config;
+  config.horizon = 100000;
+  config.cohort_size = 2;
+  config.threads = 2;
+  Session session(code, config);
+  std::atomic<int> verified{0};
+  session.set_sink_factory([&] {
+    return std::make_unique<VerifyingDataSink>(code, *encoder, file,
+                                               verified);
+  });
+  const SourceId src = session.add_source(
+      std::make_shared<CarouselSource>(order, code.codec_id(), 16));
+  for (int r = 0; r < kReceivers; ++r) {
+    ReceiverSpec spec;
+    spec.join = static_cast<engine::Time>(rng.below(64));
+    const ReceiverId id = session.add_receiver(std::move(spec));
+    session.subscribe(id, src,
+                      std::make_unique<LossLink>(std::make_unique<
+                                                 net::BernoulliLoss>(
+                          0.10 + 0.10 * r / (kReceivers - 1), rng())));
+  }
+  const auto reports = session.run();
+  for (std::size_t r = 0; r < reports.size(); ++r) {
+    EXPECT_TRUE(reports[r].completed) << "receiver " << r;
+  }
+  EXPECT_EQ(verified.load(), kReceivers);
 }
 
 TEST(SessionScale, GilbertElliottPopulationCompletes) {

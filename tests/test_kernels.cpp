@@ -2,14 +2,16 @@
 // machine must produce bit-identical output to the scalar reference tier for
 // every kernel, across sizes 0..4096 (including odd lengths) and misaligned
 // buffer offsets. Also covers the dispatch override hooks, the GF(2^8)
-// split-nibble tables against field arithmetic, and every tier's GF(2^16)
-// multiply against field arithmetic on all 65536 words.
+// split-nibble tables against field arithmetic, every tier's GF(2^16)
+// multiply against field arithmetic on all 65536 words, and both GF(2^16)
+// Reed-Solomon codecs end to end on every tier.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <stdexcept>
 #include <vector>
 
+#include "gf/fft_rs_codec.hpp"
 #include "gf/gf256.hpp"
 #include "gf/gf65536.hpp"
 #include "gf/rs_codec.hpp"
@@ -449,26 +451,28 @@ TEST(Kernels, Gf65536FieldFmaRowsMatchesRepeatedBuffer) {
                std::invalid_argument);
 }
 
-TEST(Kernels, CauchyGf65536CodecIsBitIdenticalOnEveryTier) {
-  // The Tornado RS tail's codec end to end, with dispatch forced to each
-  // tier in turn: identical parity rows, and a decode that rebuilds the
-  // erased sources from them. 1030-byte symbols leave a vector tail.
-  constexpr std::size_t kK = 40, kParity = 24, kBytes = 1030;
-  const gf::RsCodec<gf::GF65536> codec(gf::RsKind::kCauchy, kK, kParity);
-  util::SymbolMatrix source(kK, kBytes);
+/// Runs `codec` end to end with dispatch forced to each tier in turn:
+/// identical parity rows, and a decode that rebuilds the erased sources from
+/// them. 1030-byte symbols leave a vector tail.
+template <typename Codec>
+void expect_bit_identical_on_every_tier(const Codec& codec) {
+  constexpr std::size_t kBytes = 1030;
+  const std::size_t k = codec.source_count();
+  const std::size_t parity_count = codec.parity_count();
+  util::SymbolMatrix source(k, kBytes);
   source.fill_random(5);
   util::SymbolMatrix reference;
   for (const kern::Isa isa : all_tiers()) {
     ASSERT_TRUE(kern::set_isa_override(isa));
-    util::SymbolMatrix parity(kParity, kBytes);
+    util::SymbolMatrix parity(parity_count, kBytes);
     codec.encode(source, parity);
     if (reference.rows() == 0) reference = parity;
     EXPECT_EQ(parity, reference) << kern::isa_name(isa);
 
     util::SymbolMatrix damaged = source;
-    std::vector<bool> have(kK, true);
+    std::vector<bool> have(k, true);
     std::vector<std::pair<std::uint32_t, util::ConstByteSpan>> received;
-    for (std::uint32_t j = 0; j < kParity; ++j) {
+    for (std::uint32_t j = 0; j < parity_count; ++j) {
       have[j] = false;
       damaged.row(j)[0] ^= 0xff;
       received.emplace_back(j, parity.row(j));
@@ -477,6 +481,18 @@ TEST(Kernels, CauchyGf65536CodecIsBitIdenticalOnEveryTier) {
     EXPECT_EQ(damaged, source) << kern::isa_name(isa);
   }
   kern::clear_isa_override();
+}
+
+TEST(Kernels, FftTailCodecIsBitIdenticalOnEveryTier) {
+  // The Tornado RS tail's codec: 40 sources in two 32-point blocks, so the
+  // encode sums two inverse transforms, and 24 parity.
+  expect_bit_identical_on_every_tier(gf::FftRsCodec(40, 24));
+}
+
+TEST(Kernels, CauchyGf65536CodecIsBitIdenticalOnEveryTier) {
+  // The Cauchy baseline of Tables 2 and 3 at the same shape.
+  expect_bit_identical_on_every_tier(
+      gf::RsCodec<gf::GF65536>(gf::RsKind::kCauchy, 40, 24));
 }
 
 TEST(Kernels, IsaOverride) {

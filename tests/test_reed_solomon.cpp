@@ -1,15 +1,19 @@
-// Reed-Solomon codec: systematic encode and MDS decode from arbitrary subsets
-// for both generator kinds, the parity bytes each kind denotes, the XOR-only
-// bit-matrix multiply, and the ErasureCode make_reed_solomon builds.
+// Reed-Solomon codecs: systematic encode and MDS decode from arbitrary
+// subsets for both generator kinds of the quadratic codec, the parity bytes
+// each kind denotes, the additive-FFT code that terminates the Tornado
+// cascade (against a direct polynomial-evaluation reference, at the shapes
+// the cascades build), and the ErasureCode make_reed_solomon builds.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <tuple>
 
 #include "fec/reed_solomon.hpp"
-#include "gf/cauchy_xor.hpp"
+#include "gf/fft_rs_codec.hpp"
 #include "gf/gf256.hpp"
 #include "gf/gf65536.hpp"
 #include "util/random.hpp"
@@ -199,44 +203,254 @@ TEST(RsPins, ParityOfASeededSource) {
   }
 }
 
-TEST(CauchyXor, FmaMatchesFieldKernel) {
-  // Bit-sliced layout: bit j of element t lives at bit t of segment j. Slice
-  // random elements, fold them into a zeroed destination, un-slice, and
-  // compare every product with the field's multiply, for every constant.
-  constexpr std::size_t kElements = 64;
-  constexpr std::size_t kSegment = kElements / 8;
-  const auto bit = [](const std::uint8_t* segment, std::size_t t) {
-    return (segment[t / 8] >> (t % 8)) & 1u;
+// ---- The additive-FFT code of the Tornado tail ----------------------------
+
+using gf::FftRsCodec;
+using F16 = gf::GF65536;
+
+/// Word q of a row, in the host byte order the GF(2^16) kernels use.
+F16::Element word(util::ConstByteSpan row, std::size_t q) {
+  F16::Element w = 0;
+  std::memcpy(&w, row.data() + 2 * q, 2);
+  return w;
+}
+
+/// Parity by direct polynomial evaluation over the codec's points, one
+/// 16-bit word at a time. With m = 2^ceil(log2 p) and N = 2^ceil(log2(m+t)),
+/// the encoding zero-padded to N points is P(w_0), ..., P(w_{N-1}) for one P
+/// of degree < N - m vanishing at the padding points w_{m+t}..w_{N-1}. So
+/// P = Z * R, with Z the product of (x + w_i) over the padding and R of
+/// degree < t the Lagrange interpolant of source_j / Z(w_{m+j}) at the
+/// source points w_{m+j}; parity i is P(w_i).
+util::SymbolMatrix lagrange_parity(const util::SymbolMatrix& source,
+                                   std::size_t p) {
+  const std::size_t t = source.rows();
+  const std::size_t m = std::bit_ceil(p);
+  const std::size_t n = std::bit_ceil(m + t);
+  const auto w = [](std::size_t i) { return FftRsCodec::point(i); };
+  const auto z = [&](F16::Element x) {
+    F16::Element acc = 1;
+    for (std::size_t i = m + t; i < n; ++i) acc = F16::mul(acc, x ^ w(i));
+    return acc;
   };
-  util::Rng rng(5);
-  for (unsigned c = 0; c < 256; ++c) {
-    std::uint8_t x[kElements];
-    std::uint8_t src[8 * kSegment] = {};
-    for (std::size_t t = 0; t < kElements; ++t) {
-      x[t] = static_cast<std::uint8_t>(rng.below(256));
-      for (unsigned j = 0; j < 8; ++j) {
-        src[j * kSegment + t / 8] |=
-            static_cast<std::uint8_t>(((x[t] >> j) & 1u) << (t % 8));
+  // g[i][j]: the weight of source j in parity i.
+  std::vector<std::vector<F16::Element>> g(p, std::vector<F16::Element>(t));
+  for (std::size_t i = 0; i < p; ++i) {
+    for (std::size_t j = 0; j < t; ++j) {
+      F16::Element num = z(w(i));
+      F16::Element den = z(w(m + j));
+      for (std::size_t l = 0; l < t; ++l) {
+        if (l == j) continue;
+        num = F16::mul(num, w(i) ^ w(m + l));
+        den = F16::mul(den, w(m + j) ^ w(m + l));
+      }
+      g[i][j] = F16::div(num, den);
+    }
+  }
+  util::SymbolMatrix parity(p, source.symbol_size());
+  for (std::size_t i = 0; i < p; ++i) {
+    for (std::size_t q = 0; q < source.symbol_size() / 2; ++q) {
+      F16::Element acc = 0;
+      for (std::size_t j = 0; j < t; ++j) {
+        acc ^= F16::mul(g[i][j], word(source.row(j), q));
+      }
+      std::memcpy(parity.row(i).data() + 2 * q, &acc, 2);
+    }
+  }
+  return parity;
+}
+
+TEST(FftRs, PointsSpanACantorBasis) {
+  // beta_j = w_{2^j}: beta_0 = 1 and beta_j is the smaller root of
+  // x^2 + x = beta_{j-1}; the 65536 XOR combinations are distinct.
+  EXPECT_EQ(FftRsCodec::point(0), 0);
+  EXPECT_EQ(FftRsCodec::point(1), 1);
+  for (unsigned j = 1; j < 16; ++j) {
+    const F16::Element beta = FftRsCodec::point(std::size_t{1} << j);
+    EXPECT_EQ(F16::mul(beta, beta) ^ beta,
+              FftRsCodec::point(std::size_t{1} << (j - 1)))
+        << "j=" << j;
+    EXPECT_EQ(beta & 1, 0) << "j=" << j;  // the other root is beta ^ 1
+  }
+  std::vector<bool> seen(65536, false);
+  for (std::size_t i = 0; i < 65536; ++i) {
+    const F16::Element x = FftRsCodec::point(i);
+    ASSERT_FALSE(seen[x]) << "i=" << i;
+    seen[x] = true;
+    ASSERT_EQ(x, FftRsCodec::point(i & (i - 1)) ^
+                     FftRsCodec::point(i & (~i + 1)));
+  }
+  EXPECT_THROW(FftRsCodec::point(65536), std::out_of_range);
+}
+
+TEST(FftRs, ParityIsReedSolomonEvaluation) {
+  // (t, p): one block with and without padding, several source blocks, a
+  // single parity point, and more parity than sources.
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {4, 4}, {3, 6}, {5, 3}, {9, 2}, {6, 1}, {17, 16}, {12, 5}};
+  for (const auto& [t, p] : shapes) {
+    const FftRsCodec codec(t, p);
+    util::SymbolMatrix source(t, 10);
+    source.fill_random(t * 31 + p);
+    util::SymbolMatrix parity(p, 10);
+    codec.encode(source, parity);
+    EXPECT_EQ(parity, lagrange_parity(source, p)) << "t=" << t << " p=" << p;
+  }
+}
+
+/// Decodes `source` with the sources `have` marks and the parity rows `got`
+/// lists, into a poisoned copy, and checks the reconstruction.
+void expect_decodes(const FftRsCodec& codec, const util::SymbolMatrix& source,
+                    const util::SymbolMatrix& parity,
+                    const std::vector<bool>& have,
+                    const std::vector<std::uint32_t>& got) {
+  util::SymbolMatrix damaged = source;
+  for (std::size_t j = 0; j < have.size(); ++j) {
+    if (have[j]) continue;
+    auto row = damaged.row(j);
+    std::fill(row.begin(), row.end(), 0xEE);
+  }
+  FftRsCodec::Parity list;
+  for (const std::uint32_t i : got) list.emplace_back(i, parity.row(i));
+  codec.decode(damaged, have, list);
+  EXPECT_EQ(damaged, source);
+}
+
+class FftRsShapes
+    : public ::testing::TestWithParam<std::pair<std::size_t, std::size_t>> {};
+
+TEST_P(FftRsShapes, ErasureRoundTrips) {
+  const auto [t, p] = GetParam();
+  const FftRsCodec codec(t, p);
+  util::SymbolMatrix source(t, 10);
+  source.fill_random(t + 7 * p);
+  util::SymbolMatrix parity(p, 10);
+  codec.encode(source, parity);
+  util::Rng rng(t * 1000 + p);
+
+  // Exactly t survivors, drawn at random from all t + p positions.
+  for (int trial = 0; trial < 3; ++trial) {
+    const auto order = rng.permutation(t + p);
+    std::vector<bool> have(t, false);
+    std::vector<std::uint32_t> got;
+    for (std::size_t s = 0; s < t; ++s) {
+      if (order[s] < t) {
+        have[order[s]] = true;
+      } else {
+        got.push_back(static_cast<std::uint32_t>(order[s] - t));
       }
     }
-    std::uint8_t dst[8 * kSegment] = {};
-    gf::cauchy_xor_fma(dst, src, sizeof dst,
-                       static_cast<gf::GF256::Element>(c));
-    for (std::size_t t = 0; t < kElements; ++t) {
-      unsigned product = 0;
-      for (unsigned j = 0; j < 8; ++j) {
-        product |= bit(dst + j * kSegment, t) << j;
+    SCOPED_TRACE("random survivors");
+    expect_decodes(codec, source, parity, have, got);
+
+    // One survivor fewer: a source lost, or a parity symbol.
+    if (!got.empty()) {
+      got.pop_back();
+    } else {
+      have[rng.below(t)] = false;
+    }
+    EXPECT_THROW(expect_decodes(codec, source, parity, have, got),
+                 std::invalid_argument);
+  }
+
+  // All parity lost: every source present is already decoded; one source
+  // short is not.
+  std::vector<bool> all(t, true);
+  expect_decodes(codec, source, parity, all, {});
+  all[t - 1] = false;
+  EXPECT_THROW(expect_decodes(codec, source, parity, all, {}),
+               std::invalid_argument);
+
+  // All sources lost, from the first t parity and from every parity symbol.
+  if (p >= t) {
+    const std::vector<bool> none(t, false);
+    std::vector<std::uint32_t> got(p);
+    for (std::uint32_t i = 0; i < p; ++i) got[i] = i;
+    expect_decodes(codec, source, parity, none, got);
+    got.resize(t);
+    expect_decodes(codec, source, parity, none, got);
+  }
+}
+
+// Square codes across padding and block boundaries, the Tornado tail at
+// k = 250 (32, 30) and 16384 (1024, 1024), and bench_ablation_stretch's
+// k = 2048 tails at stretch 1.5, 4 and 8.
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, FftRsShapes,
+    ::testing::Values(std::make_pair(16, 16), std::make_pair(17, 16),
+                      std::make_pair(32, 30), std::make_pair(125, 125),
+                      std::make_pair(1024, 1024), std::make_pair(228, 113),
+                      std::make_pair(206, 613), std::make_pair(245, 1673)));
+
+/// Every reception pattern of a tiny code decodes when it holds t symbols or
+/// more, and throws with fewer (MDS).
+TEST(FftRs, MdsExhaustiveTinyCodes) {
+  const std::pair<std::size_t, std::size_t> shapes[] = {{3, 3}, {5, 2}, {2, 5}};
+  for (const auto& [t, p] : shapes) {
+    const FftRsCodec codec(t, p);
+    util::SymbolMatrix source(t, 16);
+    source.fill_random(4);
+    util::SymbolMatrix parity(p, 16);
+    codec.encode(source, parity);
+    for (unsigned mask = 0; mask < (1u << (t + p)); ++mask) {
+      std::vector<bool> have(t);
+      std::vector<std::uint32_t> got;
+      for (std::size_t j = 0; j < t; ++j) have[j] = (mask >> j) & 1u;
+      for (std::uint32_t i = 0; i < p; ++i) {
+        if ((mask >> (t + i)) & 1u) got.push_back(i);
       }
-      ASSERT_EQ(product,
-                gf::GF256::mul(static_cast<gf::GF256::Element>(c), x[t]))
-          << "c=" << c << " element " << t;
+      SCOPED_TRACE("t=" + std::to_string(t) + " p=" + std::to_string(p) +
+                   " mask=" + std::to_string(mask));
+      if (static_cast<std::size_t>(std::popcount(mask)) >= t) {
+        expect_decodes(codec, source, parity, have, got);
+      } else {
+        EXPECT_THROW(expect_decodes(codec, source, parity, have, got),
+                     std::invalid_argument);
+      }
     }
   }
 }
 
-TEST(CauchyXor, UnalignedThrows) {
-  util::SymbolMatrix m(2, 12);
-  EXPECT_THROW(gf::cauchy_xor_fma(m.row(0).data(), m.row(1).data(), 12, 3),
+TEST(FftRs, LayoutMustFitTheField) {
+  // Construction checks only the shape and allocates no payload rows, so
+  // the largest codes cost nothing to build. m = 2^ceil(log2 p) parity
+  // points plus t source points must fit in 65536.
+  EXPECT_NO_THROW(FftRsCodec(32768, 32768));
+  EXPECT_THROW(FftRsCodec(32769, 32768), std::invalid_argument);
+  EXPECT_NO_THROW(FftRsCodec(32768, 20000));
+  EXPECT_THROW(FftRsCodec(32769, 20000), std::invalid_argument);
+  EXPECT_NO_THROW(FftRsCodec(65535, 1));
+  EXPECT_THROW(FftRsCodec(65536, 1), std::invalid_argument);
+  EXPECT_THROW(FftRsCodec(1, 32769), std::invalid_argument);
+  EXPECT_THROW(FftRsCodec(0, 4), std::invalid_argument);
+  EXPECT_THROW(FftRsCodec(4, 0), std::invalid_argument);
+}
+
+TEST(FftRs, MalformedInputThrows) {
+  const FftRsCodec codec(6, 4);
+  util::SymbolMatrix source(6, 8);
+  source.fill_random(2);
+  util::SymbolMatrix parity(4, 8);
+  codec.encode(source, parity);
+  util::SymbolMatrix wrong(4, 6);
+  EXPECT_THROW(codec.encode(source, wrong), std::invalid_argument);
+  util::SymbolMatrix odd_source(6, 7);
+  util::SymbolMatrix odd_parity(4, 7);
+  EXPECT_THROW(codec.encode(odd_source, odd_parity), std::invalid_argument);
+
+  std::vector<bool> have(6, true);
+  have[0] = have[1] = false;
+  // A repeated index would cancel its own contribution.
+  EXPECT_THROW(codec.decode(source, have, {{1, parity.row(1)},
+                                           {1, parity.row(1)}}),
+               std::invalid_argument);
+  EXPECT_THROW(codec.decode(source, have, {{1, parity.row(1)},
+                                           {4, parity.row(2)}}),
+               std::out_of_range);
+  EXPECT_THROW(codec.decode(source, have, {{1, parity.row(1)},
+                                           {2, wrong.row(2)}}),
+               std::invalid_argument);
+  EXPECT_THROW(codec.decode(source, std::vector<bool>(5, true), {}),
                std::invalid_argument);
 }
 

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <numeric>
 #include <set>
+#include <string>
 
 #include "core/degree.hpp"
 #include "core/graph.hpp"
@@ -431,6 +433,57 @@ TEST(Tornado, VariantBNeedsFewerPackets) {
   };
   EXPECT_LT(mean(ob), mean(oa) + 0.003);  // B at least matches A on average
   EXPECT_LT(worst(ob), worst(oa) + 0.005);  // with no fatter tail
+}
+
+/// FNV-1a over rows [first, last) of `m`, as 16 hex digits.
+std::string fnv_rows(const util::SymbolMatrix& m, std::size_t first,
+                     std::size_t last) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (std::size_t i = first; i < last; ++i) {
+    for (const std::uint8_t b : m.row(i)) {
+      hash ^= b;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  char text[17];
+  std::snprintf(text, sizeof text, "%016llx",
+                static_cast<unsigned long long>(hash));
+  return text;
+}
+
+// The encoding a (k, symbol_size, seed) triple denotes is a wire contract:
+// a receiver rebuilds the cascade from shared parameters and decodes the
+// sender's payloads with it. The node rows [0, node_count()) are the source
+// and the XOR check levels, the rest the Reed-Solomon tail parity; they are
+// pinned apart so that a change to the tail code shows as a change to the
+// tail literal alone. At k = 16 there are no graphs and every parity row is
+// tail. These literals may change only with a deliberate wire-format change.
+TEST(TornadoPins, EncodingOfASeededSource) {
+  struct Pin {
+    std::size_t k;
+    std::size_t symbol_size;
+    std::uint64_t seed;
+    const char* nodes;
+    const char* tail;
+  };
+  const Pin pins[] = {
+      {16, 16, 1, "48174de5ed0ccbc9", "e1cb205f32fd05e5"},
+      {250, 32, 1, "0d6477409930a18b", "55cc3546c2349a3e"},
+      {1000, 32, 5, "d6418fe9eb5be66c", "6c8b0f06d9944a6d"},
+      {16384, 16, 1, "72e5b46616b25793", "f32e4164a1255adf"},
+  };
+  for (const auto& pin : pins) {
+    TornadoCode code(
+        TornadoParams::tornado_a(pin.k, pin.symbol_size, pin.seed));
+    util::SymbolMatrix source(pin.k, pin.symbol_size);
+    source.fill_random(pin.k);
+    util::SymbolMatrix encoding(code.encoded_count(), pin.symbol_size);
+    code.encode(source, encoding);
+    const std::size_t nodes = code.cascade().node_count();
+    EXPECT_EQ(fnv_rows(encoding, 0, nodes), pin.nodes) << "k=" << pin.k;
+    EXPECT_EQ(fnv_rows(encoding, nodes, code.encoded_count()), pin.tail)
+        << "k=" << pin.k;
+  }
 }
 
 TEST(Tornado, EdgeCountReflectsVariant) {
