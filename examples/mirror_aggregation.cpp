@@ -20,9 +20,9 @@
 #include <vector>
 
 #include "carousel/carousel.hpp"
-#include "core/tornado.hpp"
 #include "engine/session.hpp"
 #include "engine/sources.hpp"
+#include "fec/codec_registry.hpp"
 #include "net/loss.hpp"
 #include "proto/control.hpp"
 #include "util/random.hpp"
@@ -45,13 +45,14 @@ int main(int argc, char** argv) {
   const util::SymbolMatrix file =
       proto::file_to_symbols(util::ConstByteSpan(original), symbol_size);
 
-  core::TornadoCode code(info.tornado_params());
+  const auto code =
+      fec::CodecRegistry::builtin().create(info.codec, info.codec_params());
   // All mirrors carry the same file and code, so one streaming encoder
   // stands in for every mirror's send path.
-  const auto encoder = code.make_encoder(file);
+  const auto encoder = code->make_encoder(file);
 
   std::printf("mirrored download: %zu-byte file (k = %zu), %u mirrors\n",
-              file_bytes, code.source_count(), mirrors);
+              file_bytes, code->source_count(), mirrors);
 
   // Each mirror: its own permutation and loss; one tick = one packet slot
   // per mirror.
@@ -60,13 +61,13 @@ int main(int argc, char** argv) {
   cycles.reserve(mirrors);
 
   engine::SessionConfig config;
-  config.horizon = 400ull * code.encoded_count();
+  config.horizon = 400ull * code->encoded_count();
   // One receiver = one cohort: SessionConfig::threads (auto here) has
   // nothing to shard, so the session runs on the calling thread.
-  engine::Session session(code, config);
+  engine::Session session(*code, config);
 
   engine::ReceiverSpec spec;
-  spec.sink = std::make_unique<engine::DataSink>(code.make_decoder(),
+  spec.sink = std::make_unique<engine::DataSink>(code->make_decoder(),
                                                  *encoder);
   auto* sink = static_cast<engine::DataSink*>(spec.sink.get());
   const engine::ReceiverId client = session.add_receiver(std::move(spec));
@@ -74,10 +75,10 @@ int main(int argc, char** argv) {
   for (unsigned m = 0; m < mirrors; ++m) {
     util::Rng crng(1000 + m);
     cycles.push_back(
-        carousel::Carousel::random_permutation(code.encoded_count(), crng));
+        carousel::Carousel::random_permutation(code->encoded_count(), crng));
     const engine::SourceId src = session.add_source(
         std::make_shared<engine::CarouselSource>(cycles.back(),
-                                                 code.codec_id()));
+                                                 code->codec_id()));
     session.subscribe(client, src,
                       std::make_unique<engine::LossLink>(
                           std::make_unique<net::BernoulliLoss>(
@@ -95,8 +96,8 @@ int main(int argc, char** argv) {
   const std::uint64_t duplicates = report.received - report.distinct;
   std::printf("finished after %llu carousel slots (a single mirror needs "
               "~%zu+): aggregate\nspeedup ~%.1fx\n",
-              static_cast<unsigned long long>(ticks), code.source_count(),
-              static_cast<double>(code.source_count()) /
+              static_cast<unsigned long long>(ticks), code->source_count(),
+              static_cast<double>(code->source_count()) /
                   static_cast<double>(ticks));
   std::printf("%llu packets received, duplicate fraction %.2f%% "
               "(stretch-2 collision cost)\n",

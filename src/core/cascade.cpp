@@ -54,9 +54,6 @@ void TornadoParams::validate() const {
   if (stretch <= 1.0) {
     throw std::invalid_argument("TornadoParams: stretch must exceed 1");
   }
-  if (min_tail < 2) {
-    throw std::invalid_argument("TornadoParams: min_tail must be >= 2");
-  }
 }
 
 Cascade::Cascade(const TornadoParams& params) : params_(params) {
@@ -71,11 +68,11 @@ Cascade::Cascade(const TornadoParams& params) : params_(params) {
   const double beta = (params_.stretch - 1.0) / params_.stretch;
   // Tail threshold: stop the cascade while levels are still large enough to
   // concentrate (peeling on sub-500-node graphs is dominated by variance,
-  // not by the asymptotic threshold), and cap the last level at 1024. The
-  // cap decides the level sizes, and so the graphs, that a (k, seed) pair
-  // denotes: changing it is a wire change.
+  // not by the asymptotic threshold), and hold the last level between 32
+  // and 1024. These bounds decide the level sizes, and so the graphs, that a
+  // (k, seed) pair denotes: changing them is a wire change.
   const std::size_t threshold =
-      std::max(params_.min_tail, std::min<std::size_t>(k / 8, 1024));
+      std::max<std::size_t>(32, std::min<std::size_t>(k / 8, 1024));
   level_size_.push_back(k);
   // Guard: the cascade plus at least one parity symbol must fit in n.
   std::size_t total = k;

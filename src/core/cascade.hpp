@@ -34,7 +34,6 @@ struct TornadoParams {
   std::size_t k = 0;            // source packets
   std::size_t symbol_size = 0;  // bytes per packet; must be even (RS tail)
   double stretch = 2.0;         // n / k
-  std::size_t min_tail = 32;    // lower bound for the last-level size
   std::uint64_t seed = 1;       // graph-construction seed (shared by both ends)
   /// Left degree distribution as edge-perspective (degree, weight) spikes.
   /// Empty means "use heavy_tail(heavy_tail_d)". The named variants A and B

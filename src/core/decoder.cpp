@@ -8,7 +8,8 @@
 namespace fountain::core {
 
 namespace {
-// The structural decoder's hook: decodability needs no payloads.
+// The peeler's own hook as a structural decoder: decodability needs no
+// payloads.
 struct IndexOnly {
   void recover(std::size_t, std::size_t, std::span<const std::uint32_t>,
                std::size_t) {}
@@ -32,6 +33,7 @@ TornadoPeeler::TornadoPeeler(const Cascade& cascade)
           static_cast<std::uint32_t>(g.check_neighbors(r).size());
     }
   }
+  reset();
 }
 
 template <class Hook>
@@ -149,6 +151,23 @@ void TornadoPeeler::process(Hook& hook) {
   }
 }
 
+void TornadoPeeler::reset() {
+  IndexOnly hook;
+  reset(hook);
+}
+
+bool TornadoPeeler::add_index(std::uint32_t index) {
+  if (complete()) return true;
+  if (index >= cascade_.encoded_count()) {
+    throw std::out_of_range("TornadoPeeler: index");
+  }
+  if (receive(index)) {
+    IndexOnly hook;
+    process(hook);
+  }
+  return complete();
+}
+
 TornadoDataDecoder::TornadoDataDecoder(const Cascade& cascade)
     : cascade_(cascade),
       peel_(cascade),
@@ -234,28 +253,6 @@ void TornadoDataDecoder::tail() {
     if (peel_.parity_seen(p)) parity.emplace_back(p, parity_data_.row(p));
   }
   cascade_.tail().decode(nodes_.rows_view(tail_off, tail_k), have, parity);
-}
-
-TornadoStructuralDecoder::TornadoStructuralDecoder(const Cascade& cascade)
-    : cascade_(cascade), peel_(cascade) {
-  reset();
-}
-
-void TornadoStructuralDecoder::reset() {
-  IndexOnly hook;
-  peel_.reset(hook);
-}
-
-bool TornadoStructuralDecoder::add_index(std::uint32_t index) {
-  if (complete()) return true;
-  if (index >= cascade_.encoded_count()) {
-    throw std::out_of_range("TornadoStructuralDecoder: index");
-  }
-  if (peel_.receive(index)) {
-    IndexOnly hook;
-    peel_.process(hook);
-  }
-  return complete();
 }
 
 }  // namespace fountain::core

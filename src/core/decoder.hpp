@@ -23,10 +23,11 @@
 // the (k+l) ln(1/eps) P bound of Table 1 — but the destination packet is
 // read from L1 ~d/4 times per degree-d check instead of making d
 // round-trips, and there is no residual matrix at all (node storage is
-// halved versus the incremental-residual design). TornadoStructuralDecoder
-// runs the peeler with an empty hook, on indices alone, and is what the
-// receiver-population simulations use; decodability depends only on which
-// indices arrived, so the two agree by construction.
+// halved versus the incremental-residual design). The peeler is itself the
+// structural decoder: its add_index runs the rules with an empty hook, on
+// indices alone, and is what the receiver-population simulations use;
+// decodability depends only on which indices arrived, so the two agree by
+// construction.
 //
 // Contracts shared by both decoders: indices are the cascade's encoding
 // index space [0, encoded_count()); duplicate deliveries are counted once
@@ -56,12 +57,20 @@ namespace fountain::core {
 ///   hook.check_value(check)                          rule (b);
 ///   hook.tail()                                      rule (c): every
 ///       last-level node not yet known() is recovered.
-/// The template members are defined in decoder.cpp, for the two decoders.
-class TornadoPeeler {
+/// The template members are defined in decoder.cpp, for the two hooks. As a
+/// fec::StructuralDecoder the peeler runs the rules with the empty hook; it
+/// starts reset with that hook.
+class TornadoPeeler final : public fec::StructuralDecoder {
  public:
   explicit TornadoPeeler(const Cascade& cascade);
 
-  bool complete() const { return known_source_ == cascade_.source_count(); }
+  /// Range check, receive(), then the rules with the empty hook.
+  bool add_index(std::uint32_t index) override;
+  bool complete() const override {
+    return known_source_ == cascade_.source_count();
+  }
+  /// reset() with the empty hook.
+  void reset() override;
   bool known(std::size_t node) const { return known_[node] != 0; }
   bool parity_seen(std::size_t p) const { return parity_seen_[p] != 0; }
   std::size_t parity_received() const { return parity_received_; }
@@ -120,19 +129,6 @@ class TornadoDataDecoder final : public fec::IncrementalDecoder {
   util::SymbolMatrix nodes_;  // all cascade node values
   util::SymbolMatrix parity_data_;
   std::vector<const std::uint8_t*> gather_;  // substitution-source scratch
-};
-
-class TornadoStructuralDecoder final : public fec::StructuralDecoder {
- public:
-  explicit TornadoStructuralDecoder(const Cascade& cascade);
-
-  bool add_index(std::uint32_t index) override;
-  bool complete() const override { return peel_.complete(); }
-  void reset() override;
-
- private:
-  const Cascade& cascade_;
-  TornadoPeeler peel_;
 };
 
 }  // namespace fountain::core

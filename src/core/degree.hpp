@@ -66,18 +66,4 @@ class DegreeDistribution {
   double average_node_degree_ = 0.0;
 };
 
-/// Backwards-compatible face of the heavy-tail family.
-class HeavyTailDistribution : public DegreeDistribution {
- public:
-  explicit HeavyTailDistribution(unsigned max_degree_parameter)
-      : DegreeDistribution(DegreeDistribution::heavy_tail(
-            max_degree_parameter)),
-        d_(max_degree_parameter) {}
-
-  unsigned parameter() const { return d_; }
-
- private:
-  unsigned d_;
-};
-
 }  // namespace fountain::core

@@ -19,16 +19,6 @@ class TornadoCode final : public fec::ErasureCode {
   explicit TornadoCode(const TornadoParams& params)
       : cascade_(std::make_unique<Cascade>(params)) {}
 
-  /// Convenience constructors for the paper's two code variants.
-  static TornadoCode variant_a(std::size_t k, std::size_t symbol_size,
-                               std::uint64_t seed = 1) {
-    return TornadoCode(TornadoParams::tornado_a(k, symbol_size, seed));
-  }
-  static TornadoCode variant_b(std::size_t k, std::size_t symbol_size,
-                               std::uint64_t seed = 1) {
-    return TornadoCode(TornadoParams::tornado_b(k, symbol_size, seed));
-  }
-
   const Cascade& cascade() const { return *cascade_; }
 
   std::size_t source_count() const override {
@@ -51,7 +41,7 @@ class TornadoCode final : public fec::ErasureCode {
 
   std::unique_ptr<fec::StructuralDecoder> make_structural_decoder()
       const override {
-    return std::make_unique<TornadoStructuralDecoder>(*cascade_);
+    return std::make_unique<TornadoPeeler>(*cascade_);
   }
 
  private:

@@ -64,7 +64,6 @@ struct AdaptState {
   unsigned level = 0;
   unsigned capacity = 0;
   unsigned max_level = 0;
-  std::uint32_t next_move = 0;
   Time last_progress = 0;  // last tick the distinct count grew (stall clock)
   util::Rng rng{0};
   cc::ReceiverPolicy* controller = nullptr;  // null = fixed level
@@ -260,7 +259,6 @@ void Session::CohortRunner::join_member(std::size_t m, Time now) {
   st.active = 1;
   st.level = spec.policy.initial_level;
   st.capacity = spec.policy.initial_capacity;
-  st.next_move = 0;
   st.last_progress = now;
   st.rng.reseed(spec.policy.seed);
   st.max_level = 0;

@@ -6,15 +6,14 @@
 
 namespace fountain::engine {
 
-std::uint32_t Topology::add_edge(NodeId from, NodeId to, double capacity,
-                                 Time rtt) {
+std::uint32_t Topology::add_edge(NodeId from, NodeId to, double capacity) {
   if (from >= nodes_ || to >= nodes_) {
     throw std::out_of_range("Topology: edge endpoint is not a node");
   }
   if (!(capacity > 0.0)) {
     throw std::invalid_argument("Topology: edge capacity must be > 0");
   }
-  edges_.push_back(TopologyEdge{from, to, capacity, rtt});
+  edges_.push_back(TopologyEdge{from, to, capacity});
   return static_cast<std::uint32_t>(edges_.size() - 1);
 }
 
@@ -86,8 +85,7 @@ std::vector<NodeId> Topology::leaves() const {
 }
 
 Topology Topology::bottleneck_tree(unsigned depth, unsigned arity,
-                                   std::span<const double> level_capacity,
-                                   std::span<const Time> level_rtt) {
+                                   std::span<const double> level_capacity) {
   if (depth < 1 || arity < 1) {
     throw std::invalid_argument(
         "Topology: tree depth and arity must be >= 1");
@@ -96,22 +94,17 @@ Topology Topology::bottleneck_tree(unsigned depth, unsigned arity,
     throw std::invalid_argument(
         "Topology: need one capacity per tree level");
   }
-  if (!level_rtt.empty() && level_rtt.size() != depth) {
-    throw std::invalid_argument(
-        "Topology: level_rtt must be empty or depth-sized");
-  }
   Topology topo;
   const NodeId root = topo.add_node();
   std::vector<NodeId> level{root};
   for (unsigned d = 1; d <= depth; ++d) {
     const double capacity = level_capacity[d - 1];
-    const Time rtt = level_rtt.empty() ? Time{1} : level_rtt[d - 1];
     std::vector<NodeId> next;
     next.reserve(level.size() * arity);
     for (const NodeId parent : level) {
       for (unsigned c = 0; c < arity; ++c) {
         const NodeId child = topo.add_node();
-        topo.add_edge(parent, child, capacity, rtt);
+        topo.add_edge(parent, child, capacity);
         next.push_back(child);
       }
     }
@@ -121,8 +114,7 @@ Topology Topology::bottleneck_tree(unsigned depth, unsigned arity,
 }
 
 Topology Topology::barabasi_albert(std::size_t nodes, std::size_t m,
-                                   std::uint64_t seed, double capacity,
-                                   Time rtt) {
+                                   std::uint64_t seed, double capacity) {
   if (m < 1 || nodes < m + 1) {
     throw std::invalid_argument(
         "Topology: Barabási–Albert needs m >= 1 and nodes >= m + 1");
@@ -135,7 +127,7 @@ Topology Topology::barabasi_albert(std::size_t nodes, std::size_t m,
   for (std::size_t v = 0; v < m + 1; ++v) topo.add_node();
   for (NodeId i = 0; i < m + 1; ++i) {
     for (NodeId j = i + 1; j < m + 1; ++j) {
-      topo.add_edge(i, j, capacity, rtt);
+      topo.add_edge(i, j, capacity);
       endpoints.push_back(i);
       endpoints.push_back(j);
     }
@@ -155,7 +147,7 @@ Topology Topology::barabasi_albert(std::size_t nodes, std::size_t m,
     }
     const NodeId v = topo.add_node();
     for (const NodeId t : targets) {
-      topo.add_edge(v, t, capacity, rtt);
+      topo.add_edge(v, t, capacity);
       endpoints.push_back(v);
       endpoints.push_back(t);
     }
@@ -164,11 +156,8 @@ Topology Topology::barabasi_albert(std::size_t nodes, std::size_t m,
 }
 
 PathLink::PathLink(std::vector<std::shared_ptr<SharedBottleneck>> edges,
-                   std::uint64_t seed, double base_loss, Time latency)
-    : edges_(std::move(edges)),
-      base_loss_(base_loss),
-      latency_(latency),
-      rng_(seed) {
+                   std::uint64_t seed, double base_loss)
+    : edges_(std::move(edges)), base_loss_(base_loss), rng_(seed) {
   if (edges_.empty()) {
     throw std::invalid_argument("PathLink: empty path");
   }
@@ -196,7 +185,6 @@ double PathLink::loss_probability() const {
 
 Verdict PathLink::transfer(Time /*now*/) {
   if (rng_.chance(loss_probability())) return Verdict::dropped();
-  if (latency_ > 0) return Verdict{FaultKind::kDelay, 1, latency_};
   return Verdict::delivered();
 }
 
@@ -224,7 +212,7 @@ std::vector<std::shared_ptr<SharedBottleneck>> make_edge_queues(
 std::unique_ptr<PathLink> make_path_link(
     const Topology& topology,
     const std::vector<std::shared_ptr<SharedBottleneck>>& queues, NodeId from,
-    NodeId to, std::uint64_t seed, double base_loss, bool model_latency) {
+    NodeId to, std::uint64_t seed, double base_loss) {
   if (queues.size() != topology.edge_count()) {
     throw std::invalid_argument(
         "make_path_link: queues are not this topology's edges");
@@ -232,13 +220,8 @@ std::unique_ptr<PathLink> make_path_link(
   const std::vector<std::uint32_t> hops = topology.path(from, to);
   std::vector<std::shared_ptr<SharedBottleneck>> chain;
   chain.reserve(hops.size());
-  Time latency = 0;
-  for (const std::uint32_t e : hops) {
-    chain.push_back(queues[e]);
-    latency += topology.edge(e).rtt;
-  }
-  return std::make_unique<PathLink>(std::move(chain), seed, base_loss,
-                                    model_latency ? latency : Time{0});
+  for (const std::uint32_t e : hops) chain.push_back(queues[e]);
+  return std::make_unique<PathLink>(std::move(chain), seed, base_loss);
 }
 
 }  // namespace fountain::engine

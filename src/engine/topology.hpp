@@ -7,8 +7,8 @@
 // mesh) of heterogeneous links: a receiver's packets traverse several shared
 // edges, loss compounds multiplicatively along the path, and the *narrowest*
 // shared edge — wherever it sits on the path — governs the receiver's fair
-// share. Topology describes such a graph (nodes, directed capacitated edges
-// with an RTT), ships deterministic generators for k-ary bottleneck trees
+// share. Topology describes such a graph (nodes, directed capacitated
+// edges), ships deterministic generators for k-ary bottleneck trees
 // and Barabási–Albert scale-free graphs, and PathLink chains one
 // SharedBottleneck per traversed edge into a single LinkModel.
 //
@@ -45,13 +45,11 @@ using NodeId = std::uint32_t;
 
 /// One directed, capacitated link of the graph. `capacity` is in packets per
 /// tick (it becomes the SharedBottleneck capacity when the edge is
-/// materialized); `rtt` is the edge's propagation time in ticks, summed
-/// along a path into an optional delivery latency.
+/// materialized).
 struct TopologyEdge {
   NodeId from = 0;
   NodeId to = 0;
   double capacity = 0.0;
-  Time rtt = 1;
 
   friend bool operator==(const TopologyEdge&, const TopologyEdge&) = default;
 };
@@ -69,8 +67,7 @@ class Topology {
 
   /// Appends a directed edge; returns its index. Throws std::out_of_range on
   /// an unknown endpoint and std::invalid_argument unless capacity > 0.
-  std::uint32_t add_edge(NodeId from, NodeId to, double capacity,
-                         Time rtt = 1);
+  std::uint32_t add_edge(NodeId from, NodeId to, double capacity);
 
   std::size_t node_count() const { return nodes_; }
   std::size_t edge_count() const { return edges_.size(); }
@@ -101,26 +98,22 @@ class Topology {
 
   /// A complete `arity`-ary tree of `depth` edge levels rooted at node 0,
   /// nodes in level order (root 0, then depth-1 nodes left to right, ...).
-  /// Every edge into a depth-d node gets capacity `level_capacity[d-1]` and
-  /// rtt `level_rtt[d-1]` (1 per level when `level_rtt` is empty). Throws
-  /// std::invalid_argument unless depth >= 1, arity >= 1,
-  /// level_capacity.size() == depth (all > 0), and level_rtt is empty or
-  /// also depth-sized.
+  /// Every edge into a depth-d node gets capacity `level_capacity[d-1]`.
+  /// Throws std::invalid_argument unless depth >= 1, arity >= 1, and
+  /// level_capacity.size() == depth (all > 0).
   static Topology bottleneck_tree(unsigned depth, unsigned arity,
-                                  std::span<const double> level_capacity,
-                                  std::span<const Time> level_rtt = {});
+                                  std::span<const double> level_capacity);
 
   /// Barabási–Albert preferential attachment: an (m+1)-clique of seed nodes,
   /// then each new node attaches `m` edges to distinct existing nodes chosen
   /// with probability proportional to their degree. Every draw comes from
   /// util::Rng(seed), so the graph is a pure function of (nodes, m, seed) —
   /// byte-identical across instances and thread counts. All edges get
-  /// `capacity` and `rtt` (re-price hot edges with set_edge_capacity).
+  /// `capacity` (re-price hot edges with set_edge_capacity).
   /// Degree distribution converges to P(k) = 2m(m+1) / (k(k+1)(k+2)) for
   /// k >= m. Throws std::invalid_argument unless m >= 1 and nodes >= m + 1.
   static Topology barabasi_albert(std::size_t nodes, std::size_t m,
-                                  std::uint64_t seed, double capacity = 1.0,
-                                  Time rtt = 1);
+                                  std::uint64_t seed, double capacity = 1.0);
 
   friend bool operator==(const Topology&, const Topology&) = default;
 
@@ -131,9 +124,8 @@ class Topology {
 
 /// One subscription's route across several shared edges: a chain of
 /// SharedBottleneck queues whose losses compound multiplicatively, plus an
-/// optional private Bernoulli tail (`base_loss`) and an optional fixed
-/// delivery latency (packets that survive arrive `latency` ticks late as
-/// FaultKind::kDelay verdicts; 0 keeps the classic deliver-now semantics).
+/// optional private Bernoulli tail (`base_loss`). A packet that survives is
+/// delivered in the tick it was sent.
 ///
 /// The link attaches one subscriber slot to every queue at construction and
 /// declares the subscriber's rate to all of them, so a receiver's
@@ -145,7 +137,7 @@ class PathLink final : public LinkModel {
   /// Throws std::invalid_argument on an empty path, a null queue, or
   /// base_loss outside [0, 1].
   PathLink(std::vector<std::shared_ptr<SharedBottleneck>> edges,
-           std::uint64_t seed, double base_loss = 0.0, Time latency = 0);
+           std::uint64_t seed, double base_loss = 0.0);
 
   Verdict transfer(Time now) override;
   void set_subscriber_rate(double packets_per_tick) override;
@@ -153,7 +145,6 @@ class PathLink final : public LinkModel {
   void append_shared_states(std::vector<const void*>& out) const override;
 
   std::size_t edge_count() const { return edges_.size(); }
-  Time latency() const { return latency_; }
   /// Current end-to-end drop probability (queues compounded with the tail).
   double loss_probability() const;
 
@@ -161,7 +152,6 @@ class PathLink final : public LinkModel {
   std::vector<std::shared_ptr<SharedBottleneck>> edges_;
   std::vector<std::uint32_t> slots_;
   double base_loss_;
-  Time latency_;
   util::Rng rng_;
 };
 
@@ -173,12 +163,10 @@ std::vector<std::shared_ptr<SharedBottleneck>> make_edge_queues(
     const Topology& topology);
 
 /// A PathLink for the deterministic `from` → `to` path over queues from
-/// make_edge_queues. `model_latency` sums the traversed edges' rtt into the
-/// link's delivery latency; leave it false for loss-only studies.
+/// make_edge_queues.
 std::unique_ptr<PathLink> make_path_link(
     const Topology& topology,
     const std::vector<std::shared_ptr<SharedBottleneck>>& queues, NodeId from,
-    NodeId to, std::uint64_t seed, double base_loss = 0.0,
-    bool model_latency = false);
+    NodeId to, std::uint64_t seed, double base_loss = 0.0);
 
 }  // namespace fountain::engine

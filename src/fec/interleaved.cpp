@@ -7,59 +7,10 @@
 #include <stdexcept>
 
 #include "fec/reed_solomon.hpp"
-#include "gf/gf256.hpp"
-#include "gf/gf65536.hpp"
 
 namespace fountain::fec {
 
-/// Field-erasing wrapper around a per-block RS codec; blocks with the same
-/// (k, l) share one instance.
-class InterleavedCode::BlockCodec {
- public:
-  virtual ~BlockCodec() = default;
-  /// Synthesizes one parity symbol of the block whose source rows are
-  /// `source` (the streaming-encoder path; k_b field FMAs, no allocation).
-  virtual void encode_one(util::ConstSymbolView source,
-                          std::size_t parity_row,
-                          util::ByteSpan out) const = 0;
-  /// Reconstructs the block's missing source rows of `source` in place.
-  virtual void decode(
-      util::SymbolView source, const std::vector<bool>& have_source,
-      const std::vector<std::pair<std::uint32_t, util::ConstByteSpan>>& parity)
-      const = 0;
-};
-
 namespace {
-
-template <typename Field>
-class BlockCodecImpl final : public InterleavedCode::BlockCodec {
- public:
-  BlockCodecImpl(gf::RsKind kind, std::size_t k, std::size_t parity)
-      : codec_(kind, k, parity) {}
-
-  void encode_one(util::ConstSymbolView source, std::size_t parity_row,
-                  util::ByteSpan out) const override {
-    codec_.encode_one(source, parity_row, out);
-  }
-
-  void decode(util::SymbolView source, const std::vector<bool>& have_source,
-              const std::vector<std::pair<std::uint32_t, util::ConstByteSpan>>&
-                  parity) const override {
-    codec_.decode(source, have_source, parity);
-  }
-
- private:
-  gf::RsCodec<Field> codec_;
-};
-
-/// The one place a field is picked: the smallest that fits n = k + parity.
-std::unique_ptr<InterleavedCode::BlockCodec> make_block_codec(
-    gf::RsKind kind, std::size_t k, std::size_t parity) {
-  if (k + parity <= gf::GF256::kOrder) {
-    return std::make_unique<BlockCodecImpl<gf::GF256>>(kind, k, parity);
-  }
-  return std::make_unique<BlockCodecImpl<gf::GF65536>>(kind, k, parity);
-}
 
 /// `total_source` split into `blocks` (k_b, l_b) pairs: sizes differing by
 /// at most one, parity round((stretch-1) * k_b) but at least 1.
@@ -106,7 +57,16 @@ InterleavedCode::InterleavedCode(
     total_encoded_ += kb + lb;
     const auto [slot, fresh] =
         codec_slots.try_emplace({kb, lb}, codecs_.size());
-    if (fresh) codecs_.push_back(make_block_codec(kind, kb, lb));
+    if (fresh) {
+      // The one place a field is picked: the smallest that fits kb + lb.
+      if (kb + lb <= gf::GF256::kOrder) {
+        codecs_.emplace_back(std::in_place_type<gf::RsCodec<gf::GF256>>,
+                             kind, kb, lb);
+      } else {
+        codecs_.emplace_back(std::in_place_type<gf::RsCodec<gf::GF65536>>,
+                             kind, kb, lb);
+      }
+    }
     codec_of_block_.push_back(slot->second);
   }
 
@@ -178,8 +138,9 @@ class InterleavedCode::Encoder final : public fec::BlockEncoder {
       const util::ConstSymbolView block(
           source_.data() + code_.source_offset_[b] * code_.symbol_size_, kb,
           code_.symbol_size_);
-      code_.codecs_[code_.codec_of_block_[b]]->encode_one(block, pos - kb,
-                                                          out);
+      std::visit(
+          [&](const auto& codec) { codec.encode_one(block, pos - kb, out); },
+          code_.codecs_[code_.codec_of_block_[b]]);
     }
   }
 
@@ -317,9 +278,13 @@ class InterleavedCode::Decoder final : public IncrementalDecoder {
     }
     // The block's source rows are a contiguous range of source_: decode
     // them in place.
-    code_.codecs_[code_.codec_of_block_[b]]->decode(
-        source_.rows_view(code_.source_offset_[b], code_.block_source_[b]),
-        block.have_source, parity);
+    const util::SymbolView rows =
+        source_.rows_view(code_.source_offset_[b], code_.block_source_[b]);
+    std::visit(
+        [&](const auto& codec) {
+          codec.decode(rows, block.have_source, parity);
+        },
+        code_.codecs_[code_.codec_of_block_[b]]);
     block.done = true;
     ++blocks_done_;
   }

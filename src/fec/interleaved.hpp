@@ -17,9 +17,12 @@
 #include <cstdint>
 #include <memory>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "fec/erasure_code.hpp"
+#include "gf/gf256.hpp"
+#include "gf/gf65536.hpp"
 #include "gf/rs_codec.hpp"
 
 namespace fountain::fec {
@@ -67,10 +70,6 @@ class InterleavedCode final : public ErasureCode {
   std::unique_ptr<IncrementalDecoder> make_decoder() const override;
   std::unique_ptr<StructuralDecoder> make_structural_decoder() const override;
 
-  /// Field-erasing per-block codec (implementation detail, public so the
-  /// out-of-line implementations can derive from it).
-  class BlockCodec;
-
  private:
   class Encoder;
   class Decoder;
@@ -93,8 +92,11 @@ class InterleavedCode final : public ErasureCode {
   std::vector<std::size_t> block_parity_;   // l_b
   std::vector<std::size_t> source_offset_;  // global source index of block b
   std::vector<Position> index_map_;         // encoded index -> (block, pos)
-  // One codec per distinct (k_b, l_b); block -> codec slot.
-  std::vector<std::unique_ptr<BlockCodec>> codecs_;
+  // One codec per distinct (k_b, l_b), over the smallest field that fits
+  // k_b + l_b (reached by std::visit); block -> codec slot.
+  using BlockCodec =
+      std::variant<gf::RsCodec<gf::GF256>, gf::RsCodec<gf::GF65536>>;
+  std::vector<BlockCodec> codecs_;
   std::vector<std::size_t> codec_of_block_;
 };
 

@@ -3,7 +3,7 @@
 // has confirmed AVX2 via cpuid — nothing here may be called on a non-AVX2
 // machine.
 //
-// XOR: 32-byte lanes, two accumulators per iteration. GF(2^8): the
+// XOR: 32-byte lanes from kernels_xor.hpp. GF(2^8): the
 // split-nibble PSHUFB technique (Plank/Greenan/Miller, "Screaming Fast
 // Galois Field Arithmetic"; also ISA-L) — the product c*x is
 // lo_table[x & 0xf] ^ hi_table[x >> 4], so VPSHUFB evaluates 32 byte
@@ -22,6 +22,8 @@
 
 #include <immintrin.h>
 
+#include "kern/kernels_xor.hpp"
+
 namespace fountain::kern::detail {
 
 namespace {
@@ -32,54 +34,6 @@ inline __m256i load(const std::uint8_t* p) {
 
 inline void store(std::uint8_t* p, __m256i v) {
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
-}
-
-void xor1(std::uint8_t* dst, const std::uint8_t* a, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    store(dst + i, _mm256_xor_si256(load(dst + i), load(a + i)));
-    store(dst + i + 32,
-          _mm256_xor_si256(load(dst + i + 32), load(a + i + 32)));
-  }
-  for (; i + 32 <= n; i += 32) {
-    store(dst + i, _mm256_xor_si256(load(dst + i), load(a + i)));
-  }
-  if (i < n) scalar_xor(dst + i, a + i, n - i);
-}
-
-void xor2(std::uint8_t* dst, const std::uint8_t* a, const std::uint8_t* b,
-          std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    store(dst + i, _mm256_xor_si256(load(dst + i), _mm256_xor_si256(
-                                                       load(a + i),
-                                                       load(b + i))));
-  }
-  for (; i < n; ++i) dst[i] ^= static_cast<std::uint8_t>(a[i] ^ b[i]);
-}
-
-void xor3(std::uint8_t* dst, const std::uint8_t* a, const std::uint8_t* b,
-          const std::uint8_t* c, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i ab = _mm256_xor_si256(load(a + i), load(b + i));
-    store(dst + i, _mm256_xor_si256(load(dst + i),
-                                    _mm256_xor_si256(ab, load(c + i))));
-  }
-  for (; i < n; ++i) dst[i] ^= static_cast<std::uint8_t>(a[i] ^ b[i] ^ c[i]);
-}
-
-void xor4(std::uint8_t* dst, const std::uint8_t* a, const std::uint8_t* b,
-          const std::uint8_t* c, const std::uint8_t* d, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i ab = _mm256_xor_si256(load(a + i), load(b + i));
-    const __m256i cd = _mm256_xor_si256(load(c + i), load(d + i));
-    store(dst + i, _mm256_xor_si256(load(dst + i), _mm256_xor_si256(ab, cd)));
-  }
-  for (; i < n; ++i) {
-    dst[i] ^= static_cast<std::uint8_t>(a[i] ^ b[i] ^ c[i] ^ d[i]);
-  }
 }
 
 /// Broadcasts a 16-entry half-table into both 128-bit lanes so VPSHUFB
@@ -187,8 +141,10 @@ void gf65536_fma(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
   if (i < n) padded_tail<64>(dst + i, src + i, n - i, step);
 }
 
-constexpr Ops kOps = {Isa::kAvx2, &xor1, &xor2, &xor3, &xor4,
-                      &gf256_fma, &gf65536_fma};
+using Xor = XorKernels<32>;
+
+constexpr Ops kOps = {Isa::kAvx2, &Xor::xor1, &Xor::xor2, &Xor::xor3,
+                      &Xor::xor4, &gf256_fma, &gf65536_fma};
 
 }  // namespace
 

@@ -3,7 +3,7 @@
 // entered after the dispatcher has confirmed AVX-512BW *and* OS ZMM state
 // via cpuid + XCR0 — nothing here may be called otherwise.
 //
-// XOR: 64-byte lanes, two accumulators per iteration. GF(2^8): the same
+// XOR: 64-byte lanes from kernels_xor.hpp. GF(2^8): the same
 // split-nibble technique as the AVX2 tier, widened to VPSHUFB on ZMM
 // (AVX-512BW provides the byte shuffle; each 128-bit lane performs the
 // 16-way half-table lookup), evaluating 64 byte products per instruction
@@ -17,6 +17,8 @@
 
 #include <immintrin.h>
 
+#include "kern/kernels_xor.hpp"
+
 namespace fountain::kern::detail {
 
 namespace {
@@ -28,59 +30,6 @@ inline __m512i load(const std::uint8_t* p) {
 inline void store(std::uint8_t* p, __m512i v) {
   _mm512_storeu_si512(reinterpret_cast<void*>(p), v);
 }
-
-}  // namespace
-
-void avx512_xor1(std::uint8_t* dst, const std::uint8_t* a, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 128 <= n; i += 128) {
-    store(dst + i, _mm512_xor_si512(load(dst + i), load(a + i)));
-    store(dst + i + 64,
-          _mm512_xor_si512(load(dst + i + 64), load(a + i + 64)));
-  }
-  for (; i + 64 <= n; i += 64) {
-    store(dst + i, _mm512_xor_si512(load(dst + i), load(a + i)));
-  }
-  if (i < n) scalar_xor(dst + i, a + i, n - i);
-}
-
-void avx512_xor2(std::uint8_t* dst, const std::uint8_t* a,
-                 const std::uint8_t* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    store(dst + i,
-          _mm512_xor_si512(load(dst + i),
-                           _mm512_xor_si512(load(a + i), load(b + i))));
-  }
-  for (; i < n; ++i) dst[i] ^= static_cast<std::uint8_t>(a[i] ^ b[i]);
-}
-
-void avx512_xor3(std::uint8_t* dst, const std::uint8_t* a,
-                 const std::uint8_t* b, const std::uint8_t* c, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    const __m512i ab = _mm512_xor_si512(load(a + i), load(b + i));
-    store(dst + i, _mm512_xor_si512(load(dst + i),
-                                    _mm512_xor_si512(ab, load(c + i))));
-  }
-  for (; i < n; ++i) dst[i] ^= static_cast<std::uint8_t>(a[i] ^ b[i] ^ c[i]);
-}
-
-void avx512_xor4(std::uint8_t* dst, const std::uint8_t* a,
-                 const std::uint8_t* b, const std::uint8_t* c,
-                 const std::uint8_t* d, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    const __m512i ab = _mm512_xor_si512(load(a + i), load(b + i));
-    const __m512i cd = _mm512_xor_si512(load(c + i), load(d + i));
-    store(dst + i, _mm512_xor_si512(load(dst + i), _mm512_xor_si512(ab, cd)));
-  }
-  for (; i < n; ++i) {
-    dst[i] ^= static_cast<std::uint8_t>(a[i] ^ b[i] ^ c[i] ^ d[i]);
-  }
-}
-
-namespace {
 
 /// Broadcasts a 16-entry half-table into all four 128-bit lanes. The maskz
 /// form (full mask) is used instead of the plain intrinsic because GCC's
@@ -195,8 +144,10 @@ void gf65536_fma(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
   if (i < n) padded_tail<128>(dst + i, src + i, n - i, step);
 }
 
-constexpr Ops kOps = {Isa::kAvx512, &avx512_xor1, &avx512_xor2,
-                      &avx512_xor3, &avx512_xor4, &gf256_fma, &gf65536_fma};
+using Xor = XorKernels<64>;
+
+constexpr Ops kOps = {Isa::kAvx512, &Xor::xor1, &Xor::xor2, &Xor::xor3,
+                      &Xor::xor4, &gf256_fma, &gf65536_fma};
 
 }  // namespace
 

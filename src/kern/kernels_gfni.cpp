@@ -17,9 +17,9 @@
 // of eight VPSHUFB plus nibble extraction. The four matrices come from the
 // basis row in a handful of instructions (see gf16_matrices).
 //
-// XOR has no GFNI form: the table's XOR slots are the AVX-512BW tier's
-// kernels (declared in kernels_impl.hpp), so forcing `FOUNTAIN_FORCE_ISA=gfni`
-// still exercises a complete table.
+// XOR has no GFNI form: the table's XOR slots are the 64-byte kernels of
+// kernels_xor.hpp, this unit's own copy of the AVX-512BW tier's, so forcing
+// `FOUNTAIN_FORCE_ISA=gfni` still exercises a complete table.
 //
 // Hosts with VEX-only GFNI (no AVX-512, e.g. Alder Lake) fall back to the
 // AVX2 tier; the affine path is worth a dedicated VEX variant only if such
@@ -29,6 +29,8 @@
 #if defined(__GFNI__) && defined(__AVX512F__) && defined(__AVX512BW__)
 
 #include <immintrin.h>
+
+#include "kern/kernels_xor.hpp"
 
 namespace fountain::kern::detail {
 
@@ -130,8 +132,10 @@ void gf65536_fma(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
   if (i < n) padded_tail<128>(dst + i, src + i, n - i, step);
 }
 
-constexpr Ops kOps = {Isa::kGfni, &avx512_xor1, &avx512_xor2,
-                      &avx512_xor3, &avx512_xor4, &gf256_fma, &gf65536_fma};
+using Xor = XorKernels<64>;
+
+constexpr Ops kOps = {Isa::kGfni, &Xor::xor1, &Xor::xor2, &Xor::xor3,
+                      &Xor::xor4, &gf256_fma, &gf65536_fma};
 
 }  // namespace
 

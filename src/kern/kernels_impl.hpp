@@ -15,18 +15,6 @@ const Ops* avx512_ops();   // x86-64 built with -mavx512bw; cpuid + XCR0
 const Ops* gfni_ops();     // x86-64 built with -mgfni -mavx512bw; cpuid+XCR0
 const Ops* neon_ops();     // AArch64 only
 
-// The AVX-512BW tier's XOR kernels, which are also the GFNI tier's (XOR has
-// no GFNI form). Defined only where kernels_avx512.cpp is built with
-// AVX-512BW, and reached only behind that tier's runtime check.
-void avx512_xor1(std::uint8_t* dst, const std::uint8_t* a, std::size_t n);
-void avx512_xor2(std::uint8_t* dst, const std::uint8_t* a,
-                 const std::uint8_t* b, std::size_t n);
-void avx512_xor3(std::uint8_t* dst, const std::uint8_t* a,
-                 const std::uint8_t* b, const std::uint8_t* c, std::size_t n);
-void avx512_xor4(std::uint8_t* dst, const std::uint8_t* a,
-                 const std::uint8_t* b, const std::uint8_t* c,
-                 const std::uint8_t* d, std::size_t n);
-
 // Shared scalar helpers, also used by the SIMD tiers for sub-register tails.
 void scalar_xor(std::uint8_t* dst, const std::uint8_t* a, std::size_t n);
 void scalar_gf256_fma(std::uint8_t* dst, const std::uint8_t* src,

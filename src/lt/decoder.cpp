@@ -28,9 +28,8 @@ void xor_words(std::uint64_t* dst, const std::uint64_t* src,
 std::int64_t lowest_bit(const std::uint64_t* m, std::size_t words) {
   for (std::size_t w = 0; w < words; ++w) {
     if (m[w] != 0) {
-      return static_cast<std::int64_t>(w * 64 +
-                                       static_cast<std::size_t>(
-                                           __builtin_ctzll(m[w])));
+      return static_cast<std::int64_t>(
+          w * 64 + static_cast<std::size_t>(std::countr_zero(m[w])));
     }
   }
   return -1;
@@ -425,20 +424,14 @@ void LtDecoderCore::reset() {
   plan_checks_ = 0;
 }
 
-// ---- LtStructuralDecoder ----
-
-bool LtStructuralDecoder::add_index(std::uint32_t index) {
-  if (core_.complete()) return true;
-  const auto r = core_.insert(index);
-  if (r.check >= 0) {
+bool LtDecoderCore::add_index(std::uint32_t index) {
+  if (complete()) return true;
+  if (insert(index).check >= 0) {
     events_.clear();
-    core_.propagate(events_);
+    propagate(events_);
   }
-  if (!core_.complete() && core_.should_attempt() &&
-      core_.try_inactivation()) {
-    core_.finish_plan();
-  }
-  return core_.complete();
+  if (should_attempt() && try_inactivation()) finish_plan();
+  return complete();
 }
 
 // ---- LtDataDecoder ----
@@ -539,8 +532,8 @@ void LtDataDecoder::apply_plan() {
     for (std::size_t w = 0; w < words; ++w) {
       std::uint64_t bits = row[w];
       while (bits != 0) {
-        const auto b = w * 64 +
-                       static_cast<std::size_t>(__builtin_ctzll(bits));
+        const auto b =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
         bits &= bits - 1;
         if (b == plan.pivot_var[j]) continue;
         gather_.push_back(nodes_.row(plan.inactive[b]).data());

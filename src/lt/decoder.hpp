@@ -53,10 +53,10 @@
 //
 // Both decoders share LtDecoderCore, the index-level machinery, which owns
 // the plan; decodability depends only on which indices arrived, so the
-// structural decoder *is* the core and the two agree on the completion
-// packet by construction. Decoders are pooled: reset() returns every
-// container to size zero while keeping capacity, per the engine
-// sink-pooling contract.
+// structural decoder *is* the core (its add_index runs insert, the ripple
+// and the attempt schedule) and the two agree on the completion packet by
+// construction. Decoders are pooled: reset() returns every container to
+// size zero while keeping capacity, per the engine sink-pooling contract.
 #pragma once
 
 #include <cstdint>
@@ -96,10 +96,14 @@ struct InactivationPlan {
   void clear();
 };
 
-/// Index-level LT decoding state shared by both decoder facades.
-class LtDecoderCore {
+/// Index-level LT decoding state shared by both decoders; as a
+/// fec::StructuralDecoder it is the index-only one.
+class LtDecoderCore final : public fec::StructuralDecoder {
  public:
   explicit LtDecoderCore(const LtCode& code);
+
+  /// insert(), the ripple, then an inactivation attempt when one is due.
+  bool add_index(std::uint32_t index) override;
 
   struct AddResult {
     bool new_index = false;   // false: duplicate (or already complete)
@@ -115,7 +119,7 @@ class LtDecoderCore {
   /// Runs the peeling ripple; appends one PeelEvent per recovered source.
   void propagate(std::vector<PeelEvent>& events);
 
-  bool complete() const { return known_count_ == k_; }
+  bool complete() const override { return known_count_ == k_; }
   std::size_t distinct() const { return distinct_; }
   bool known(std::uint32_t source) const { return known_[source] != 0; }
 
@@ -156,7 +160,7 @@ class LtDecoderCore {
   /// Commits a successful plan and closes it: every source becomes known.
   void finish_plan();
 
-  void reset();
+  void reset() override;
 
   // Diagnostics for tests and benches; all deterministic. Every attempt is
   // either a plan from scratch or an extension of the open plan.
@@ -175,6 +179,7 @@ class LtDecoderCore {
   std::size_t k_;
   NeighborGenerator gen_;
   std::vector<std::uint32_t> nbrs_;  // insert() scratch
+  std::vector<PeelEvent> events_;    // add_index() scratch (contents unused)
 
   std::unordered_set<std::uint32_t> seen_;
   std::size_t distinct_ = 0;
@@ -238,21 +243,6 @@ class LtDecoderCore {
   bool fail(std::size_t deficit);
 };
 
-class LtStructuralDecoder final : public fec::StructuralDecoder {
- public:
-  explicit LtStructuralDecoder(const LtCode& code) : core_(code) {}
-
-  bool add_index(std::uint32_t index) override;
-  bool complete() const override { return core_.complete(); }
-  void reset() override { core_.reset(); }
-
-  const LtDecoderCore& core() const { return core_; }
-
- private:
-  LtDecoderCore core_;
-  std::vector<PeelEvent> events_;   // scratch (contents unused)
-};
-
 class LtDataDecoder final : public fec::IncrementalDecoder {
  public:
   explicit LtDataDecoder(const LtCode& code);
@@ -265,7 +255,6 @@ class LtDataDecoder final : public fec::IncrementalDecoder {
                                  nodes_.symbol_size());
   }
 
-  std::size_t distinct_received() const { return core_.distinct(); }
   const LtDecoderCore& core() const { return core_; }
 
  private:

@@ -99,7 +99,7 @@ std::unique_ptr<fec::IncrementalDecoder> LtCode::make_decoder() const {
 
 std::unique_ptr<fec::StructuralDecoder> LtCode::make_structural_decoder()
     const {
-  return std::make_unique<LtStructuralDecoder>(*this);
+  return std::make_unique<LtDecoderCore>(*this);
 }
 
 }  // namespace fountain::lt

@@ -43,18 +43,6 @@ fec::CodecParams ControlInfo::codec_params() const {
   return params;
 }
 
-core::TornadoParams ControlInfo::tornado_params() const {
-  core::TornadoParams params =
-      variant == 0
-          ? core::TornadoParams::tornado_a(source_count, symbol_size,
-                                           graph_seed)
-          : core::TornadoParams::tornado_b(source_count, symbol_size,
-                                           graph_seed);
-  params.stretch = static_cast<double>(encoded_count) /
-                   static_cast<double>(source_count);
-  return params;
-}
-
 void ControlInfo::serialize(util::ByteSpan out) const {
   if (out.size() < kWireSize) {
     throw std::invalid_argument("ControlInfo: buffer too small");

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/cascade.hpp"
 #include "fec/codec_registry.hpp"
 #include "net/packet_header.hpp"
 #include "util/symbols.hpp"
@@ -43,9 +42,6 @@ struct ControlInfo {
   /// The registry parameters a client must use: feed these plus `codec` to
   /// fec::CodecRegistry to instantiate the server's exact code.
   fec::CodecParams codec_params() const;
-
-  /// Derives the Tornado parameters a client must use (codec == kTornado).
-  core::TornadoParams tornado_params() const;
 
   void serialize(util::ByteSpan out) const;
   /// Total function over arbitrary bytes: never throws. Checks length,

@@ -3,6 +3,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "cc/policies.hpp"
 #include "net/loss.hpp"
 #include "proto/server.hpp"
 
@@ -42,7 +43,7 @@ std::vector<engine::ReceiverReport> run_session(
     if (client.loss_driven) {
       // The controller replaces the burst-probe machinery entirely.
       spec.controller =
-          std::make_unique<cc::LossDrivenPolicy>(client.loss_driven_config);
+          std::make_unique<cc::LossDrivenPolicy>(cc::LossDrivenConfig{});
     }
     if (client.leaf < 0) {
       // Private channel: the synthetic capacity-drift environment stands in
@@ -61,8 +62,7 @@ std::vector<engine::ReceiverReport> run_session(
           id, source,
           engine::make_path_link(network.topology, edge_queues, network.root,
                                  static_cast<engine::NodeId>(client.leaf),
-                                 rx_seed, client.base_loss,
-                                 network.model_latency));
+                                 rx_seed, client.base_loss));
     } else {
       session.subscribe(id, source,
                         std::make_unique<engine::LossLink>(

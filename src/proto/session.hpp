@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "cc/policies.hpp"
 #include "engine/session.hpp"
 #include "engine/topology.hpp"
 #include "fec/erasure_code.hpp"
@@ -25,15 +24,12 @@ namespace fountain::proto {
 /// once and shared by all receivers, so overlapping paths couple: one member
 /// joining a layer raises its siblings' loss). A shared last-mile link of
 /// capacity c packets per round is Topology::bottleneck_tree(1, 1, {c}) with
-/// its receivers at leaf 1. `model_latency` sums edge RTTs into a delivery
-/// latency for surviving packets; leave it false for loss-only studies.
-/// Receivers whose paths share any edge must fit in one engine cohort (the
-/// engine rejects the scenario otherwise, at any thread count) — in
-/// practice: one tree, one cohort.
+/// its receivers at leaf 1. Receivers whose paths share any edge must fit in
+/// one engine cohort (the engine rejects the scenario otherwise, at any
+/// thread count) — in practice: one tree, one cohort.
 struct TopologySpec {
   engine::Topology topology;
   engine::NodeId root = 0;
-  bool model_latency = false;
 };
 
 /// Per-receiver scenario knobs (the old SimClient's configuration): the
@@ -56,8 +52,8 @@ struct SimClientConfig {
   int leaf = -1;                       // node of the session's TopologySpec
                                        // this receiver sits at; -1 = private
                                        // channel
-  bool loss_driven = false;            // use cc::LossDrivenPolicy
-  cc::LossDrivenConfig loss_driven_config;  // knobs when loss_driven
+  bool loss_driven = false;            // use cc::LossDrivenPolicy with
+                                       // its default knobs
 };
 
 /// Runs a session until every receiver completes (or `max_rounds` elapse).

@@ -199,6 +199,78 @@ TEST(CodecRegistry, BothEndsDeriveIdenticalStreams) {
   }
 }
 
+TEST(CodecRegistry, StructuralDecoderAgreesWithPayloadDecoder) {
+  // Decodability depends only on which indices arrived, so for every family
+  // the registry builds, the index-only decoder completes on the same
+  // arrival as the payload decoder — through duplicates, and again after
+  // both are reset.
+  struct Family {
+    const char* name;
+    CodecId id;
+    std::uint32_t variant;
+  };
+  constexpr Family kFamilies[] = {
+      {"tornado_a", CodecId::kTornado, 0},
+      {"tornado_b", CodecId::kTornado, 1},
+      {"rs_cauchy", CodecId::kReedSolomon, 0},
+      {"rs_vandermonde", CodecId::kReedSolomon, 1},
+      {"interleaved", CodecId::kInterleaved, 0},
+      {"lt", CodecId::kLT, 0},
+  };
+  for (const Family& family : kFamilies) {
+    SCOPED_TRACE(family.name);
+    CodecParams params;
+    params.k = 200;
+    params.symbol_size = 32;
+    params.seed = 9;
+    params.variant = family.variant;
+    const auto code = CodecRegistry::builtin().create(family.id, params);
+    util::SymbolMatrix file(code->source_count(), code->symbol_size());
+    file.fill_random(41);
+    const auto encoder = code->make_encoder(file);
+    const auto structural = code->make_structural_decoder();
+    const auto payload = code->make_decoder();
+    util::SymbolMatrix wire(1, code->symbol_size());
+
+    for (const std::uint64_t stream_seed : {7u, 8u}) {
+      SCOPED_TRACE(stream_seed);
+      structural->reset();
+      payload->reset();
+      ASSERT_FALSE(structural->complete());
+      ASSERT_FALSE(payload->complete());
+      // Every index once, in a shuffled order, with about one arrival in
+      // four repeating an index already sent.
+      util::Rng rng(stream_seed);
+      std::vector<std::uint32_t> stream;
+      for (const auto index : rng.permutation(code->encoded_count())) {
+        stream.push_back(index);
+        if (rng.below(3) == 0) {
+          stream.push_back(stream[rng.below(stream.size())]);
+        }
+      }
+      std::size_t arrival = 0;
+      bool done = false;
+      for (; arrival < stream.size() && !done; ++arrival) {
+        const std::uint32_t index = stream[arrival];
+        encoder->write_symbol(index, wire.row(0));
+        done = payload->add_symbol(index, wire.row(0));
+        ASSERT_EQ(structural->add_index(index), done) << "arrival " << arrival;
+      }
+      ASSERT_TRUE(done);
+      EXPECT_TRUE(structural->complete());
+      EXPECT_EQ(payload->source(), util::ConstSymbolView(file));
+      // Both stay complete through the rest of the stream.
+      for (; arrival < stream.size(); ++arrival) {
+        const std::uint32_t index = stream[arrival];
+        encoder->write_symbol(index, wire.row(0));
+        ASSERT_TRUE(payload->add_symbol(index, wire.row(0)));
+        ASSERT_TRUE(structural->add_index(index));
+      }
+      EXPECT_EQ(payload->source(), util::ConstSymbolView(file));
+    }
+  }
+}
+
 TEST(CodecRegistry, ControlInfoCarriesTheFactoryInputs) {
   // ControlInfo -> CodecParams -> registry reproduces the server's code for
   // every family, including the codec byte round-tripping over the wire.

@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "core/tornado.hpp"
+#include "fec/codec_registry.hpp"
 #include "proto/control.hpp"
 #include "util/random.hpp"
 
@@ -176,10 +176,11 @@ TEST(ControlInfo, FieldDerivation) {
   const ControlInfo info = proto::make_control_info(10'000, 512, 0, 7, 4, 9);
   EXPECT_EQ(info.source_count, 20u);  // ceil(10000 / 512)
   EXPECT_EQ(info.encoded_count, 40u);
-  const auto params = info.tornado_params();
+  const auto params = info.codec_params();
   EXPECT_EQ(params.k, 20u);
   EXPECT_EQ(params.symbol_size, 512u);
   EXPECT_EQ(params.seed, 7u);
+  EXPECT_EQ(params.variant, 0u);
   EXPECT_DOUBLE_EQ(params.stretch, 2.0);
 }
 
@@ -188,17 +189,19 @@ TEST(ControlInfo, ClientBuildsIdenticalCode) {
   // cascade from the advertised control info.
   const ControlInfo info = proto::make_control_info(500'000, 1000, 0, 77, 1,
                                                     5);
-  core::TornadoCode server_code(info.tornado_params());
-  core::TornadoCode client_code(info.tornado_params());
+  const auto& registry = fec::CodecRegistry::builtin();
+  const auto server_code = registry.create(info.codec, info.codec_params());
+  const auto client_code = registry.create(info.codec, info.codec_params());
+  ASSERT_EQ(server_code->codec_id(), fec::CodecId::kTornado);
 
-  util::SymbolMatrix file(server_code.source_count(), 1000);
+  util::SymbolMatrix file(server_code->source_count(), 1000);
   file.fill_random(1);
-  util::SymbolMatrix encoding(server_code.encoded_count(), 1000);
-  server_code.encode(file, encoding);
+  util::SymbolMatrix encoding(server_code->encoded_count(), 1000);
+  server_code->encode(file, encoding);
 
   util::Rng rng(2);
-  auto decoder = client_code.make_decoder();
-  for (const auto index : rng.permutation(server_code.encoded_count())) {
+  auto decoder = client_code->make_decoder();
+  for (const auto index : rng.permutation(server_code->encoded_count())) {
     if (decoder->add_symbol(index, encoding.row(index))) break;
   }
   ASSERT_TRUE(decoder->complete());

@@ -341,7 +341,7 @@ TEST(LtDecoder, StructuralAndDataDecodersAgreeStepByStep) {
   src.fill_random(17);
   const auto enc = code.make_encoder(src);
   lt::LtDataDecoder data(code);
-  lt::LtStructuralDecoder oracle(code);
+  lt::LtDecoderCore oracle(code);
 
   util::Rng rng(12345);
   std::vector<std::uint8_t> buf(code.symbol_size());
@@ -358,8 +358,8 @@ TEST(LtDecoder, StructuralAndDataDecodersAgreeStepByStep) {
     ++steps;
   }
   EXPECT_EQ(data.source(), util::ConstSymbolView(src));
-  EXPECT_EQ(data.core().distinct(), oracle.core().distinct());
-  EXPECT_EQ(data.core().inactivated(), oracle.core().inactivated());
+  EXPECT_EQ(data.core().distinct(), oracle.distinct());
+  EXPECT_EQ(data.core().inactivated(), oracle.inactivated());
 }
 
 TEST(LtDecoder, CompletesOnTheFirstArrivalOfFullRank) {
@@ -381,7 +381,7 @@ TEST(LtDecoder, CompletesOnTheFirstArrivalOfFullRank) {
       src.fill_random(seed + 100);
       const auto enc = code.make_encoder(src);
       lt::LtDataDecoder data(code);
-      lt::LtStructuralDecoder structural(code);
+      lt::LtDecoderCore structural(code);
       RankOracle oracle(code);
       util::Rng rng(1000 * k + seed);
       std::vector<std::uint8_t> buf(8);
@@ -407,10 +407,10 @@ TEST(LtDecoder, CompletesOnTheFirstArrivalOfFullRank) {
         }
       }
       EXPECT_EQ(data.source(), util::ConstSymbolView(src));
-      EXPECT_EQ(data.core().plans(), structural.core().plans());
-      EXPECT_EQ(data.core().extensions(), structural.core().extensions());
-      EXPECT_EQ(data.core().inactivated(), structural.core().inactivated());
-      EXPECT_EQ(data.core().peeled(), structural.core().peeled());
+      EXPECT_EQ(data.core().plans(), structural.plans());
+      EXPECT_EQ(data.core().extensions(), structural.extensions());
+      EXPECT_EQ(data.core().inactivated(), structural.inactivated());
+      EXPECT_EQ(data.core().peeled(), structural.peeled());
       if (data.core().inactivated() > 0) {
         EXPECT_GE(data.core().plans(), 1u);
       }
@@ -489,7 +489,7 @@ TEST(LtPlanPins, SeededDecodesKeepTheirPlans) {
     src.fill_random(pin.code_seed + 100);
     const auto enc = code.make_encoder(src);
     lt::LtDataDecoder data(code);
-    lt::LtStructuralDecoder structural(code);
+    lt::LtDecoderCore structural(code);
     std::vector<std::uint32_t> idx(3 * pin.k);
     for (std::uint32_t i = 0; i < idx.size(); ++i) idx[i] = i;
     std::mt19937_64 g(pin.feed_seed);
@@ -512,7 +512,7 @@ TEST(LtPlanPins, SeededDecodesKeepTheirPlans) {
     EXPECT_EQ(core.peeled(), pin.peeled);
     EXPECT_EQ(core.plan_bytes(), pin.plan_bytes);
     EXPECT_EQ(plan_hash(core.plan()), pin.hash);
-    EXPECT_EQ(plan_hash(structural.core().plan()), pin.hash);
+    EXPECT_EQ(plan_hash(structural.plan()), pin.hash);
     EXPECT_EQ(data.source(), util::ConstSymbolView(src));
   }
 }
@@ -529,7 +529,7 @@ TEST(LtDecoder, DuplicatesNeverAdvanceState) {
   for (int rep = 0; rep < 100; ++rep) {
     EXPECT_FALSE(dec.add_symbol(9, util::ConstByteSpan(buf.data(), 8)));
   }
-  EXPECT_EQ(dec.distinct_received(), 1u);
+  EXPECT_EQ(dec.core().distinct(), 1u);
 }
 
 TEST(LtDecoder, ResetPoolsStateAcrossDecodes) {

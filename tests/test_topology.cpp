@@ -45,9 +45,8 @@ using engine::Topology;
 
 TEST(TopologyGraph, TreeShapeCapacityAndLeafInvariants) {
   const std::vector<double> caps = {8.0, 4.0, 2.0};
-  const std::vector<engine::Time> rtts = {5, 3, 1};
-  const Topology tree = Topology::bottleneck_tree(
-      3, 2, std::span<const double>(caps), std::span<const engine::Time>(rtts));
+  const Topology tree =
+      Topology::bottleneck_tree(3, 2, std::span<const double>(caps));
 
   // Complete binary tree of depth 3: 1 + 2 + 4 + 8 nodes, one edge into
   // every non-root node, nodes and edges in level order.
@@ -57,7 +56,6 @@ TEST(TopologyGraph, TreeShapeCapacityAndLeafInvariants) {
   for (std::size_t e = 0; e < tree.edge_count(); ++e) {
     const unsigned depth = e < 2 ? 1 : (e < 6 ? 2 : 3);
     EXPECT_EQ(tree.edge(e).capacity, caps[depth - 1]) << "edge " << e;
-    EXPECT_EQ(tree.edge(e).rtt, rtts[depth - 1]) << "edge " << e;
     EXPECT_EQ(tree.edge(e).to, static_cast<NodeId>(e + 1)) << "edge " << e;
   }
   EXPECT_EQ(tree.degree(0), 2u);   // root: two children
@@ -74,13 +72,6 @@ TEST(TopologyGraph, TreeShapeCapacityAndLeafInvariants) {
   EXPECT_EQ(tree.path(7, 8).size(), 2u);
   EXPECT_EQ(tree.path(7, 14).size(), 6u);
   EXPECT_TRUE(tree.path(3, 3).empty());
-
-  // rtt defaults to 1 per level when no schedule is given.
-  const Topology plain =
-      Topology::bottleneck_tree(2, 3, std::vector<double>{1.0, 1.0});
-  for (std::size_t e = 0; e < plain.edge_count(); ++e) {
-    EXPECT_EQ(plain.edge(e).rtt, engine::Time{1});
-  }
 }
 
 TEST(TopologyGraph, DegenerateArgumentsThrow) {

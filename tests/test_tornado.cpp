@@ -18,13 +18,13 @@ namespace {
 
 using core::BipartiteGraph;
 using core::Cascade;
-using core::HeavyTailDistribution;
+using core::DegreeDistribution;
 using core::TornadoCode;
 using core::TornadoParams;
 
 TEST(HeavyTail, EdgeFractionsSumToOne) {
   for (unsigned d : {1u, 2u, 8u, 64u, 200u}) {
-    HeavyTailDistribution dist(d);
+    const auto dist = DegreeDistribution::heavy_tail(d);
     double sum = 0.0;
     for (unsigned i = 2; i <= d + 1; ++i) sum += dist.edge_fraction(i);
     EXPECT_NEAR(sum, 1.0, 1e-9) << "D=" << d;
@@ -32,7 +32,7 @@ TEST(HeavyTail, EdgeFractionsSumToOne) {
 }
 
 TEST(HeavyTail, NodeFractionsSumToOne) {
-  HeavyTailDistribution dist(8);
+  const auto dist = DegreeDistribution::heavy_tail(8);
   double sum = 0.0;
   for (unsigned i = 2; i <= 9; ++i) sum += dist.node_fraction(i);
   EXPECT_NEAR(sum, 1.0, 1e-9);
@@ -40,19 +40,19 @@ TEST(HeavyTail, NodeFractionsSumToOne) {
 
 TEST(HeavyTail, AverageDegreeFormula) {
   // avg node degree = 1 / sum(lambda_i / i); check against direct sum.
-  HeavyTailDistribution dist(8);
+  const auto dist = DegreeDistribution::heavy_tail(8);
   double direct = 0.0;
   for (unsigned i = 2; i <= 9; ++i) {
     direct += static_cast<double>(i) * dist.node_fraction(i);
   }
   EXPECT_NEAR(dist.average_node_degree(), direct, 1e-9);
   // Heavier tail => more edges per node.
-  EXPECT_GT(HeavyTailDistribution(64).average_node_degree(),
-            HeavyTailDistribution(8).average_node_degree());
+  EXPECT_GT(DegreeDistribution::heavy_tail(64).average_node_degree(),
+            DegreeDistribution::heavy_tail(8).average_node_degree());
 }
 
 TEST(HeavyTail, SamplesStayInRange) {
-  HeavyTailDistribution dist(8);
+  const auto dist = DegreeDistribution::heavy_tail(8);
   util::Rng rng(1);
   for (int i = 0; i < 10000; ++i) {
     const unsigned deg = dist.sample(rng);
@@ -62,7 +62,7 @@ TEST(HeavyTail, SamplesStayInRange) {
 }
 
 TEST(HeavyTail, EmpiricalFrequenciesMatch) {
-  HeavyTailDistribution dist(8);
+  const auto dist = DegreeDistribution::heavy_tail(8);
   util::Rng rng(2);
   std::vector<int> counts(10, 0);
   const int n = 200000;
@@ -76,14 +76,14 @@ TEST(HeavyTail, EmpiricalFrequenciesMatch) {
 
 TEST(HeavyTail, DegreeTwoIsMostCommon) {
   // lambda_2 / 2 dominates the node distribution.
-  HeavyTailDistribution dist(16);
+  const auto dist = DegreeDistribution::heavy_tail(16);
   for (unsigned deg = 3; deg <= 17; ++deg) {
     EXPECT_GT(dist.node_fraction(2), dist.node_fraction(deg));
   }
 }
 
 TEST(Graph, AdjacencyTransposeConsistent) {
-  HeavyTailDistribution dist(8);
+  const auto dist = DegreeDistribution::heavy_tail(8);
   util::Rng rng(3);
   const auto g = BipartiteGraph::random(200, 100, dist, rng);
   EXPECT_EQ(g.left_count(), 200u);
@@ -110,7 +110,7 @@ TEST(Graph, AdjacencyTransposeConsistent) {
 }
 
 TEST(Graph, EdgeCountTracksDistribution) {
-  HeavyTailDistribution dist(8);
+  const auto dist = DegreeDistribution::heavy_tail(8);
   util::Rng rng(4);
   const auto g = BipartiteGraph::random(5000, 2500, dist, rng);
   const double expected = 5000 * dist.average_node_degree();
