@@ -99,12 +99,13 @@ RunOutcome run_once(std::size_t receivers, std::size_t k, std::size_t threads,
     switch (r % 3) {
       case 0:  // fixed level — the structural baseline population
         break;
-      case 1:  // Section 7.2 burst-probe machinery + synthetic environment
+      case 1:  // Section 7.2 burst probe + synthetic environment
         spec.policy.adaptive = true;
         spec.policy.initial_capacity =
             static_cast<unsigned>(rng.below(proto_cfg.layers));
         spec.policy.capacity_change_prob = 0.01 * rng.uniform();
         spec.policy.congestion_extra_loss = 0.4 * rng.uniform();
+        spec.controller = std::make_unique<cc::BurstProbePolicy>();
         break;
       default: {  // loss-driven controller with per-receiver knobs
         cc::LossDrivenConfig knobs;

@@ -18,7 +18,8 @@ unsigned BurstProbePolicy::on_round(const RoundView& round, unsigned level) {
     return level - 1;
   }
   // A clean burst probe clears the receiver to move up at the next SP.
-  if (round.burst && round.probe_seen && round.probe_clean) {
+  if (round.burst && round.addressed > 0 &&
+      round.first_loss >= std::min(kProbeWindow, round.addressed)) {
     join_cleared_ = true;
   }
   if (round.sync_point && join_cleared_ && level < max_level_) {
@@ -132,8 +133,7 @@ unsigned LossDrivenPolicy::on_round(const RoundView& round, unsigned level) {
   }
 
   const bool join_gate_open =
-      rounds_seen_ >= next_join_round_ &&
-      (round.sync_point || !config_.join_at_sync_points_only);
+      rounds_seen_ >= next_join_round_ && round.sync_point;
   if (loss <= config_.join_loss_threshold && level < max_level_ &&
       join_gate_open) {
     probing_ = true;

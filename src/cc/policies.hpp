@@ -3,8 +3,9 @@
 //  * BurstProbePolicy — the paper's Section 7.2 receiver, verbatim: drop a
 //    layer the moment one firing's loss exceeds a threshold; move up a layer
 //    at the next synchronization point after surviving a double-rate burst
-//    probe with zero loss. It is the policy the engine's legacy
-//    SubscriptionPolicy{adaptive = true} knobs configure.
+//    probe with zero loss. The probe window and the default threshold are
+//    its own constants. The engine builds no policy itself: a receiver
+//    adapts only through the controller its ReceiverSpec carries.
 //
 //  * LossDrivenPolicy — the loss-driven adaptation scheme of the
 //    receiver-driven layered multicast lineage (RLM and Section 7's
@@ -13,7 +14,8 @@
 //    drop, while joins additionally wait for a per-level join timer that
 //    backs off exponentially every time a join at that level fails (the
 //    mechanism that keeps a large population from synchronizing its join
-//    experiments and collapsing a shared bottleneck).
+//    experiments and collapsing a shared bottleneck). Like the paper's
+//    receiver, it joins only at a synchronization point on its level.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +28,11 @@ namespace fountain::cc {
 
 class BurstProbePolicy final : public ReceiverPolicy {
  public:
+  /// The probe: a burst firing whose first kProbeWindow addressed packets
+  /// (all of them, if it addressed fewer) arrived usable arms a join at the
+  /// next synchronization point on the receiver's level.
+  static constexpr std::uint64_t kProbeWindow = 32;
+
   /// `drop_loss_threshold`: one firing losing more than this fraction of
   /// its packets forces an immediate one-level drop.
   explicit BurstProbePolicy(double drop_loss_threshold = 0.45)
@@ -60,9 +67,6 @@ struct LossDrivenConfig {
   /// A join that suffers a forced drop within this many firings counts as
   /// failed and backs off its level's timer.
   std::uint64_t probe_rounds = 24;
-  /// Restrict joins to firings carrying a synchronization point on the
-  /// receiver's current level (the paper's SP join rule).
-  bool join_at_sync_points_only = true;
   /// Fraction of the join timer added as deterministic, seed-derived jitter
   /// (desynchronizes join experiments across a population).
   double join_timer_jitter = 0.5;

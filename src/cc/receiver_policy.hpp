@@ -29,9 +29,11 @@ struct RoundView {
                                 // signal like loss — a policy that ignored
                                 // corruption would hold its rate on a path
                                 // mangling every packet
+  std::uint64_t first_loss = 0;  // 0-based send position of the first
+                                 // addressed packet that yielded nothing
+                                 // usable this firing (dropped, delayed or
+                                 // damaged), or `addressed` if none did
   bool burst = false;           // the firing was a double-rate probe round
-  bool probe_seen = false;      // receiver inspected burst-probe packets...
-  bool probe_clean = false;     // ...and observed zero loss among them
   bool sync_point = false;      // the firing carried an SP on the receiver's
                                 // current level (a join opportunity)
 

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "cc/policies.hpp"
 #include "engine/pool.hpp"
 
 namespace fountain::engine {
@@ -55,9 +54,8 @@ bool mark_seen(std::vector<std::uint8_t>& seen, std::uint32_t index) {
 
 // Per-receiver state while its cohort runs: its sink, the subscription
 // level, the synthetic congestion environment of the legacy adaptive knobs
-// (drifting capacity + extra loss above it), and the active
-// cc::ReceiverPolicy — either the spec's explicit controller or the
-// built-in Section 7.2 burst-probe policy.
+// (drifting capacity + extra loss above it), and the spec's
+// cc::ReceiverPolicy, if it carries one.
 struct AdaptState {
   std::uint8_t active = 0;  // 0 = not yet joined, 1 = live, 2 = finished
   PacketSink* sink = nullptr;  // private or pooled, resolved at join
@@ -67,8 +65,6 @@ struct AdaptState {
   Time last_progress = 0;  // last tick the distinct count grew (stall clock)
   util::Rng rng{0};
   cc::ReceiverPolicy* controller = nullptr;  // null = fixed level
-  cc::BurstProbePolicy burst_probe;          // backing store for the legacy
-                                             // adaptive knobs
 };
 
 }  // namespace
@@ -268,14 +264,7 @@ void Session::CohortRunner::join_member(std::size_t m, Time now) {
   st.level = std::min(st.level, st.max_level);
   st.capacity = std::min(st.capacity, st.max_level);
 
-  if (spec.controller) {
-    st.controller = spec.controller.get();
-  } else if (spec.policy.adaptive) {
-    st.burst_probe = cc::BurstProbePolicy(spec.policy.drop_loss_threshold);
-    st.controller = &st.burst_probe;
-  } else {
-    st.controller = nullptr;
-  }
+  st.controller = spec.controller.get();
   if (st.controller) {
     st.controller->reset(st.level, st.max_level, spec.policy.seed);
   }
@@ -377,8 +366,8 @@ void Session::CohortRunner::process_batch(std::size_t m, Subscription& sub,
   std::uint64_t round_addressed = 0;
   std::uint64_t round_lost = 0;
   std::uint64_t round_corrupt = 0;
-  std::size_t probe_seen = 0;
-  bool probe_loss = false;
+  std::uint64_t first_loss = 0;  // packets that arrived before the first
+                                 // loss (cc::RoundView::first_loss)
   bool sp_on_my_level = false;
 
   for (const PacketBatch::Segment& seg : batch_.segments) {
@@ -387,7 +376,7 @@ void Session::CohortRunner::process_batch(std::size_t m, Subscription& sub,
     for (std::uint32_t i = seg.begin; i < seg.end; ++i) {
       const Delivery packet{now,       sub.source,     batch_.indices[i],
                             seg.layer, seg.sync_point, batch_.burst};
-      ++round_addressed;
+      const std::uint64_t position = round_addressed++;
       Verdict verdict = sub.link->transfer(now);
       // The congestion draw happens only on clean delivery, so without a
       // FaultLink the RNG advances exactly as the historical boolean path.
@@ -395,14 +384,12 @@ void Session::CohortRunner::process_batch(std::size_t m, Subscription& sub,
           st.rng.chance(policy.congestion_extra_loss)) {
         verdict = Verdict::dropped();  // congestion drop on top of the channel
       }
-      // A probe counts a packet as arrived only if something usable shows up
-      // in this firing's window: delayed, corrupted and truncated packets
-      // all read as loss to the burst probe, just as on a real receiver.
-      const bool arrived_now = verdict.kind == FaultKind::kDeliver ||
-                               verdict.kind == FaultKind::kDuplicate;
-      if (batch_.burst && probe_seen < policy.burst_probe_window) {
-        ++probe_seen;
-        if (!arrived_now) probe_loss = true;
+      // A packet counts as arrived only if something usable shows up in
+      // this firing: delayed, corrupted and truncated packets all read as
+      // loss to first_loss, just as on a real receiver.
+      if (first_loss == position && (verdict.kind == FaultKind::kDeliver ||
+                                     verdict.kind == FaultKind::kDuplicate)) {
+        first_loss = position + 1;
       }
       switch (verdict.kind) {
         case FaultKind::kDrop:
@@ -460,9 +447,8 @@ void Session::CohortRunner::process_batch(std::size_t m, Subscription& sub,
   view.addressed = round_addressed;
   view.lost = round_lost;
   view.corrupt = round_corrupt;
+  view.first_loss = first_loss;
   view.burst = batch_.burst;
-  view.probe_seen = probe_seen > 0;
-  view.probe_clean = probe_seen > 0 && !probe_loss;
   view.sync_point = sp_on_my_level;
   const unsigned want =
       std::min(st.controller->on_round(view, st.level), st.max_level);

@@ -30,18 +30,20 @@
 // output is byte-identical at every thread count, and threads = 1 is
 // exactly the historical sequential path.
 //
-// Adaptation plane. Receivers manage their own subscription level through a
-// cc::ReceiverPolicy evaluated on the event heap: after every firing a
-// receiver hears, the engine summarizes the round (addressed/lost packets,
-// burst-probe outcome, sync points) into a cc::RoundView and applies the
-// policy's level decision, clamped to the source's layer range. The legacy
-// SubscriptionPolicy{adaptive = true} knobs run the paper's Section 7.2
-// burst-probe receiver (cc::BurstProbePolicy) with a synthetic congestion
-// environment (drifting capacity, extra loss above it); a ReceiverSpec may
-// instead carry an explicit controller (e.g. cc::LossDrivenPolicy) and get
-// its congestion feedback from a real engine::SharedBottleneck, whose
-// queueing loss the engine keeps current by declaring each receiver's
-// subscribed rate to its links on every level change.
+// Adaptation plane. A receiver manages its own subscription level only
+// through the cc::ReceiverPolicy its ReceiverSpec carries as `controller`
+// (e.g. the paper's Section 7.2 cc::BurstProbePolicy, or
+// cc::LossDrivenPolicy), evaluated on the event heap: after every firing a
+// receiver hears, the engine summarizes the round into a cc::RoundView of
+// facts no one policy owns (addressed, lost and damaged packets, the
+// position of the first loss, burst and sync-point flags) and applies the
+// policy's level decision, clamped to the source's layer range. The
+// congestion feedback comes from the links, e.g. a real
+// engine::SharedBottleneck, whose queueing loss the engine keeps current by
+// declaring each receiver's subscribed rate to its links on every level
+// change, or from the synthetic congestion environment of
+// SubscriptionPolicy{adaptive = true} (drifting capacity, extra loss above
+// it).
 #pragma once
 
 #include <cstdint>
@@ -62,14 +64,11 @@
 
 namespace fountain::engine {
 
-/// How a receiver manages its subscription level (the highest layer it
-/// hears). Defaults describe a fixed-level receiver; `adaptive = true`
-/// enables the Section 7.2 burst-probe machinery (cc::BurstProbePolicy)
-/// together with a synthetic congestion environment: the receiver's
-/// sustainable capacity drifts, and packets above it suffer extra loss.
-/// A ReceiverSpec carrying an explicit `controller` uses that policy
-/// instead (the knobs below other than `initial_level` and `seed` are then
-/// ignored unless `adaptive` keeps the synthetic environment on).
+/// A receiver's starting subscription level (the highest layer it hears)
+/// and its synthetic congestion environment. The level moves only through
+/// the ReceiverSpec's `controller` and scripted moves; `adaptive = true`
+/// turns the environment on: the receiver's sustainable capacity drifts,
+/// and packets above it suffer extra loss.
 struct SubscriptionPolicy {
   unsigned initial_level = 0;
   bool adaptive = false;
@@ -78,10 +77,12 @@ struct SubscriptionPolicy {
   unsigned initial_capacity = 0;        // sustainable level, in [0, layers)
   double capacity_change_prob = 0.0;    // per-firing capacity re-draw
   double congestion_extra_loss = 0.0;   // extra drop prob while level > cap
-  double drop_loss_threshold = 0.45;    // firing loss fraction forcing a drop
-  std::size_t burst_probe_window = 32;  // packets inspected during a burst
   std::uint64_t seed = 0;               // drives capacity + congestion draws
                                         // and the controller's timer jitter
+
+  /// cc::BurstProbePolicy's default drop threshold. Kept only because the
+  /// end-to-end benchmark passes it to that policy's constructor.
+  static constexpr double drop_loss_threshold = 0.45;
 };
 
 /// A scenario-scripted forced level change (churn): at tick `at` the
@@ -99,9 +100,9 @@ struct ReceiverSpec {
   Time leave = kNever;  // departs at `leave` (exclusive): churn
   SubscriptionPolicy policy;
   std::vector<ScriptedMove> moves;  // strictly increasing `at`
-  /// Receiver-private subscription controller (adaptation plane). When set
-  /// it replaces the built-in burst-probe policy: the engine reset()s it at
-  /// join (with policy.initial_level, the subscribed sources' top level and
+  /// Receiver-private subscription controller (adaptation plane); without
+  /// one the receiver holds its level. The engine reset()s it at join (with
+  /// policy.initial_level, the subscribed sources' top level and
   /// policy.seed) and applies its on_round() decision after every firing.
   std::unique_ptr<cc::ReceiverPolicy> controller;
   /// Receiver-private sink. When null the receiver uses the session's pooled

@@ -154,25 +154,31 @@ std::unique_ptr<fec::BlockEncoder> InterleavedCode::make_encoder(
   return std::make_unique<Encoder>(*this, source);
 }
 
+/// The index state of both decoders: per-block seen bits and distinct
+/// counts, and how many blocks hold k_b distinct symbols (are decodable).
 class InterleavedCode::Structural final : public StructuralDecoder {
  public:
   explicit Structural(const InterleavedCode& code)
-      : code_(code), seen_(code.encoded_count(), false),
-        block_distinct_(code.block_count(), 0) {}
+      : code_(code), distinct_(code.block_count(), 0) {
+    seen_.reserve(code.block_count());
+    for (std::size_t b = 0; b < code.block_count(); ++b) {
+      seen_.emplace_back(code.block_encoded_count(b), false);
+    }
+  }
+
+  /// Records `index`; returns false for a repeat and for any position of a
+  /// block that is already decodable, i.e. when the symbol adds nothing.
+  bool receive(std::uint32_t index) {
+    const auto [b, pos] = code_.position(index);
+    const std::size_t kb = code_.block_source_[b];
+    if (distinct_[b] == kb || seen_[b][pos]) return false;
+    seen_[b][pos] = true;
+    if (++distinct_[b] == kb) ++blocks_done_;
+    return true;
+  }
 
   bool add_index(std::uint32_t index) override {
-    if (index >= seen_.size()) {
-      throw std::out_of_range("InterleavedCode: index");
-    }
-    if (!seen_[index]) {
-      seen_[index] = true;
-      const std::uint32_t b = code_.index_map_[index].block;
-      if (block_distinct_[b] < code_.block_source_[b]) {
-        if (++block_distinct_[b] == code_.block_source_[b]) ++blocks_done_;
-      } else {
-        ++block_distinct_[b];
-      }
-    }
+    receive(index);
     return complete();
   }
 
@@ -181,119 +187,96 @@ class InterleavedCode::Structural final : public StructuralDecoder {
   }
 
   void reset() override {
-    std::fill(seen_.begin(), seen_.end(), false);
-    std::fill(block_distinct_.begin(), block_distinct_.end(), 0);
+    for (std::vector<bool>& bits : seen_) {
+      std::fill(bits.begin(), bits.end(), false);
+    }
+    std::fill(distinct_.begin(), distinct_.end(), 0);
     blocks_done_ = 0;
+  }
+
+  /// Block b's seen bits, positions [0, k_b) being its source rows.
+  const std::vector<bool>& seen(std::size_t b) const { return seen_[b]; }
+  bool block_done(std::size_t b) const {
+    return distinct_[b] == code_.block_source_[b];
   }
 
  private:
   const InterleavedCode& code_;
-  std::vector<bool> seen_;
-  std::vector<std::size_t> block_distinct_;
+  std::vector<std::vector<bool>> seen_;
+  std::vector<std::size_t> distinct_;
   std::size_t blocks_done_ = 0;
 };
 
 class InterleavedCode::Decoder final : public IncrementalDecoder {
  public:
   explicit Decoder(const InterleavedCode& code)
-      : code_(code), source_(code.source_count(), code.symbol_size()) {
+      : code_(code), index_(code),
+        source_(code.source_count(), code.symbol_size()) {
     blocks_.reserve(code.block_count());
     for (std::size_t b = 0; b < code.block_count(); ++b) {
-      blocks_.push_back(BlockState(code, b));
+      blocks_.push_back(
+          {util::SymbolMatrix(code.block_source_[b], code.symbol_size()), {}});
     }
   }
 
   bool add_symbol(std::uint32_t index, util::ConstByteSpan data) override {
-    if (complete_) return true;
-    if (index >= code_.encoded_count()) {
-      throw std::out_of_range("InterleavedCode: index");
-    }
+    if (index_.complete()) return true;
+    const auto [b, pos] = code_.position(index);
     if (data.size() != code_.symbol_size()) {
       throw std::invalid_argument("InterleavedCode: payload size");
     }
-    const auto [b, pos] = code_.index_map_[index];
-    BlockState& block = blocks_[b];
-    if (block.done) return false;
+    if (!index_.receive(index)) return false;
     const std::size_t kb = code_.block_source_[b];
     if (pos < kb) {
-      if (!block.have_source[pos]) {
-        std::memcpy(source_.row(code_.source_offset_[b] + pos).data(),
-                    data.data(), data.size());
-        block.have_source[pos] = true;
-        ++block.distinct;
-      }
+      std::memcpy(source_.row(code_.source_offset_[b] + pos).data(),
+                  data.data(), data.size());
     } else {
-      const std::uint32_t pidx = pos - static_cast<std::uint32_t>(kb);
-      if (!block.parity_seen[pidx] && block.parity_indices.size() < kb) {
-        block.parity_seen[pidx] = true;
-        std::memcpy(block.parity_store.row(block.parity_indices.size()).data(),
-                    data.data(), data.size());
-        block.parity_indices.push_back(pidx);
-        ++block.distinct;
-      }
+      // At most k_b parity rows: the block is decodable at its k_b-th symbol.
+      BlockParity& parity = blocks_[b];
+      std::memcpy(parity.rows.row(parity.indices.size()).data(), data.data(),
+                  data.size());
+      parity.indices.push_back(pos - static_cast<std::uint32_t>(kb));
     }
-    if (!block.done && block.distinct >= kb) {
-      finish_block(b);
-      if (blocks_done_ == code_.block_count()) complete_ = true;
-    }
-    return complete_;
+    if (index_.block_done(b)) finish_block(b);
+    return index_.complete();
   }
 
-  bool complete() const override { return complete_; }
+  bool complete() const override { return index_.complete(); }
 
   void reset() override {
-    for (BlockState& block : blocks_) {
-      std::fill(block.have_source.begin(), block.have_source.end(), false);
-      std::fill(block.parity_seen.begin(), block.parity_seen.end(), false);
-      block.parity_indices.clear();
-      block.distinct = 0;
-      block.done = false;
-    }
-    blocks_done_ = 0;
-    complete_ = false;
+    index_.reset();
+    for (BlockParity& parity : blocks_) parity.indices.clear();
   }
 
   util::ConstSymbolView source() const override { return source_; }
 
  private:
-  struct BlockState {
-    BlockState(const InterleavedCode& code, std::size_t b)
-        : have_source(code.block_source_[b], false),
-          parity_store(code.block_source_[b], code.symbol_size()),
-          parity_seen(code.block_parity_[b], false) {}
-    std::vector<bool> have_source;
-    util::SymbolMatrix parity_store;
-    std::vector<bool> parity_seen;
-    std::vector<std::uint32_t> parity_indices;
-    std::size_t distinct = 0;
-    bool done = false;
+  /// A block's received parity rows, in arrival order, and their indices.
+  struct BlockParity {
+    util::SymbolMatrix rows;
+    std::vector<std::uint32_t> indices;
   };
 
   void finish_block(std::size_t b) {
-    BlockState& block = blocks_[b];
+    const BlockParity& block = blocks_[b];
     std::vector<std::pair<std::uint32_t, util::ConstByteSpan>> parity;
-    parity.reserve(block.parity_indices.size());
-    for (std::size_t i = 0; i < block.parity_indices.size(); ++i) {
-      parity.emplace_back(block.parity_indices[i], block.parity_store.row(i));
+    parity.reserve(block.indices.size());
+    for (std::size_t i = 0; i < block.indices.size(); ++i) {
+      parity.emplace_back(block.indices[i], block.rows.row(i));
     }
     // The block's source rows are a contiguous range of source_: decode
-    // them in place.
+    // them in place. decode reads the first k_b seen bits, the source rows.
     const util::SymbolView rows =
         source_.rows_view(code_.source_offset_[b], code_.block_source_[b]);
     std::visit(
-        [&](const auto& codec) {
-          codec.decode(rows, block.have_source, parity);
-        },
+        [&](const auto& codec) { codec.decode(rows, index_.seen(b), parity); },
         code_.codecs_[code_.codec_of_block_[b]]);
-    block.done = true;
-    ++blocks_done_;
   }
 
   const InterleavedCode& code_;
+  Structural index_;
   util::SymbolMatrix source_;
-  std::vector<BlockState> blocks_;
-  std::size_t blocks_done_ = 0;
-  bool complete_ = false;
+  std::vector<BlockParity> blocks_;
 };
 
 std::unique_ptr<IncrementalDecoder> InterleavedCode::make_decoder() const {

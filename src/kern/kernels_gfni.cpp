@@ -11,11 +11,12 @@
 // GF2P8MULB is NOT usable here: it is hardwired to the AES polynomial 0x11B.
 //
 // GF(2^16): multiplication by c is a 16x16 GF(2) bit-matrix, i.e. four 8x8
-// blocks, one per (input byte, output byte) pair. After the AVX2 tier's
-// pack split of 64 words into low and high bytes, each product byte is the
-// XOR of two affine transforms — four VGF2P8AFFINEQB per 64 words instead
-// of eight VPSHUFB plus nibble extraction. The four matrices come from the
-// basis row in a handful of instructions (see gf16_matrices).
+// blocks, one per (input byte, output byte) pair. In the word_fma frame of
+// kernels_gf.hpp, which splits 64 words into low and high bytes, each
+// product byte is the XOR of two affine transforms — four VGF2P8AFFINEQB per
+// 64 words instead of eight VPSHUFB plus nibble extraction. The four
+// matrices come from the basis row in a handful of instructions (see
+// gf16_matrices).
 //
 // XOR has no GFNI form: the table's XOR slots are the 64-byte kernels of
 // kernels_xor.hpp, this unit's own copy of the AVX-512BW tier's, so forcing
@@ -28,21 +29,14 @@
 
 #if defined(__GFNI__) && defined(__AVX512F__) && defined(__AVX512BW__)
 
-#include <immintrin.h>
-
+#include "kern/kernels_gf.hpp"
 #include "kern/kernels_xor.hpp"
 
 namespace fountain::kern::detail {
 
 namespace {
 
-inline __m512i load(const std::uint8_t* p) {
-  return _mm512_loadu_si512(reinterpret_cast<const void*>(p));
-}
-
-inline void store(std::uint8_t* p, __m512i v) {
-  _mm512_storeu_si512(reinterpret_cast<void*>(p), v);
-}
+using Gf = GfKernels<Zmm>;
 
 void gf256_fma(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
                const Gf256Ctx& ctx) {
@@ -51,16 +45,16 @@ void gf256_fma(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
   std::size_t i = 0;
   for (; i + 128 <= n; i += 128) {
     const __m512i p0 =
-        _mm512_gf2p8affine_epi64_epi8(load(src + i), matrix, 0);
+        _mm512_gf2p8affine_epi64_epi8(Zmm::load(src + i), matrix, 0);
     const __m512i p1 =
-        _mm512_gf2p8affine_epi64_epi8(load(src + i + 64), matrix, 0);
-    store(dst + i, _mm512_xor_si512(load(dst + i), p0));
-    store(dst + i + 64, _mm512_xor_si512(load(dst + i + 64), p1));
+        _mm512_gf2p8affine_epi64_epi8(Zmm::load(src + i + 64), matrix, 0);
+    Zmm::store(dst + i, _mm512_xor_si512(Zmm::load(dst + i), p0));
+    Zmm::store(dst + i + 64, _mm512_xor_si512(Zmm::load(dst + i + 64), p1));
   }
   for (; i + 64 <= n; i += 64) {
     const __m512i prod =
-        _mm512_gf2p8affine_epi64_epi8(load(src + i), matrix, 0);
-    store(dst + i, _mm512_xor_si512(load(dst + i), prod));
+        _mm512_gf2p8affine_epi64_epi8(Zmm::load(src + i), matrix, 0);
+    Zmm::store(dst + i, _mm512_xor_si512(Zmm::load(dst + i), prod));
   }
   if (i < n) scalar_gf256_fma(dst + i, src + i, n - i, ctx);
 }
@@ -100,36 +94,17 @@ inline Gf16Matrices gf16_matrices(const Gf65536Ctx& ctx) {
           _mm512_set1_epi64(_mm_extract_epi64(from_hi, 1))};
 }
 
-/// Multiplies the 64 words of (v0, v1) by c in place.
-inline void gf16_mul_pair(__m512i& v0, __m512i& v1, const Gf16Matrices& m) {
-  const __m512i byte_mask = _mm512_set1_epi16(0x00ff);
-  const __m512i lo = _mm512_packus_epi16(_mm512_and_si512(v0, byte_mask),
-                                         _mm512_and_si512(v1, byte_mask));
-  const __m512i hi = _mm512_packus_epi16(_mm512_srli_epi16(v0, 8),
-                                         _mm512_srli_epi16(v1, 8));
-  const __m512i plo =
-      _mm512_xor_si512(_mm512_gf2p8affine_epi64_epi8(lo, m.lo_from_lo, 0),
-                       _mm512_gf2p8affine_epi64_epi8(hi, m.lo_from_hi, 0));
-  const __m512i phi =
-      _mm512_xor_si512(_mm512_gf2p8affine_epi64_epi8(lo, m.hi_from_lo, 0),
-                       _mm512_gf2p8affine_epi64_epi8(hi, m.hi_from_hi, 0));
-  v0 = _mm512_unpacklo_epi8(plo, phi);
-  v1 = _mm512_unpackhi_epi8(plo, phi);
-}
-
 void gf65536_fma(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
                  const Gf65536Ctx& ctx) {
   const Gf16Matrices m = gf16_matrices(ctx);
-  const auto step = [&m](std::uint8_t* d, const std::uint8_t* s) {
-    __m512i p0 = load(s);
-    __m512i p1 = load(s + 64);
-    gf16_mul_pair(p0, p1, m);
-    store(d, _mm512_xor_si512(load(d), p0));
-    store(d + 64, _mm512_xor_si512(load(d + 64), p1));
-  };
-  std::size_t i = 0;
-  for (; i + 128 <= n; i += 128) step(dst + i, src + i);
-  if (i < n) padded_tail<128>(dst + i, src + i, n - i, step);
+  Gf::word_fma(dst, src, n, [&m](const Gf::Bytes& x) {
+    const auto affine = [](__m512i v, __m512i matrix) {
+      return _mm512_gf2p8affine_epi64_epi8(v, matrix, 0);
+    };
+    return Gf::Bytes{
+        Zmm::xor_(affine(x.lo, m.lo_from_lo), affine(x.hi, m.lo_from_hi)),
+        Zmm::xor_(affine(x.lo, m.hi_from_lo), affine(x.hi, m.hi_from_hi))};
+  });
 }
 
 using Xor = XorKernels<64>;

@@ -1,41 +1,50 @@
 #include "net/trace.hpp"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
-#include <string>
+
+#include "util/random.hpp"
 
 namespace fountain::net {
+
+namespace {
+
+// The paper's description of the MBone traces: per-receiver loss rates from
+// under 1% to over 30%, a population mean of "approximately 18%", and
+// bursty losses.
+constexpr double kMinLoss = 0.005;
+constexpr double kMaxLoss = 0.35;
+constexpr double kTargetMeanLoss = 0.18;
+constexpr double kMinMeanBurst = 2.0;
+constexpr double kMaxMeanBurst = 20.0;
+constexpr std::uint64_t kSeed = 42;
+
+}  // namespace
 
 TracePopulation TracePopulation::synthetic(
     const TracePopulationParams& params) {
   if (params.receivers == 0 || params.trace_length == 0) {
     throw std::invalid_argument("TracePopulation: empty population");
   }
-  util::Rng rng(params.seed);
+  util::Rng rng(kSeed);
 
   // Draw per-receiver loss rates uniformly, then rescale multiplicatively so
   // the population mean matches the target (clamped back into range).
   std::vector<double> rates(params.receivers);
   double sum = 0.0;
   for (auto& r : rates) {
-    r = params.min_loss +
-        (params.max_loss - params.min_loss) * rng.uniform();
+    r = kMinLoss + (kMaxLoss - kMinLoss) * rng.uniform();
     sum += r;
   }
   const double scale =
-      params.target_mean_loss * static_cast<double>(params.receivers) / sum;
-  for (auto& r : rates) {
-    r = std::clamp(r * scale, params.min_loss, params.max_loss);
-  }
+      kTargetMeanLoss * static_cast<double>(params.receivers) / sum;
+  for (auto& r : rates) r = std::clamp(r * scale, kMinLoss, kMaxLoss);
 
   TracePopulation pop;
   pop.traces_.reserve(params.receivers);
   for (std::size_t i = 0; i < params.receivers; ++i) {
     const double burst =
-        params.min_mean_burst +
-        (params.max_mean_burst - params.min_mean_burst) * rng.uniform();
+        kMinMeanBurst + (kMaxMeanBurst - kMinMeanBurst) * rng.uniform();
     GilbertElliottLoss process(rates[i], burst, rng());
     auto trace = std::make_shared<std::vector<std::uint8_t>>();
     trace->reserve(params.trace_length);
@@ -45,37 +54,6 @@ TracePopulation TracePopulation::synthetic(
     pop.traces_.push_back(std::move(trace));
   }
   return pop;
-}
-
-TracePopulation TracePopulation::load(std::istream& in) {
-  TracePopulation pop;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    auto trace = std::make_shared<std::vector<std::uint8_t>>();
-    trace->reserve(line.size());
-    for (const char c : line) {
-      if (c == '0') {
-        trace->push_back(0);
-      } else if (c == '1') {
-        trace->push_back(1);
-      } else {
-        throw std::invalid_argument("TracePopulation: bad trace character");
-      }
-    }
-    pop.traces_.push_back(std::move(trace));
-  }
-  if (pop.traces_.empty()) {
-    throw std::invalid_argument("TracePopulation: no traces in stream");
-  }
-  return pop;
-}
-
-void TracePopulation::save(std::ostream& out) const {
-  for (const auto& trace : traces_) {
-    for (const auto bit : *trace) out.put(bit ? '1' : '0');
-    out.put('\n');
-  }
 }
 
 std::unique_ptr<LossModel> TracePopulation::loss_model(

@@ -4,29 +4,21 @@
 // heterogeneous Gilbert-Elliott processes whose parameters are drawn to match
 // the paper's description: per-receiver loss rates ranging from under 1% to
 // over 30%, population mean around 18%, with significant burstiness.
-// Real traces can be loaded from disk in a simple text format (one 0/1
-// character per packet, receivers separated by newlines).
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <vector>
 
 #include "net/loss.hpp"
-#include "util/random.hpp"
 
 namespace fountain::net {
 
+/// The population's size. Its loss and burst ranges and its seed are fixed
+/// (trace.cpp), so a size denotes one population.
 struct TracePopulationParams {
   std::size_t receivers = 120;       // the paper plots 120 receivers
   std::size_t trace_length = 400000; // packets per receiver trace
-  double min_loss = 0.005;
-  double max_loss = 0.35;
-  double target_mean_loss = 0.18;    // paper: "approximately 18%"
-  double min_mean_burst = 2.0;
-  double max_mean_burst = 20.0;
-  std::uint64_t seed = 42;
 };
 
 /// A set of per-receiver loss traces.
@@ -34,10 +26,6 @@ class TracePopulation {
  public:
   /// Generates a synthetic MBone-like population.
   static TracePopulation synthetic(const TracePopulationParams& params);
-
-  /// Parses the text format described above.
-  static TracePopulation load(std::istream& in);
-  void save(std::ostream& out) const;
 
   std::size_t receiver_count() const { return traces_.size(); }
   std::size_t trace_length(std::size_t r) const { return traces_[r]->size(); }

@@ -14,7 +14,8 @@
 // the wire.
 //
 // The Section 7.2 subscription machinery (congestion back-off, burst probes,
-// SP joins) is the engine's adaptive SubscriptionPolicy (engine/session.hpp).
+// SP joins) is cc::BurstProbePolicy (cc/policies.hpp), which a receiver
+// carries as its engine::ReceiverSpec::controller.
 #pragma once
 
 #include <cstdint>

@@ -2,12 +2,13 @@
 //
 // Units: all *_period / *_interval / *_length fields count protocol rounds
 // (one round = one normal-rate packet per subscribed layer; burst rounds
-// send two); *_window counts
-// packets; drop_loss_threshold is a fraction in [0, 1]. The one hard
-// invariant is layers >= 1 (clients address level layers-1). Degenerate
-// settings are defined, not fatal: sp_base_interval == 0 makes every round a
-// synchronization point, burst_period == 0 or burst_length == 0 disables
-// bursts, and burst_length >= burst_period means the server bursts forever.
+// send two). These are the sender's knobs; the receiver's (the burst-probe
+// window and the drop threshold) belong to cc::BurstProbePolicy. The one
+// hard invariant is layers >= 1 (clients address level layers-1).
+// Degenerate settings are defined, not fatal: sp_base_interval == 0 makes
+// every round a synchronization point, burst_period == 0 or
+// burst_length == 0 disables bursts, and burst_length >= burst_period means
+// the server bursts forever.
 #pragma once
 
 #include <cstddef>
@@ -28,15 +29,6 @@ struct ProtocolConfig {
   /// the normal rate on each layer (the implicit join probe).
   std::size_t burst_period = 16;
   std::size_t burst_length = 1;
-
-  /// Receivers inspect the first burst_probe_window packets addressed to
-  /// them during a burst; observing zero loss there clears them to move up a
-  /// level at the next SP.
-  std::size_t burst_probe_window = 32;
-
-  /// A receiver observing more than this loss fraction within a round drops
-  /// one subscription level (congestion back-off).
-  double drop_loss_threshold = 0.45;
 };
 
 }  // namespace fountain::proto

@@ -37,13 +37,12 @@ std::vector<engine::ReceiverReport> run_session(
     spec.policy.initial_level = client.initial_level;
     spec.policy.adaptive = !client.fixed_level && !client.loss_driven;
     spec.policy.initial_capacity = client.initial_capacity;
-    spec.policy.drop_loss_threshold = proto.drop_loss_threshold;
-    spec.policy.burst_probe_window = proto.burst_probe_window;
     spec.policy.seed = rx_seed ^ 0xada97a71c0ffee11ULL;
     if (client.loss_driven) {
-      // The controller replaces the burst-probe machinery entirely.
       spec.controller =
           std::make_unique<cc::LossDrivenPolicy>(cc::LossDrivenConfig{});
+    } else if (!client.fixed_level) {
+      spec.controller = std::make_unique<cc::BurstProbePolicy>();
     }
     if (client.leaf < 0) {
       // Private channel: the synthetic capacity-drift environment stands in

@@ -33,14 +33,16 @@ struct TopologySpec {
 };
 
 /// Per-receiver scenario knobs (the old SimClient's configuration): the
-/// background channel plus the Section 7.2 subscription machinery, which the
-/// engine's adaptive SubscriptionPolicy executes. Two extensions select the
-/// adaptation plane introduced with src/cc/: `loss_driven` swaps the
-/// burst-probe machinery for a cc::LossDrivenPolicy controller, and `leaf`
-/// moves the receiver from a private Bernoulli channel onto the shared
-/// queues of the session's TopologySpec (base_loss then compounds as its
-/// private tail loss; the synthetic capacity-drift environment is off since
-/// real congestion comes from the queues).
+/// background channel, the synthetic congestion environment (the engine's
+/// adaptive SubscriptionPolicy) and the receiver's controller. Unless
+/// `fixed_level` pins it, a receiver runs the Section 7.2 subscription
+/// machinery as a cc::BurstProbePolicy controller. Two extensions select
+/// the adaptation plane introduced with src/cc/: `loss_driven` swaps that
+/// controller for a cc::LossDrivenPolicy (and turns the synthetic
+/// environment off), and `leaf` moves the receiver from a private Bernoulli
+/// channel onto the shared queues of the session's TopologySpec (base_loss
+/// then compounds as its private tail loss; the capacity drift and extra
+/// loss are off since real congestion comes from the queues).
 struct SimClientConfig {
   double base_loss = 0.05;             // background loss on every packet
   double congestion_extra_loss = 0.45; // added when subscribed above capacity

@@ -110,11 +110,12 @@ void run_fuzzed_scenario(std::uint64_t master_seed) {
     switch (rng.below(4)) {
       case 0:  // fixed level
         break;
-      case 1:  // legacy burst-probe machinery + synthetic environment
+      case 1:  // Section 7.2 burst probe + synthetic environment
         spec.policy.adaptive = true;
         spec.policy.initial_capacity = static_cast<unsigned>(rng.below(g));
         spec.policy.capacity_change_prob = 0.02 * rng.uniform();
         spec.policy.congestion_extra_loss = 0.5 * rng.uniform();
+        spec.controller = std::make_unique<cc::BurstProbePolicy>();
         break;
       case 2:
         spec.controller = std::make_unique<cc::LossDrivenPolicy>(
@@ -230,11 +231,12 @@ EquivalenceOutcome run_equivalence_scenario(std::uint64_t master_seed,
     switch (rng.below(4)) {
       case 0:  // fixed level
         break;
-      case 1:  // legacy burst-probe machinery + synthetic environment
+      case 1:  // Section 7.2 burst probe + synthetic environment
         spec.policy.adaptive = true;
         spec.policy.initial_capacity = static_cast<unsigned>(rng.below(g));
         spec.policy.capacity_change_prob = 0.02 * rng.uniform();
         spec.policy.congestion_extra_loss = 0.5 * rng.uniform();
+        spec.controller = std::make_unique<cc::BurstProbePolicy>();
         break;
       case 2:
         spec.controller =
@@ -359,11 +361,12 @@ EquivalenceOutcome run_topology_scenario(std::uint64_t master_seed,
       switch (rng.below(4)) {
         case 0:  // fixed level
           break;
-        case 1:  // legacy burst-probe machinery + synthetic environment
+        case 1:  // Section 7.2 burst probe + synthetic environment
           spec.policy.adaptive = true;
           spec.policy.initial_capacity = static_cast<unsigned>(rng.below(g));
           spec.policy.capacity_change_prob = 0.02 * rng.uniform();
           spec.policy.congestion_extra_loss = 0.5 * rng.uniform();
+          spec.controller = std::make_unique<cc::BurstProbePolicy>();
           break;
         case 2:
           spec.controller =

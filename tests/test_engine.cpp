@@ -633,7 +633,7 @@ struct Outcome {
   std::vector<cc::TraceLog::Record> cc_records;
 };
 
-/// A mixed adaptive population (loss-driven controllers, legacy burst-probe
+/// A mixed adaptive population (loss-driven controllers, burst-probe
 /// receivers, scripted-move receivers) contending on shared bottlenecks:
 /// `groups` groups of six receivers, one SharedBottleneck per group, each
 /// group confined to its own cohort when cohort_size = 6. Everything is
@@ -679,6 +679,7 @@ Outcome run_adaptive_scenario(std::size_t threads, std::size_t cohort_size,
         spec.policy.initial_capacity = 2;
         spec.policy.capacity_change_prob = 0.02;
         spec.policy.congestion_extra_loss = 0.3;
+        spec.controller = std::make_unique<cc::BurstProbePolicy>();
       } else {
         spec.policy.initial_level = 3;  // over-subscribed joiner
         spec.moves.push_back(engine::ScriptedMove{40 + 3 * i, 1});
@@ -791,6 +792,114 @@ TEST(SessionValidation, ThreadsZeroNormalizesToHardwareConcurrency) {
     session.subscribe(id, src, std::make_unique<PerfectLink>());
   }
   for (const auto& report : session.run()) EXPECT_TRUE(report.completed);
+}
+
+/// Emits kPerFiring packets on layer 0 every firing.
+class WideSource final : public engine::PacketSource {
+ public:
+  static constexpr std::uint32_t kPerFiring = 40;
+
+  WideSource(std::size_t n, fec::CodecId codec) : n_(n), codec_(codec) {}
+
+  fec::CodecId codec_id() const override { return codec_; }
+  void emit(std::uint64_t round, PacketBatch& batch) const override {
+    for (std::uint32_t i = 0; i < kPerFiring; ++i) {
+      batch.indices.push_back(
+          static_cast<std::uint32_t>((round * kPerFiring + i) % n_));
+    }
+    batch.segments.push_back(PacketBatch::Segment{0, false, 0, kPerFiring});
+  }
+
+ private:
+  std::size_t n_;
+  fec::CodecId codec_;
+};
+
+/// Gives packet `spoil` of every firing (in send order) `verdict`, and
+/// delivers the rest.
+class ScriptedLink final : public engine::LinkModel {
+ public:
+  ScriptedLink(std::uint64_t spoil, engine::Verdict verdict)
+      : spoil_(spoil), verdict_(verdict) {}
+
+  engine::Verdict transfer(engine::Time now) override {
+    if (now != firing_) {
+      firing_ = now;
+      position_ = 0;
+    }
+    return position_++ == spoil_ ? verdict_ : engine::Verdict::delivered();
+  }
+
+ private:
+  std::uint64_t spoil_;
+  engine::Verdict verdict_;
+  engine::Time firing_ = engine::kNever;
+  std::uint64_t position_ = 0;
+};
+
+/// Records the RoundView of every firing and holds its level.
+class RecordingPolicy final : public cc::ReceiverPolicy {
+ public:
+  explicit RecordingPolicy(std::vector<cc::RoundView>& rounds)
+      : rounds_(rounds) {}
+  void reset(unsigned, unsigned, std::uint64_t) override {}
+  unsigned on_round(const cc::RoundView& round, unsigned level) override {
+    rounds_.push_back(round);
+    return level;
+  }
+
+ private:
+  std::vector<cc::RoundView>& rounds_;
+};
+
+TEST(SessionRoundView, FirstLossIsThePositionOfTheFirstUnusablePacket) {
+  using engine::FaultKind;
+  using engine::Verdict;
+  const auto code = fec::make_reed_solomon(gf::RsKind::kCauchy, 60, 60, 8);
+  const engine::Time firings = 6;
+  const auto rounds_for = [&](std::uint64_t spoil, Verdict verdict) {
+    SessionConfig config;
+    config.horizon = firings;
+    Session session(*code, config);
+    const SourceId src = session.add_source(std::make_shared<WideSource>(
+        code->encoded_count(), code->codec_id()));
+    std::vector<cc::RoundView> rounds;
+    ReceiverSpec spec;
+    spec.sink = std::make_unique<engine::NullSink>();
+    spec.controller = std::make_unique<RecordingPolicy>(rounds);
+    const ReceiverId id = session.add_receiver(std::move(spec));
+    session.subscribe(id, src, std::make_unique<ScriptedLink>(spoil, verdict));
+    session.run();
+    return rounds;
+  };
+
+  const Verdict unusable[] = {
+      Verdict::dropped(),
+      Verdict{FaultKind::kDelay, 1, 2},
+      Verdict{FaultKind::kCorruptHeader, 1, 0},
+      Verdict{FaultKind::kCorruptPayload, 1, 0},
+      Verdict{FaultKind::kTruncate, 1, 0},
+  };
+  for (const std::uint64_t spoil : {0u, 7u, 31u, 39u, 40u, 100u}) {
+    for (const Verdict& verdict : unusable) {
+      SCOPED_TRACE(::testing::Message()
+                   << "spoil " << spoil << ", verdict "
+                   << static_cast<int>(verdict.kind));
+      const auto rounds = rounds_for(spoil, verdict);
+      ASSERT_EQ(rounds.size(), firings);
+      for (const cc::RoundView& round : rounds) {
+        EXPECT_EQ(round.addressed, WideSource::kPerFiring);
+        EXPECT_EQ(round.first_loss,
+                  std::min<std::uint64_t>(spoil, round.addressed));
+      }
+    }
+    // Every copy of a duplicated packet is usable: no loss at all.
+    SCOPED_TRACE(::testing::Message() << "spoil " << spoil << ", duplicate");
+    for (const cc::RoundView& round :
+         rounds_for(spoil, Verdict{FaultKind::kDuplicate, 2, 0})) {
+      EXPECT_EQ(round.first_loss, round.addressed);
+    }
+  }
 }
 
 TEST(SessionValidation, RejectsMalformedScenarios) {

@@ -1,7 +1,6 @@
 // Loss models, synthetic traces, packet framing, and the UDP transport.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <thread>
 #include <utility>
 
@@ -135,27 +134,6 @@ TEST(TracePopulation, SyntheticMatchesPaperDescription) {
   }
   EXPECT_LT(lo, 0.08);  // some receivers have low loss
   EXPECT_GT(hi, 0.25);  // some receivers have high loss
-}
-
-TEST(TracePopulation, SaveLoadRoundTrip) {
-  net::TracePopulationParams params;
-  params.receivers = 5;
-  params.trace_length = 1000;
-  const auto pop = net::TracePopulation::synthetic(params);
-  std::stringstream ss;
-  pop.save(ss);
-  const auto loaded = net::TracePopulation::load(ss);
-  ASSERT_EQ(loaded.receiver_count(), 5u);
-  for (std::size_t r = 0; r < 5; ++r) {
-    EXPECT_DOUBLE_EQ(loaded.receiver_loss_rate(r), pop.receiver_loss_rate(r));
-  }
-}
-
-TEST(TracePopulation, LoadRejectsGarbage) {
-  std::stringstream ss("0101x\n");
-  EXPECT_THROW(net::TracePopulation::load(ss), std::invalid_argument);
-  std::stringstream empty;
-  EXPECT_THROW(net::TracePopulation::load(empty), std::invalid_argument);
 }
 
 TEST(TracePopulation, LossModelPlaysTrace) {

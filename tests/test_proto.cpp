@@ -1,6 +1,7 @@
 // Digital-fountain protocol: server scheduling, receiver subscription
-// behaviour (now executed by the engine's adaptive policy), the statistical
-// decoding client, and whole sessions.
+// behaviour (cc::BurstProbePolicy, which run_session attaches to every
+// receiver that is not pinned), the statistical decoding client, and whole
+// sessions.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -10,6 +11,7 @@
 #include <utility>
 
 #include "carousel/carousel.hpp"
+#include "cc/policies.hpp"
 #include "core/tornado.hpp"
 #include "engine_test_util.hpp"
 #include "fec/codec_registry.hpp"
@@ -226,6 +228,57 @@ TEST(Receiver, AdaptiveClientChangesLevels) {
   ASSERT_TRUE(r.completed);
   // The receiver backs off at least twice before the transfer finishes.
   EXPECT_GE(r.level_changes, 2u);
+}
+
+// One firing as cc::BurstProbePolicy sees it: `addressed` packets, the
+// first lost at `first_loss` (the only loss, if any).
+cc::RoundView probe_round(std::uint64_t addressed, std::uint64_t first_loss,
+                          bool burst) {
+  cc::RoundView view;
+  view.addressed = addressed;
+  view.lost = first_loss < addressed ? 1 : 0;
+  view.first_loss = first_loss;
+  view.burst = burst;
+  return view;
+}
+
+// Whether `probe` arms the next SP join of a receiver at level 1 of 0..3:
+// the probe firing itself carries no SP, the clean firing after it does.
+bool arms_join(const cc::RoundView& probe) {
+  cc::BurstProbePolicy policy;
+  policy.reset(1, 3, 0);
+  EXPECT_EQ(policy.on_round(probe, 1), 1u);
+  cc::RoundView sp = probe_round(40, 40, false);
+  sp.sync_point = true;
+  return policy.on_round(sp, 1) == 2;
+}
+
+TEST(BurstProbePolicy, ACleanProbeWindowArmsTheNextSyncPointJoin) {
+  // The window is the first 32 packets of a burst, or all of a shorter one.
+  EXPECT_TRUE(arms_join(probe_round(40, 40, true)));
+  EXPECT_TRUE(arms_join(probe_round(40, 32, true)));
+  EXPECT_TRUE(arms_join(probe_round(10, 10, true)));
+  EXPECT_FALSE(arms_join(probe_round(40, 31, true)));
+  EXPECT_FALSE(arms_join(probe_round(10, 9, true)));
+  // No probe outside a burst, and none in a burst that addressed nothing.
+  EXPECT_FALSE(arms_join(probe_round(40, 40, false)));
+  EXPECT_FALSE(arms_join(probe_round(0, 0, true)));
+}
+
+TEST(BurstProbePolicy, HeavyLossDropsALevelAndDisarmsTheJoin) {
+  cc::BurstProbePolicy policy;
+  policy.reset(2, 3, 0);
+  EXPECT_EQ(policy.on_round(probe_round(40, 40, true), 2), 2u);  // armed
+  cc::RoundView heavy = probe_round(20, 0, false);
+  heavy.lost = 10;  // 0.5 > 0.45
+  EXPECT_EQ(policy.on_round(heavy, 2), 1u);
+  cc::RoundView sp = probe_round(40, 40, false);
+  sp.sync_point = true;
+  EXPECT_EQ(policy.on_round(sp, 1), 1u);  // the drop disarmed the join
+  // At exactly the threshold the receiver holds its level.
+  cc::RoundView edge = probe_round(20, 0, false);
+  edge.lost = 9;  // 0.45
+  EXPECT_EQ(policy.on_round(edge, 1), 1u);
 }
 
 TEST(Receiver, AsynchronousJoinStillCompletes) {
