@@ -29,8 +29,8 @@ void report(const char* name, const core::TornadoParams& params,
 }  // namespace
 
 int main() {
-  const std::size_t k = bench::env_size("FOUNTAIN_AB_K", 4096);
-  const std::size_t trials = bench::env_size("FOUNTAIN_AB_TRIALS", 120);
+  const std::size_t k = 4096;
+  const std::size_t trials = 120;
   std::printf("Ablation: degree-distribution and check-policy choices "
               "(k = %zu, %zu trials)\n\n",
               k, trials);

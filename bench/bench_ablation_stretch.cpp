@@ -20,7 +20,7 @@ using namespace fountain;
 }  // namespace
 
 int main() {
-  const std::size_t k = bench::env_size("FOUNTAIN_AB_K", 2048);
+  const std::size_t k = 2048;
   std::printf("Ablation: stretch factor c (k = %zu, Tornado A distribution)\n",
               k);
   std::printf("eta_d = distinctness efficiency at the given carousel loss "

@@ -21,8 +21,9 @@ struct FileSize {
   std::size_t k;  // packets of 1 KB
 };
 
-/// FOUNTAIN_BENCH_QUICK=1 (the CI mode) shortens sweeps to a smoke-test
-/// footprint; benches should also shrink repetition caps when it is set.
+/// FOUNTAIN_BENCH_QUICK=1 (the CI mode) is the benches' one size switch:
+/// each bench's main picks its quick or full sizes by it, shrinking sweeps
+/// and repetition caps to a smoke-test footprint.
 inline bool quick_mode() {
   const char* v = std::getenv("FOUNTAIN_BENCH_QUICK");
   return v != nullptr && v[0] != '\0' && v[0] != '0';
@@ -34,15 +35,6 @@ inline const std::vector<FileSize>& size_ladder() {
       {"4 MB", 4096},   {"8 MB", 8192},   {"16 MB", 16384}};
   static const std::vector<FileSize> quick(sizes.begin(), sizes.begin() + 3);
   return quick_mode() ? quick : sizes;
-}
-
-/// Reads an environment override (used to shrink or extend sweeps).
-inline std::size_t env_size(const char* name, std::size_t fallback) {
-  if (const char* v = std::getenv(name)) {
-    const long long parsed = std::atoll(v);
-    if (parsed > 0) return static_cast<std::size_t>(parsed);
-  }
-  return fallback;
 }
 
 /// Median of `reps` timed runs of `fn` (seconds).

@@ -121,14 +121,11 @@ void cold_start(const char* codec, const core::TornadoParams& params) {
 }  // namespace
 
 int main() {
-  const std::size_t k_max =
-      bench::env_size("FOUNTAIN_LATENCY_KMAX", bench::quick_mode() ? 4096
-                                                                   : 16384);
+  const bool quick = bench::quick_mode();
+  const std::size_t k_max = quick ? 4096 : 16384;
   // The RS cap must reach the ladder's first rung (k = 1024) even in quick
   // mode, or the RS codecs silently drop out of the CI records.
-  const std::size_t rs_cap = bench::env_size("FOUNTAIN_LATENCY_RS_CAP",
-                                             bench::quick_mode() ? 1024
-                                                                 : 2048);
+  const std::size_t rs_cap = quick ? 1024 : 2048;
 
   std::printf("Encode latency: streaming encoder API vs legacy whole-block "
               "(P = 1 KB, n = 2k)\n");

@@ -14,10 +14,10 @@
 // (received/k - 1) as the receiver population grows: Tornado's worst case
 // climbs with N, LT's stays pinned at its decoding overhead. Both curves
 // land in BENCH_results.json as JSON-lines.
-#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -170,14 +170,13 @@ void worst_receiver_curve(std::size_t k, double loss, std::size_t trials) {
 }  // namespace
 
 int main() {
-  const std::size_t trials = bench::env_size("FOUNTAIN_FIG2_TRIALS", 10000);
-  const std::size_t k = bench::env_size("FOUNTAIN_FIG2_K", 16384);
+  const bool quick = bench::quick_mode();
+  const std::size_t trials = quick ? 500 : 10000;
+  const std::size_t k = quick ? 1024 : 16384;
   // The LT inactivation decoder pays a Gaussian-elimination step per trial,
-  // so its distribution runs on a smaller (still overridable) sample.
-  const std::size_t lt_trials = bench::env_size(
-      "FOUNTAIN_FIG2_LT_TRIALS", std::min<std::size_t>(trials, 1000));
-  const std::size_t pool_trials = bench::env_size(
-      "FOUNTAIN_FIG2_POOL", std::min<std::size_t>(trials, 1000));
+  // so its distribution runs on a smaller sample.
+  const std::size_t lt_trials = quick ? 100 : 1000;
+  const std::size_t pool_trials = quick ? 200 : 1000;
 
   std::printf("Figure 2: Reception Overhead Variation\n");
   std::printf("(percent of trials unable to reconstruct at each overhead)\n\n");

@@ -53,7 +53,7 @@ std::vector<double> efficiency_pool(const fec::ErasureCode& code,
 
 int main() {
   const std::size_t k = 1024;  // 1 MB of 1 KB packets
-  const std::size_t pool_size = bench::env_size("FOUNTAIN_FIG4_POOL", 2000);
+  const std::size_t pool_size = bench::quick_mode() ? 200 : 2000;
   const std::size_t experiments = 100;
 
   core::TornadoCode tornado(core::TornadoParams::tornado_a(k, 2, 31));

@@ -48,7 +48,7 @@ Row measure(const fec::ErasureCode& code, const carousel::Carousel& carousel,
 
 int main() {
   const std::size_t receivers = 500;
-  const std::size_t pool_size = bench::env_size("FOUNTAIN_FIG5_POOL", 600);
+  const std::size_t pool_size = 600;
 
   const std::vector<std::pair<const char*, std::size_t>> sizes = {
       {"100 KB", 100}, {"250 KB", 250}, {"500 KB", 500}, {"1 MB", 1024},

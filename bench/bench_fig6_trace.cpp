@@ -44,7 +44,7 @@ double average_efficiency(const fec::ErasureCode& code,
 int main() {
   net::TracePopulationParams params;
   params.receivers = 120;
-  params.trace_length = bench::env_size("FOUNTAIN_FIG6_TRACE_LEN", 300000);
+  params.trace_length = 300000;
   const auto traces = net::TracePopulation::synthetic(params);
 
   std::printf("Figure 6: Reception efficiency on (synthetic) MBone trace "

@@ -106,9 +106,8 @@ ScenarioRun run_scenario(const fec::ErasureCode& code,
 
 int main() {
   const bool quick = bench::quick_mode();
-  const std::size_t k = bench::env_size("FOUNTAIN_FIG7_K", quick ? 512 : 4132);
-  const engine::Time horizon =
-      bench::env_size("FOUNTAIN_FIG7_TICKS", quick ? 40000 : 120000);
+  const std::size_t k = quick ? 512 : 4132;
+  const engine::Time horizon = quick ? 40000 : 120000;
 
   fec::CodecParams params;
   params.k = k;

@@ -49,7 +49,8 @@ int main() {
   // 2 MB / 500 B = 4132 source packets -> 8264 encoding packets. The code
   // comes from the registry (Tornado A at stretch 2), the same construction
   // path a client would take from advertised control-channel fields.
-  const std::size_t k = bench::env_size("FOUNTAIN_FIG8_K", 4132);
+  const bool quick = bench::quick_mode();
+  const std::size_t k = quick ? 1024 : 4132;
   fec::CodecParams params;
   params.k = k;
   params.symbol_size = 500;
@@ -97,7 +98,7 @@ int main() {
     cfg.layers = 4;
     std::vector<proto::SimClientConfig> clients;
     util::Rng rng(9);
-    const std::size_t receivers = bench::env_size("FOUNTAIN_FIG8_RX", 32);
+    const std::size_t receivers = quick ? 8 : 32;
     for (std::size_t i = 0; i < receivers; ++i) {
       proto::SimClientConfig c;
       c.base_loss = 0.45 * rng.uniform();

@@ -119,8 +119,7 @@ int main() {
   std::vector<bench::JsonRecord> records;
 
   // --- 1. Reception overhead ------------------------------------------------
-  const std::size_t eps_trials =
-      bench::env_size("FOUNTAIN_LT_EPS_TRIALS", quick ? 40 : 200);
+  const std::size_t eps_trials = quick ? 40 : 200;
   const std::vector<std::size_t> eps_ladder =
       quick ? std::vector<std::size_t>{4096}
             : std::vector<std::size_t>{4096, 16384, 65536};

@@ -12,14 +12,13 @@
 // determinism gate at population scale: an FNV-1a hash over every report
 // field must match the 1-thread run exactly, or the bench fails.
 //
-//   ./bench_population_scale --threads 1,2,4
-//   FOUNTAIN_POP_RX=1000000 FOUNTAIN_POP_K=256 ./bench_population_scale
+//   ./bench_population_scale [--threads 1,2,4]
 //
-// FOUNTAIN_POP_THREADS is the env form of --threads (default "1,2,4").
 // FOUNTAIN_POP_MIN_SPEEDUP, when set (e.g. "3.0"), additionally gates the
 // best-vs-1-thread speedup — opt-in because single-core builders (this
 // repo's default CI runner included) cannot speed up at all.
-// FOUNTAIN_BENCH_QUICK=1 shrinks the population to a smoke-test footprint.
+// FOUNTAIN_BENCH_QUICK=1 shrinks the population from 1M receivers to a
+// 5000-receiver smoke test.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -185,15 +184,11 @@ std::vector<std::size_t> parse_threads(const std::string& spec) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t receivers = bench::env_size(
-      "FOUNTAIN_POP_RX", bench::quick_mode() ? 5000 : 1000000);
-  const std::size_t k = bench::env_size("FOUNTAIN_POP_K", 256);
-  const std::uint64_t horizon = bench::env_size("FOUNTAIN_POP_HORIZON", 6000);
+  const std::size_t receivers = bench::quick_mode() ? 5000 : 1000000;
+  const std::size_t k = 256;
+  const std::uint64_t horizon = 6000;
 
   std::string threads_spec = "1,2,4";
-  if (const char* env = std::getenv("FOUNTAIN_POP_THREADS")) {
-    if (env[0] != '\0') threads_spec = env;
-  }
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       threads_spec = argv[i] + 10;

@@ -51,8 +51,7 @@ struct Fit {
 }  // namespace
 
 int main() {
-  const std::size_t rs_cap = bench::env_size("FOUNTAIN_RS_ENCODE_CAP",
-                                             bench::quick_mode() ? 512 : 2048);
+  const std::size_t rs_cap = bench::quick_mode() ? 512 : 2048;
   std::vector<bench::JsonRecord> records;
   const auto log = [&records](const char* code, std::size_t k, double secs) {
     records.push_back({"table2_encoding", std::string("encode/k=") +

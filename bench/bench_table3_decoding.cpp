@@ -66,8 +66,7 @@ double run_tornado_decode(const core::TornadoCode& code, util::Rng& rng) {
 }  // namespace
 
 int main() {
-  const std::size_t rs_cap = bench::env_size("FOUNTAIN_RS_DECODE_CAP",
-                                             bench::quick_mode() ? 512 : 2048);
+  const std::size_t rs_cap = bench::quick_mode() ? 512 : 2048;
   util::Rng rng(7);
   std::vector<bench::JsonRecord> records;
   const auto log = [&records](const char* code, std::size_t k, double secs) {

@@ -110,7 +110,7 @@ double tornado_decode_seconds(std::size_t k, util::Rng& rng) {
 }  // namespace
 
 int main() {
-  const std::size_t trials = bench::env_size("FOUNTAIN_T4_TRIALS", 100);
+  const std::size_t trials = 100;
   util::Rng rng(17);
 
   // Quadratic fit t = c * kb^2 from measured block decodes.

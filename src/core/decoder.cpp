@@ -173,7 +173,8 @@ TornadoDataDecoder::TornadoDataDecoder(const Cascade& cascade)
       peel_(cascade),
       nodes_(cascade.node_count(), cascade.symbol_size()),
       parity_data_(cascade.parity_count(), cascade.symbol_size()) {
-  reset();
+  // peel_ starts reset and nodes_ zeroed, which is all reset() would do:
+  // the only rows it writes are degree-zero checks, whose value is zero.
 }
 
 void TornadoDataDecoder::reset() { peel_.reset(*this); }

@@ -59,13 +59,16 @@ std::unique_ptr<ErasureCode> make_interleaved(const CodecParams& params) {
 
 std::unique_ptr<ErasureCode> make_lt(const CodecParams& params) {
   check_common(params, "CodecRegistry/lt");
+  // LT has one degree law; a record naming another must not be decoded
+  // with it.
+  if (params.variant != 0) {
+    throw std::invalid_argument("CodecRegistry/lt: variant must be 0");
+  }
   lt::LtParams p;
   p.k = params.k;
   p.symbol_size = params.symbol_size;
   p.stretch = params.stretch;
   p.seed = params.seed;
-  // variant packs the robust-soliton (c, delta); 0 means the defaults.
-  lt::params_from_variant(params.variant, p.c, p.delta);
   return std::make_unique<lt::LtCode>(p);
 }
 

@@ -23,7 +23,8 @@ namespace fountain::fec {
 /// `stretch`, deterministic structure drawn from `seed`. `variant` selects a
 /// sub-family: Tornado 0 = variant A / 1 = variant B; Reed-Solomon
 /// 0 = Cauchy / 1 = Vandermonde; interleaved = block count (0 picks
-/// ~50-packet blocks, the paper's Section 6 operating point).
+/// ~50-packet blocks, the paper's Section 6 operating point); LT takes only
+/// 0, the robust soliton of lt::RobustSoliton.
 struct CodecParams {
   std::size_t k = 0;
   double stretch = 2.0;
@@ -40,9 +41,9 @@ class CodecRegistry {
   static const CodecRegistry& builtin();
 
   /// Instantiates the code a sender advertising (id, params) is using.
-  /// Throws std::out_of_range for an unknown id and propagates the codec's
-  /// own std::invalid_argument for unusable params; the returned code always
-  /// satisfies codec_id() == id, source_count() == params.k and
+  /// Throws std::out_of_range for an unknown id and std::invalid_argument for
+  /// unusable params (an LT variant other than 0 among them); the returned
+  /// code always satisfies codec_id() == id, source_count() == params.k and
   /// symbol_size() == params.symbol_size.
   std::unique_ptr<ErasureCode> create(CodecId id,
                                       const CodecParams& params) const;

@@ -21,23 +21,6 @@ std::uint64_t mix64(std::uint64_t x) {
 
 }  // namespace
 
-std::uint32_t variant_from(double c, double delta) {
-  const auto lo = static_cast<std::uint32_t>(std::lround(c * 1000.0));
-  const auto hi = static_cast<std::uint32_t>(std::lround(delta * 1000.0));
-  if (lo > 0xffff || hi > 0xffff) {
-    throw std::invalid_argument("lt::variant_from: c or delta out of range");
-  }
-  return (hi << 16) | lo;
-}
-
-void params_from_variant(std::uint32_t variant, double& c, double& delta) {
-  const std::uint32_t lo = variant & 0xffff;
-  const std::uint32_t hi = variant >> 16;
-  c = lo == 0 ? RobustSoliton::kDefaultC : static_cast<double>(lo) / 1000.0;
-  delta =
-      hi == 0 ? RobustSoliton::kDefaultDelta : static_cast<double>(hi) / 1000.0;
-}
-
 NeighborGenerator::NeighborGenerator(const RobustSoliton& dist,
                                      std::uint64_t seed)
     : dist_(dist), seed_(seed) {}
@@ -76,7 +59,7 @@ unsigned NeighborGenerator::generate(std::uint32_t index,
 LtCode::LtCode(const LtParams& params)
     : params_(params),
       nominal_n_(0),
-      dist_(params.k == 0 ? 1 : params.k, params.c, params.delta) {
+      dist_(params.k == 0 ? 1 : params.k) {
   if (params.k == 0 || params.symbol_size == 0) {
     throw std::invalid_argument("LtCode: k and symbol_size must be positive");
   }

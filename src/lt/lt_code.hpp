@@ -28,9 +28,9 @@
 
 namespace fountain::lt {
 
-/// Construction parameters; the subset both ends must agree on travels as
-/// fec::CodecParams / proto::ControlInfo (k, symbol_size, stretch, seed,
-/// and c/delta packed into `variant` — see params_from_variant).
+/// Construction parameters, all of which both ends must agree on; they travel
+/// as fec::CodecParams / proto::ControlInfo. The degree law is fixed (see
+/// RobustSoliton), so an LT code's `variant` is always 0.
 struct LtParams {
   std::size_t k = 0;
   std::size_t symbol_size = 0;
@@ -38,16 +38,7 @@ struct LtParams {
   /// Pure bookkeeping — the index space is unbounded regardless.
   double stretch = 2.0;
   std::uint64_t seed = 1;
-  double c = RobustSoliton::kDefaultC;
-  double delta = RobustSoliton::kDefaultDelta;
 };
-
-/// Wire encoding of (c, delta) in fec::CodecParams::variant: low 16 bits
-/// carry round(c * 1000), high 16 bits round(delta * 1000); a zero half
-/// means "default". variant == 0 is therefore the default distribution.
-std::uint32_t variant_from(double c, double delta);
-/// Inverse of variant_from (returns the defaults for zero halves).
-void params_from_variant(std::uint32_t variant, double& c, double& delta);
 
 /// Deterministically derives encoding symbol `index`'s degree and neighbor
 /// set. The per-symbol Rng is seeded by mixing (seed, index) through

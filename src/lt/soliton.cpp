@@ -6,22 +6,23 @@
 
 namespace fountain::lt {
 
-RobustSoliton::RobustSoliton(std::size_t k, double c, double delta)
-    : k_(k), c_(c), delta_(delta) {
+namespace {
+
+// The ripple constant c and nominal failure target delta (see soliton.hpp).
+constexpr double kC = 0.1;
+constexpr double kDelta = 0.5;
+
+}  // namespace
+
+RobustSoliton::RobustSoliton(std::size_t k) : k_(k) {
   if (k == 0) {
     throw std::invalid_argument("RobustSoliton: k must be positive");
-  }
-  if (!(c > 0.0)) {
-    throw std::invalid_argument("RobustSoliton: c must be positive");
-  }
-  if (!(delta > 0.0) || !(delta < 1.0)) {
-    throw std::invalid_argument("RobustSoliton: delta must be in (0, 1)");
   }
 
   // R = c ln(k/delta) sqrt(k); the spike sits at k/R. For tiny k the formula
   // can push R past k or below 1 — clamp so the spike stays a valid degree.
   const double dk = static_cast<double>(k);
-  const double r = c * std::log(dk / delta) * std::sqrt(dk);
+  const double r = kC * std::log(dk / kDelta) * std::sqrt(dk);
   double spike = std::floor(dk / std::max(r, 1.0));
   spike = std::min(std::max(spike, 1.0), dk);
   spike_ = static_cast<unsigned>(spike);
@@ -40,7 +41,7 @@ RobustSoliton::RobustSoliton(std::size_t k, double c, double delta)
       // The spike collapses tau's tail into one degree; when R <= delta the
       // log goes nonpositive (degenerate tiny-k regime) and the robust part
       // vanishes, leaving the ideal soliton.
-      mass += std::max(0.0, r * std::log(r / delta)) / dk;
+      mass += std::max(0.0, r * std::log(r / kDelta)) / dk;
     }
     total += mass;
     mean += mass * dd;

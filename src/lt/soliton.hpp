@@ -25,22 +25,16 @@ namespace fountain::lt {
 
 class RobustSoliton {
  public:
-  /// Defaults chosen to behave well across the k range the benches sweep
-  /// (1k..1M): a moderate ripple constant and a 50% nominal failure target —
-  /// the decoder's inactivation fallback converts residual peeling failures
-  /// into a few dense GF(2) eliminations instead of decode failures, so
-  /// delta here shapes the degree law rather than the actual failure rate.
-  static constexpr double kDefaultC = 0.1;
-  static constexpr double kDefaultDelta = 0.5;
-
-  /// Builds the distribution for `k` source symbols. c must be positive and
-  /// delta in (0, 1); both throw std::invalid_argument otherwise.
-  RobustSoliton(std::size_t k, double c = kDefaultC,
-                double delta = kDefaultDelta);
+  /// Builds the distribution for `k` source symbols (k == 0 throws
+  /// std::invalid_argument) at c = 0.1 and delta = 0.5, chosen to behave well
+  /// across the k range the benches sweep (1k..1M): a moderate ripple
+  /// constant and a 50% nominal failure target — the decoder's inactivation
+  /// fallback converts residual peeling failures into a few dense GF(2)
+  /// eliminations instead of decode failures, so delta here shapes the
+  /// degree law rather than the actual failure rate.
+  explicit RobustSoliton(std::size_t k);
 
   std::size_t k() const { return k_; }
-  double c() const { return c_; }
-  double delta() const { return delta_; }
   /// The spike degree k/R (clamped to [1, k]); degrees above it carry only
   /// the ideal-soliton 1/(d(d-1)) tail.
   unsigned spike_degree() const { return spike_; }
@@ -57,8 +51,6 @@ class RobustSoliton {
 
  private:
   std::size_t k_;
-  double c_;
-  double delta_;
   unsigned spike_ = 1;
   double mean_degree_ = 0.0;
   std::vector<double> cdf_;  // cdf_[d-1] = P(degree <= d), d in [1, k]

@@ -1,14 +1,15 @@
 // Tunables for the digital-fountain distribution protocol of Section 7.
 //
-// Units: all *_period / *_interval / *_length fields count protocol rounds
-// (one round = one normal-rate packet per subscribed layer; burst rounds
-// send two). These are the sender's knobs; the receiver's (the burst-probe
-// window and the drop threshold) belong to cc::BurstProbePolicy. The one
-// hard invariant is layers >= 1 (clients address level layers-1).
-// Degenerate settings are defined, not fatal: sp_base_interval == 0 makes
-// every round a synchronization point, burst_period == 0 or
-// burst_length == 0 disables bursts, and burst_length >= burst_period means
-// the server bursts forever.
+// Units: burst_period counts protocol rounds (one round = one normal-rate
+// packet per subscribed layer; a burst round sends two). These are the
+// sender's knobs; the receiver's (the burst-probe window and the drop
+// threshold) belong to cc::BurstProbePolicy. The one hard invariant is
+// layers >= 1 (clients address level layers-1). The rest of the §7.1
+// server is fixed (see FountainServer): layer l carries a synchronization
+// point every 2 << l rounds — lower-bandwidth layers get more frequent join
+// opportunities, as in Vicisano-Rizzo-Crowcroft — and a burst lasts one
+// round. Degenerate settings are defined, not fatal: burst_period == 0
+// disables bursts and burst_period == 1 makes every round a burst.
 #pragma once
 
 #include <cstddef>
@@ -20,15 +21,10 @@ struct ProtocolConfig {
   /// single-layer protocol).
   unsigned layers = 4;
 
-  /// Synchronization points: layer l carries an SP every
-  /// sp_base_interval << l rounds — lower-bandwidth layers get more frequent
-  /// join opportunities, as in Vicisano-Rizzo-Crowcroft.
-  std::size_t sp_base_interval = 2;
-
-  /// Every burst_period rounds the server sends burst_length rounds at twice
-  /// the normal rate on each layer (the implicit join probe).
+  /// The last round of every burst_period rounds is a burst: the server
+  /// sends it at twice the normal rate on each layer (the implicit join
+  /// probe).
   std::size_t burst_period = 16;
-  std::size_t burst_length = 1;
 };
 
 }  // namespace fountain::proto

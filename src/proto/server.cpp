@@ -14,32 +14,20 @@ FountainServer::FountainServer(const ProtocolConfig& config,
 }
 
 bool FountainServer::is_burst_round(std::uint64_t wall_round) const {
-  if (config_.burst_period == 0 || config_.burst_length == 0) return false;
-  if (config_.burst_length >= config_.burst_period) return true;
   // Bursts close each period so that a session never opens with one.
-  return (wall_round % config_.burst_period) >=
-         config_.burst_period - config_.burst_length;
+  const std::uint64_t period = config_.burst_period;
+  return period != 0 && wall_round % period == period - 1;
 }
 
 bool FountainServer::is_sync_point(unsigned layer,
                                    std::uint64_t wall_round) const {
-  const std::uint64_t interval = config_.sp_base_interval
-                                 << static_cast<std::uint64_t>(layer);
-  return interval == 0 ? true : (wall_round % interval) == 0;
+  return wall_round % (std::uint64_t{2} << layer) == 0;
 }
 
 std::uint64_t FountainServer::schedule_rounds_before(
     std::uint64_t wall_round) const {
-  if (config_.burst_period == 0 || config_.burst_length == 0) {
-    return wall_round;
-  }
-  if (config_.burst_length >= config_.burst_period) return 2 * wall_round;
-  const std::uint64_t full = wall_round / config_.burst_period;
-  const std::uint64_t rem = wall_round % config_.burst_period;
-  const std::uint64_t open = config_.burst_period - config_.burst_length;
-  const std::uint64_t bursts =
-      full * config_.burst_length + (rem > open ? rem - open : 0);
-  return wall_round + bursts;
+  const std::uint64_t period = config_.burst_period;
+  return period == 0 ? wall_round : wall_round + wall_round / period;
 }
 
 void FountainServer::emit(std::uint64_t round,

@@ -44,8 +44,8 @@ TEST(ControlInfo, WireBytesArePinnedPerCodec) {
       {{2800, 1400, 2, 4, 0xDEADBEEF, 3, 8, 42, fec::CodecId::kInterleaved},
        "46544E33 0000000000000AF0 00000578 00000002 00000004 "
        "00000000DEADBEEF 00000003 00000008 000000000000002A 00000002"},
-      // LT variant: delta = 0.5 in the high half (500), c = 0.03 in the
-      // low half (30).
+      // The registry refuses an LT variant other than 0; the record's
+      // layout carries any u32 regardless.
       {{32768, 64, 512, 1024, 1, 0x01F4001E, 2, 0x0102030405060708ULL,
         fec::CodecId::kLT},
        "46544E33 0000000000008000 00000040 00000200 00000400 "

@@ -104,11 +104,7 @@ class RankOracle {
 };
 
 TEST(RobustSoliton, RejectsBadParameters) {
-  EXPECT_THROW(lt::RobustSoliton(0, 0.1, 0.5), std::invalid_argument);
-  EXPECT_THROW(lt::RobustSoliton(100, 0.0, 0.5), std::invalid_argument);
-  EXPECT_THROW(lt::RobustSoliton(100, -0.1, 0.5), std::invalid_argument);
-  EXPECT_THROW(lt::RobustSoliton(100, 0.1, 0.0), std::invalid_argument);
-  EXPECT_THROW(lt::RobustSoliton(100, 0.1, 1.5), std::invalid_argument);
+  EXPECT_THROW(lt::RobustSoliton(0), std::invalid_argument);
 }
 
 TEST(RobustSoliton, PmfIsANormalizedDistribution) {
@@ -568,23 +564,9 @@ TEST(LtDecoder, SmallAndDegenerateBlockSizes) {
   }
 }
 
-TEST(LtCode, VariantPacksAndUnpacksSolitonParameters) {
-  const std::uint32_t v = lt::variant_from(0.15, 0.2);
-  double c = 0.0;
-  double delta = 0.0;
-  lt::params_from_variant(v, c, delta);
-  EXPECT_NEAR(c, 0.15, 1e-9);
-  EXPECT_NEAR(delta, 0.2, 1e-9);
-  // Zero halves mean the defaults (so variant 0 is the default code).
-  lt::params_from_variant(0, c, delta);
-  EXPECT_EQ(c, lt::RobustSoliton::kDefaultC);
-  EXPECT_EQ(delta, lt::RobustSoliton::kDefaultDelta);
-  EXPECT_THROW(lt::variant_from(100.0, 0.5), std::invalid_argument);
-}
-
 TEST(LtCode, RegistryAndControlInfoRebuildIdenticalStreams) {
   // A mirror holding only the 52-byte control record must regenerate
-  // byte-identical symbols, including non-default (c, delta) via `variant`.
+  // byte-identical symbols.
   const std::size_t k = 300;
   proto::ControlInfo info;
   info.file_bytes = k * 32;
@@ -592,7 +574,6 @@ TEST(LtCode, RegistryAndControlInfoRebuildIdenticalStreams) {
   info.source_count = static_cast<std::uint32_t>(k);
   info.encoded_count = static_cast<std::uint32_t>(2 * k);
   info.graph_seed = 0xabcdef;
-  info.variant = lt::variant_from(0.2, 0.1);
   info.codec = fec::CodecId::kLT;
 
   std::vector<std::uint8_t> wire(proto::ControlInfo::kWireSize);
@@ -631,6 +612,13 @@ TEST(LtCode, RegistryAndControlInfoRebuildIdenticalStreams) {
     done = dec->add_symbol(i, util::ConstByteSpan(buf.data(), buf.size()));
   }
   EXPECT_EQ(dec->source(), util::ConstSymbolView(src));
+
+  // LT has one degree law: a record naming another variant is refused
+  // rather than decoded with the wrong one.
+  proto::ControlInfo other = info;
+  other.variant = 1;
+  EXPECT_THROW(registry.create(other.codec, other.codec_params()),
+               std::invalid_argument);
 }
 
 TEST(LtCode, SentinelKeepsWireParserInSyncWithTheEnum) {

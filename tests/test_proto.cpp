@@ -31,15 +31,13 @@ using proto::SimClientConfig;
 ProtocolConfig small_config() {
   ProtocolConfig cfg;
   cfg.layers = 4;
-  cfg.sp_base_interval = 2;
   cfg.burst_period = 8;
-  cfg.burst_length = 1;
   return cfg;
 }
 
 TEST(Server, BurstCadence) {
   FountainServer server(small_config(), 64);
-  // burst_period = 8, burst_length = 1: the burst closes each period.
+  // burst_period = 8: the one-round burst closes each period.
   for (std::uint64_t r = 0; r < 32; ++r) {
     EXPECT_EQ(server.is_burst_round(r), r % 8 == 7) << r;
   }
@@ -156,6 +154,38 @@ TEST(Server, EmitIsAPureFunctionOfTheRound) {
   for (std::uint64_t r = 50; r-- > 0;) {
     EXPECT_EQ(emit_layers(server, r), first[r]) << r;
     EXPECT_EQ(emit_layers(twin, r), first[r]) << r;
+  }
+}
+
+TEST(Server, ClosedFormScheduleMatchesStepByStepReplay) {
+  // emit() places a round in the schedule by a closed form; a replay that
+  // advances one schedule step per round, plus one more in each burst round
+  // (the last round of every period), must send the same packets. Layer l
+  // carries a sync point every 2 << l rounds. Period 1 bursts every round.
+  const std::size_t n = 64;
+  const std::uint64_t seed = 7;
+  const std::vector<std::uint32_t> perm = util::Rng(seed).permutation(n);
+  for (const std::size_t period : {0u, 1u, 2u, 3u, 16u}) {
+    SCOPED_TRACE(period);
+    ProtocolConfig cfg = small_config();
+    cfg.burst_period = period;
+    const FountainServer server(cfg, n, seed);
+    std::uint64_t step = 0;
+    for (std::uint64_t round = 0; round < 64; ++round) {
+      const bool burst = period != 0 && round % period == period - 1;
+      EXPECT_EQ(server.is_burst_round(round), burst) << round;
+      const auto layers = emit_layers(server, round);
+      for (unsigned l = 0; l < cfg.layers; ++l) {
+        EXPECT_EQ(server.is_sync_point(l, round), round % (2u << l) == 0)
+            << round << " layer " << l;
+        std::vector<std::uint32_t> want;
+        server.schedule().append_layer_packets(l, step, want);
+        if (burst) server.schedule().append_layer_packets(l, step + 1, want);
+        for (auto& index : want) index = perm[index];
+        EXPECT_EQ(layers[l], want) << round << " layer " << l;
+      }
+      step += burst ? 2 : 1;
+    }
   }
 }
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Byte-identity oracle: hashes the stdout of the deterministic figure
-# benches and engine examples and diffs the set against the checked-in
-# bench/golden_stdout.sha256. A command run at several thread counts must
-# print the same bytes at each; the population bench, whose stdout carries
-# timings, is checked by the report hash it prints per thread count.
+# Byte-identity oracle: hashes the stdout of the deterministic figure, table
+# and ablation benches and engine examples and diffs the set against the
+# checked-in bench/golden_stdout.sha256. A command run at several thread
+# counts must print the same bytes at each; the population bench, whose
+# stdout carries timings, is checked by the report hash it prints per
+# thread count.
 #
 #   tools/check_golden.sh [build-dir] [--print]  # --print: fresh golden lines
 #
@@ -34,9 +35,8 @@ one() {
   fresh+="$2  $name"$'\n'
 }
 
-one fig4_receivers "$(hash_of FOUNTAIN_FIG4_POOL=200 "$b/bench_fig4_receivers")"
-one fig8_prototype "$(hash_of FOUNTAIN_FIG8_K=1024 FOUNTAIN_FIG8_RX=8 \
-                       "$b/bench_fig8_prototype")"
+one fig4_receivers "$(hash_of FOUNTAIN_BENCH_QUICK=1 "$b/bench_fig4_receivers")"
+one fig8_prototype "$(hash_of FOUNTAIN_BENCH_QUICK=1 "$b/bench_fig8_prototype")"
 one fig7_adaptation "$(hash_of FOUNTAIN_BENCH_QUICK=1 "$b/bench_fig7_adaptation")"
 one fig7_tree "$(hash_of FOUNTAIN_BENCH_QUICK=1 "$b/bench_fig7_tree")"
 one fig6_trace "$(hash_of "$b/bench_fig6_trace")"
@@ -46,6 +46,10 @@ one dispersity_routing "$(hash_of "$b/dispersity_routing")"
 one software_update $(for t in 1 2 4; do
                         hash_of "$b/software_update" 60 512 "$t"; done)
 one mirror_aggregation "$(hash_of "$b/mirror_aggregation" 3)"
+one fig2_overhead "$(hash_of FOUNTAIN_BENCH_QUICK=1 "$b/bench_fig2_overhead")"
+one table5_schedule "$(hash_of "$b/bench_table5_schedule")"
+one ablation_degree "$(hash_of "$b/bench_ablation_degree")"
+one ablation_stretch "$(hash_of "$b/bench_ablation_stretch")"
 pop="$(in_fresh_dir FOUNTAIN_BENCH_QUICK=1 "$b/bench_population_scale" \
          --threads 1,2,4 | sed -n 's/.*report hash \([0-9a-f]*\).*/\1/p')"
 if [[ "$(wc -w <<< "$pop")" -ne 3 ]]; then
