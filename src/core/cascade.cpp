@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace fountain::core {
@@ -102,6 +103,8 @@ Cascade::Cascade(const TornadoParams& params) : params_(params) {
 
   const DegreeDistribution primary = params_.left_distribution();
   util::Rng rng(params_.seed);
+  std::vector<BipartiteGraph> graphs;
+  graphs.reserve(level_size_.size() - 1);
   for (std::size_t j = 0; j + 1 < level_size_.size(); ++j) {
     const std::size_t left = level_size_[j];
     // High-degree spikes need enough left nodes to concentrate; small levels
@@ -118,23 +121,54 @@ Cascade::Cascade(const TornadoParams& params) : params_(params) {
     unsigned girth = primary_fits ? params_.girth_repair
                                   : std::min(params_.girth_repair, 8u);
     if (left < 4096) girth = std::min(girth, 8u);
-    graphs_.push_back(std::make_unique<BipartiteGraph>(BipartiteGraph::random(
-        left, level_size_[j + 1], dist, rng, params_.check_policy, girth)));
+    graphs.push_back(BipartiteGraph::random(left, level_size_[j + 1], dist, rng,
+                                            params_.check_policy, girth));
   }
+  build_adjacency(graphs);
 }
 
-std::size_t Cascade::level_of(std::size_t node) const {
-  if (node >= node_count_) throw std::out_of_range("Cascade: node index");
-  // Levels are few (log k); linear scan is fine and cache-friendly.
-  std::size_t j = 0;
-  while (j + 1 < level_offset_.size() && node >= level_offset_[j + 1]) ++j;
-  return j;
-}
-
-std::size_t Cascade::total_edges() const {
+void Cascade::build_adjacency(const std::vector<BipartiteGraph>& graphs) {
   std::size_t edges = 0;
-  for (const auto& g : graphs_) edges += g->edge_count();
-  return edges;
+  for (const auto& g : graphs) edges += g.edge_count();
+  if (edges > std::numeric_limits<std::uint32_t>::max() ||
+      encoded_count() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("Cascade: adjacency exceeds 32-bit indices");
+  }
+  // Every size is known here: exact reservations leave no reallocated
+  // chunks behind in the heap.
+  const std::size_t checks = node_count_ - source_count();
+  checks_off_.reserve(node_count_ + 1);
+  checks_adj_.reserve(edges);
+  neighbors_off_.reserve(checks + 1);
+  neighbors_adj_.reserve(edges);
+  tallies_.reserve(checks);
+  checks_off_.push_back(0);
+  neighbors_off_.push_back(0);
+  for (std::size_t j = 0; j < graphs.size(); ++j) {
+    const BipartiteGraph& g = graphs[j];
+    const auto left_off = static_cast<std::uint32_t>(level_offset_[j]);
+    const auto right_off = static_cast<std::uint32_t>(level_offset_[j + 1]);
+    for (std::size_t l = 0; l < g.left_count(); ++l) {
+      for (const std::uint32_t r : g.left_checks(l)) {
+        checks_adj_.push_back(right_off + r);
+      }
+      checks_off_.push_back(static_cast<std::uint32_t>(checks_adj_.size()));
+    }
+    for (std::size_t r = 0; r < g.right_count(); ++r) {
+      Tally t;
+      for (const std::uint32_t l : g.check_neighbors(r)) {
+        neighbors_adj_.push_back(left_off + l);
+        ++t.count;
+        t.id_xor ^= left_off + l;
+      }
+      neighbors_off_.push_back(
+          static_cast<std::uint32_t>(neighbors_adj_.size()));
+      tallies_.push_back(t);
+    }
+  }
+  // The last level feeds no check.
+  checks_off_.resize(node_count_ + 1,
+                     static_cast<std::uint32_t>(checks_adj_.size()));
 }
 
 }  // namespace fountain::core

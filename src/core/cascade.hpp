@@ -22,6 +22,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/degree.hpp"
@@ -59,13 +60,22 @@ struct TornadoParams {
   void validate() const;
 };
 
-/// Immutable cascade: level layout, one random graph per level boundary, and
-/// the Reed-Solomon tail. Shared by encoder and decoders; both ends of a
-/// transfer construct identical cascades from (params, seed) — the paper's
-/// "source and clients have agreed to the graph structure in advance".
+/// Immutable cascade: level layout, the adjacency of the whole cascade in
+/// node indices, and the Reed-Solomon tail. Shared by encoder and decoders;
+/// both ends of a transfer construct identical cascades from (params, seed)
+/// — the paper's "source and clients have agreed to the graph structure in
+/// advance".
 class Cascade {
  public:
   using TailCodec = gf::FftRsCodec;
+  /// A count of a check node's left neighbours and the XOR of their node
+  /// ids. The cascade's tallies count every neighbour; a peeler starts from
+  /// them and retires each neighbour it learns, so that a count of one
+  /// leaves the id of the last unknown neighbour in `id_xor`.
+  struct Tally {
+    std::uint32_t count = 0;
+    std::uint32_t id_xor = 0;
+  };
 
   explicit Cascade(const TornadoParams& params);
 
@@ -74,14 +84,12 @@ class Cascade {
   std::size_t source_count() const { return level_size_[0]; }
   std::size_t symbol_size() const { return params_.symbol_size; }
 
-  /// Number of XOR levels (graphs); level indices run [0, level_count()].
-  std::size_t graph_count() const { return graphs_.size(); }
+  /// Number of levels, the source level and the last included; level j + 1
+  /// holds the checks over level j.
   std::size_t level_count() const { return level_size_.size(); }
   std::size_t level_size(std::size_t j) const { return level_size_[j]; }
   /// First node index of level j.
   std::size_t level_offset(std::size_t j) const { return level_offset_[j]; }
-  /// Level containing node index `node`.
-  std::size_t level_of(std::size_t node) const;
 
   /// Total XOR-cascade nodes (all levels); node indices [0, node_count()).
   std::size_t node_count() const { return node_count_; }
@@ -89,20 +97,50 @@ class Cascade {
   std::size_t parity_count() const { return parity_count_; }
   std::size_t encoded_count() const { return node_count_ + parity_count_; }
 
-  const BipartiteGraph& graph(std::size_t j) const { return *graphs_[j]; }
   const TailCodec& tail() const { return *tail_; }
+  /// The last level, the RS tail's source: nodes [tail_offset(), node_count()).
   std::size_t tail_size() const { return level_size_.back(); }
+  std::size_t tail_offset() const { return level_offset_.back(); }
 
-  /// Total edges across all graphs — proportional to encode/decode cost.
-  std::size_t total_edges() const;
+  // The adjacency holds the random graph between each level and the next,
+  // built during construction and not kept, with each index shifted by its
+  // level's offset. The graphs a seed denotes are a wire contract.
+
+  /// The check nodes that node `node` is a left neighbour of (none for a
+  /// last-level node), in node indices.
+  std::span<const std::uint32_t> checks_of(std::size_t node) const {
+    return {checks_adj_.data() + checks_off_[node],
+            checks_off_[node + 1] - checks_off_[node]};
+  }
+  /// The left neighbours of check node `check` (in [source_count(),
+  /// node_count())), in node indices.
+  std::span<const std::uint32_t> neighbors_of(std::size_t check) const {
+    const std::size_t c = check - source_count();
+    return {neighbors_adj_.data() + neighbors_off_[c],
+            neighbors_off_[c + 1] - neighbors_off_[c]};
+  }
+  /// Every check's degree and neighbour-id XOR, indexed check -
+  /// source_count().
+  const std::vector<Tally>& tallies() const { return tallies_; }
+
+  /// Total edges of the cascade — proportional to encode/decode cost.
+  std::size_t total_edges() const { return neighbors_adj_.size(); }
 
  private:
+  void build_adjacency(const std::vector<BipartiteGraph>& graphs);
+
   TornadoParams params_;
   std::vector<std::size_t> level_size_;
   std::vector<std::size_t> level_offset_;
   std::size_t node_count_ = 0;
   std::size_t parity_count_ = 0;
-  std::vector<std::unique_ptr<BipartiteGraph>> graphs_;
+  // CSR over all levels, in node indices, both directions. Offsets are 32
+  // bits; build_adjacency() throws rather than let an edge count wrap them.
+  std::vector<std::uint32_t> checks_off_;  // node_count() + 1
+  std::vector<std::uint32_t> checks_adj_;
+  std::vector<std::uint32_t> neighbors_off_;  // check count + 1
+  std::vector<std::uint32_t> neighbors_adj_;
+  std::vector<Tally> tallies_;
   std::unique_ptr<TailCodec> tail_;
 };
 

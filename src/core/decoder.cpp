@@ -11,8 +11,7 @@ namespace {
 // The peeler's own hook as a structural decoder: decodability needs no
 // payloads.
 struct IndexOnly {
-  void recover(std::size_t, std::size_t, std::span<const std::uint32_t>,
-               std::size_t) {}
+  void recover(std::size_t, std::size_t) {}
   void check_value(std::size_t) {}
   void tail() {}
 };
@@ -21,36 +20,25 @@ struct IndexOnly {
 TornadoPeeler::TornadoPeeler(const Cascade& cascade)
     : cascade_(cascade),
       known_(cascade.node_count(), 0),
-      unknown_left_(cascade.node_count() - cascade.source_count(), 0),
-      initial_unknown_(cascade.node_count() - cascade.source_count(), 0),
+      unknown_(cascade.tallies()),
       parity_seen_(cascade.parity_count(), 0) {
-  const std::size_t k = cascade_.source_count();
-  for (std::size_t j = 0; j < cascade_.graph_count(); ++j) {
-    const BipartiteGraph& g = cascade_.graph(j);
-    const std::size_t right_off = cascade_.level_offset(j + 1);
-    for (std::size_t r = 0; r < g.right_count(); ++r) {
-      initial_unknown_[right_off + r - k] =
-          static_cast<std::uint32_t>(g.check_neighbors(r).size());
-    }
-  }
   reset();
 }
 
 template <class Hook>
 void TornadoPeeler::reset(Hook& hook) {
   std::fill(known_.begin(), known_.end(), 0);
-  unknown_left_ = initial_unknown_;
+  unknown_ = cascade_.tallies();  // same size: no reallocation
   std::fill(parity_seen_.begin(), parity_seen_.end(), 0);
-  pending_.clear();
-  dirty_checks_.clear();
+  work_.clear();
   known_source_ = 0;
   known_tail_ = 0;
   parity_received_ = 0;
   tail_done_ = false;
   const std::size_t k = cascade_.source_count();
-  for (std::size_t g = k; g < cascade_.node_count(); ++g) {
-    if (initial_unknown_[g - k] == 0) {
-      dirty_checks_.push_back(static_cast<std::uint32_t>(g));
+  for (std::size_t c = 0; c < unknown_.size(); ++c) {
+    if (unknown_[c].count == 0) {
+      work_.push_back(static_cast<std::uint32_t>(k + c));
     }
   }
   process(hook);
@@ -69,81 +57,57 @@ bool TornadoPeeler::receive(std::uint32_t index) {
   return true;
 }
 
-void TornadoPeeler::make_known(std::size_t node) {
+void TornadoPeeler::make_known(std::uint32_t node) {
   known_[node] = 1;
-  const std::size_t level = cascade_.level_of(node);
-  if (node < cascade_.source_count()) ++known_source_;
-  if (level >= 1) {
-    // Rule (a) may already apply to this check (its value just arrived while
-    // all but one neighbour were known).
-    dirty_checks_.push_back(static_cast<std::uint32_t>(node));
+  const std::size_t k = cascade_.source_count();
+  if (node < k) {
+    ++known_source_;
+  } else if (unknown_[node - k].count == 1) {
+    work_.push_back(node);  // rule (a) may apply to this check now
   }
-  if (level + 1 == cascade_.level_count()) ++known_tail_;
-  pending_.push_back(static_cast<std::uint32_t>(node));
+  if (node >= cascade_.tail_offset()) ++known_tail_;
+  // Retire the node's edges: a check left with one unknown neighbour may
+  // recover it, one left with none may recover itself.
+  for (const std::uint32_t c : cascade_.checks_of(node)) {
+    Cascade::Tally& t = unknown_[c - k];
+    t.id_xor ^= node;
+    if (--t.count <= 1) work_.push_back(c);
+  }
 }
 
 template <class Hook>
-void TornadoPeeler::trigger(std::size_t g, Hook& hook) {
-  const std::size_t slot = g - cascade_.source_count();
-  if (known_[g]) {
-    if (unknown_left_[slot] != 1) return;
-    // Rule (a): exactly one neighbour is still unprocessed. If it is truly
-    // unknown, recover it; if it is merely queued (already known), the check
-    // carries no new information.
-    const std::size_t level = cascade_.level_of(g);
-    const std::size_t left_off = cascade_.level_offset(level - 1);
-    const auto neighbors = cascade_.graph(level - 1).check_neighbors(
-        g - cascade_.level_offset(level));
-    for (const std::uint32_t l : neighbors) {
-      if (!known_[left_off + l]) {
-        hook.recover(left_off + l, g, neighbors, left_off);
-        make_known(left_off + l);
-        return;
-      }
-    }
-  } else if (unknown_left_[slot] == 0) {
-    hook.check_value(g);  // rule (b)
-    make_known(g);
+void TornadoPeeler::trigger(std::uint32_t check, Hook& hook) {
+  const Cascade::Tally& t = unknown_[check - cascade_.source_count()];
+  if (known_[check]) {
+    if (t.count != 1) return;
+    // Rule (a): the XOR of the unknown ids is the one unknown neighbour.
+    const std::uint32_t node = t.id_xor;
+    hook.recover(node, check);
+    make_known(node);
+  } else if (t.count == 0) {
+    hook.check_value(check);  // rule (b)
+    make_known(check);
   }
 }
 
 template <class Hook>
 void TornadoPeeler::process(Hook& hook) {
-  const std::size_t k = cascade_.source_count();
   while (!complete()) {
-    if (!dirty_checks_.empty()) {
-      const std::uint32_t g = dirty_checks_.back();
-      dirty_checks_.pop_back();
-      trigger(g, hook);
-      continue;
-    }
-    if (!pending_.empty()) {
-      const std::uint32_t u = pending_.back();
-      pending_.pop_back();
-      const std::size_t level = cascade_.level_of(u);
-      if (level < cascade_.graph_count()) {
-        const BipartiteGraph& graph = cascade_.graph(level);
-        const std::size_t right_off = cascade_.level_offset(level + 1);
-        for (const std::uint32_t c :
-             graph.left_checks(u - cascade_.level_offset(level))) {
-          const std::size_t g = right_off + c;
-          --unknown_left_[g - k];
-          dirty_checks_.push_back(static_cast<std::uint32_t>(g));
-        }
-      }
+    if (!work_.empty()) {
+      const std::uint32_t c = work_.back();
+      work_.pop_back();
+      trigger(c, hook);
       continue;
     }
     if (!tail_done_ &&
         cascade_.tail_size() - known_tail_ <= parity_received_) {
       // Rule (c), once.
       tail_done_ = true;
-      const std::size_t tail_k = cascade_.tail_size();
-      if (known_tail_ == tail_k) continue;
+      if (known_tail_ == cascade_.tail_size()) continue;
       hook.tail();
-      const std::size_t tail_off =
-          cascade_.level_offset(cascade_.level_count() - 1);
-      for (std::size_t i = 0; i < tail_k; ++i) {
-        if (!known_[tail_off + i]) make_known(tail_off + i);
+      for (std::size_t i = cascade_.tail_offset(); i < cascade_.node_count();
+           ++i) {
+        if (!known_[i]) make_known(static_cast<std::uint32_t>(i));
       }
       continue;
     }
@@ -198,22 +162,15 @@ bool TornadoDataDecoder::add_symbol(std::uint32_t index,
   return complete();
 }
 
-void TornadoDataDecoder::recover(std::size_t node, std::size_t check,
-                                 std::span<const std::uint32_t> neighbors,
-                                 std::size_t left_off) {
-  // node = check XOR (all known neighbours), in one gathered multi-source
-  // pass.
+void TornadoDataDecoder::recover(std::size_t node, std::size_t check) {
+  // node = check XOR (all other neighbours, known here), in one gathered
+  // multi-source pass.
   const std::size_t bytes = cascade_.symbol_size();
   auto out = nodes_.row(node);
   std::memcpy(out.data(), nodes_.row(check).data(), bytes);
   gather_.clear();
-  for (const std::uint32_t l : neighbors) {
-    // Every non-target neighbour is known here (unknown_left == 1); a
-    // duplicate edge to a known neighbour XORs twice and cancels, matching
-    // the encoder.
-    if (left_off + l != node) {
-      gather_.push_back(nodes_.row(left_off + l).data());
-    }
+  for (const std::uint32_t n : cascade_.neighbors_of(check)) {
+    if (n != node) gather_.push_back(nodes_.row(n).data());
   }
   kern::xor_block_rows(out.data(), gather_.data(), gather_.size(), bytes);
 }
@@ -221,20 +178,17 @@ void TornadoDataDecoder::recover(std::size_t node, std::size_t check,
 void TornadoDataDecoder::check_value(std::size_t check) {
   // All neighbours known; the check's own value is their XOR — copy the
   // first neighbour, fold the rest in one multi-row pass.
-  const std::size_t level = cascade_.level_of(check);
-  const std::size_t left_off = cascade_.level_offset(level - 1);
-  const auto neighbors = cascade_.graph(level - 1).check_neighbors(
-      check - cascade_.level_offset(level));
+  const auto neighbors = cascade_.neighbors_of(check);
   auto out = nodes_.row(check);
   if (neighbors.empty()) {
     std::fill(out.begin(), out.end(), 0);
     return;
   }
   const std::size_t bytes = cascade_.symbol_size();
-  std::memcpy(out.data(), nodes_.row(left_off + neighbors[0]).data(), bytes);
+  std::memcpy(out.data(), nodes_.row(neighbors[0]).data(), bytes);
   gather_.clear();
   for (std::size_t i = 1; i < neighbors.size(); ++i) {
-    gather_.push_back(nodes_.row(left_off + neighbors[i]).data());
+    gather_.push_back(nodes_.row(neighbors[i]).data());
   }
   kern::xor_block_rows(out.data(), gather_.data(), gather_.size(), bytes);
 }
@@ -244,8 +198,7 @@ void TornadoDataDecoder::tail() {
   // only rows marked present and reconstructs the missing rows in place, so
   // no staging matrix or copy-back is needed.
   const std::size_t tail_k = cascade_.tail_size();
-  const std::size_t tail_off =
-      cascade_.level_offset(cascade_.level_count() - 1);
+  const std::size_t tail_off = cascade_.tail_offset();
   std::vector<bool> have(tail_k, false);
   for (std::size_t i = 0; i < tail_k; ++i) have[i] = peel_.known(tail_off + i);
   Cascade::TailCodec::Parity parity;

@@ -13,7 +13,17 @@
 //
 // The peeler holds the index-level state and fires the rules; what a firing
 // does to payloads is a compile-time hook, so the rules exist once and the
-// index-only path pays nothing for the payload path.
+// index-only path pays nothing for the payload path. Its work per edge is a
+// constant (Luby, Mitzenmacher, Shokrollahi and Spielman, "Efficient erasure
+// correcting codes", 2001): it reads the one cascade-wide adjacency
+// (Cascade::checks_of, Cascade::neighbors_of), retires a node's edges the
+// moment the node becomes known, keeps per check the count and the XOR of
+// the ids of its unknown neighbours — so rule (a) reads its target from the
+// XOR, the way a pure cell of an invertible Bloom lookup table yields its
+// one key (Goodrich and Mitzenmacher, 2011) — and fires the rules from one
+// work stack. Peeling is confluent: the closure of the rules over the
+// received indices does not depend on the order in which they fire, so
+// completion and the recovered bytes depend only on which indices arrived.
 //
 // TornadoDataDecoder carries real payloads (the paper's client). Its hook
 // substitutes the moment a rule fires: the whole neighborhood is gathered
@@ -38,7 +48,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/cascade.hpp"
@@ -47,17 +56,27 @@
 
 namespace fountain::core {
 
-/// Rules (a)-(c) on indices: which nodes are known, how many unknown left
-/// neighbours each check still has, and which parity symbols have arrived.
-/// Work items are cascade node indices on two explicit stacks, so the whole
+/// Rules (a)-(c) on indices: which nodes are known, and per check node how
+/// many left neighbours are still unknown and the XOR of their ids. A node's
+/// edges are retired the moment it becomes known — each check it feeds loses
+/// one from its count and the node's id from its XOR — so a known check whose
+/// count is one names its last unknown neighbour in the XOR, and rule (a)
+/// needs no scan of the check's neighbours. One work stack holds the checks
+/// a rule may now apply to: a check is pushed when it becomes known or its
+/// count falls to one or zero, at most three times per decode, and the whole
 /// process is iterative — no recursion, no stack-depth hazards on long
 /// recovery chains. A Hook is called before the rule marks its node known:
-///   hook.recover(node, check, neighbors, left_off)  rule (a): `node` is
-///       `check` XOR its other neighbours (left_off + each of `neighbors`);
-///   hook.check_value(check)                          rule (b);
-///   hook.tail()                                      rule (c): every
-///       last-level node not yet known() is recovered.
-/// The template members are defined in decoder.cpp, for the two hooks. As a
+///   hook.recover(node, check)  rule (a): `node` is `check` XOR its other
+///                              neighbours (Cascade::neighbors_of);
+///   hook.check_value(check)    rule (b);
+///   hook.tail()                rule (c): every last-level node not yet
+///                              known() is recovered.
+/// Peeling is confluent: a rule that applies keeps applying as other nodes
+/// become known, until its own target is known, so whatever order the stack
+/// fires rules in, the process stops at the same closure of the received
+/// indices. The decoders therefore complete on the same arrival as any
+/// other peeling order, and recover the same bytes. The template members
+/// are defined in decoder.cpp, for the two hooks. As a
 /// fec::StructuralDecoder the peeler runs the rules with the empty hook; it
 /// starts reset with that hook.
 class TornadoPeeler final : public fec::StructuralDecoder {
@@ -87,17 +106,15 @@ class TornadoPeeler final : public fec::StructuralDecoder {
   void process(Hook& hook);
 
  private:
-  void make_known(std::size_t node);
+  void make_known(std::uint32_t node);
   template <class Hook>
-  void trigger(std::size_t check, Hook& hook);
+  void trigger(std::uint32_t check, Hook& hook);
 
   const Cascade& cascade_;
-  std::vector<std::uint8_t> known_;          // per cascade node
-  std::vector<std::uint32_t> unknown_left_;  // per check node
-  std::vector<std::uint32_t> initial_unknown_;
+  std::vector<std::uint8_t> known_;      // per cascade node
+  std::vector<Cascade::Tally> unknown_;  // per check node: unknown neighbours
   std::vector<std::uint8_t> parity_seen_;
-  std::vector<std::uint32_t> pending_;       // newly-known nodes to propagate
-  std::vector<std::uint32_t> dirty_checks_;  // checks needing re-evaluation
+  std::vector<std::uint32_t> work_;      // checks a rule may apply to
   std::size_t known_source_ = 0;
   std::size_t known_tail_ = 0;
   std::size_t parity_received_ = 0;
@@ -119,8 +136,7 @@ class TornadoDataDecoder final : public fec::IncrementalDecoder {
 
  private:
   friend class TornadoPeeler;  // calls the hook below
-  void recover(std::size_t node, std::size_t check,
-               std::span<const std::uint32_t> neighbors, std::size_t left_off);
+  void recover(std::size_t node, std::size_t check);
   void check_value(std::size_t check);
   void tail();
 

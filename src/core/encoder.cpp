@@ -18,44 +18,38 @@ CascadeEncoder::CascadeEncoder(const Cascade& cascade,
   }
   checks_ = util::SymbolMatrix(cascade_.encoded_count() - k, bytes);
 
-  // Each check packet is the XOR of its left neighbours in the level graph:
-  // initialize by copying the first neighbour (instead of zero-fill + XOR,
-  // which costs an extra full pass over the packet), then fold the whole
-  // remaining neighborhood in one cache-blocked multi-row pass — the
-  // destination tile stays L1-resident across every neighbour instead of
-  // being re-read once per source. Level 0 rows come from the borrowed
-  // source view, deeper rows from the check state filled by earlier
-  // iterations. Shapes were validated above, so this loop uses the unchecked
-  // kernels.
+  // Each check packet is the XOR of its left neighbours
+  // (Cascade::neighbors_of): initialize by copying the first neighbour
+  // (instead of zero-fill + XOR, which costs an extra full pass over the
+  // packet), then fold the whole remaining neighborhood in one cache-blocked
+  // multi-row pass — the destination tile stays L1-resident across every
+  // neighbour instead of being re-read once per source. Checks run in node
+  // order, so every neighbour is a source row from the borrowed view or a
+  // check row an earlier iteration filled. Shapes were validated above, so
+  // this loop uses the unchecked kernels.
   const auto node_row = [&](std::size_t node) {
     return node < k ? source_.row(node) : checks_.row(node - k);
   };
   std::vector<const std::uint8_t*> gather;
-  for (std::size_t j = 0; j < cascade_.graph_count(); ++j) {
-    const BipartiteGraph& g = cascade_.graph(j);
-    const std::size_t left_off = cascade_.level_offset(j);
-    const std::size_t right_off = cascade_.level_offset(j + 1);
-    for (std::size_t r = 0; r < g.right_count(); ++r) {
-      auto out = checks_.row(right_off + r - k);
-      const auto neighbors = g.check_neighbors(r);
-      if (neighbors.empty()) {
-        std::fill(out.begin(), out.end(), 0);
-        continue;
-      }
-      std::memcpy(out.data(), node_row(left_off + neighbors[0]).data(), bytes);
-      gather.clear();
-      for (std::size_t i = 1; i < neighbors.size(); ++i) {
-        gather.push_back(node_row(left_off + neighbors[i]).data());
-      }
-      kern::xor_block_rows(out.data(), gather.data(), gather.size(), bytes);
+  for (std::size_t c = k; c < cascade_.node_count(); ++c) {
+    auto out = checks_.row(c - k);
+    const auto neighbors = cascade_.neighbors_of(c);
+    if (neighbors.empty()) {
+      std::fill(out.begin(), out.end(), 0);
+      continue;
     }
+    std::memcpy(out.data(), node_row(neighbors[0]).data(), bytes);
+    gather.clear();
+    for (std::size_t i = 1; i < neighbors.size(); ++i) {
+      gather.push_back(node_row(neighbors[i]).data());
+    }
+    kern::xor_block_rows(out.data(), gather.data(), gather.size(), bytes);
   }
 
   // The RS tail's source is the contiguous last level: the source itself
   // when the cascade has no check levels (k at or below the tail threshold),
   // a check-state range otherwise. Its parity follows the check levels.
-  const std::size_t tail_off =
-      cascade_.level_offset(cascade_.level_count() - 1);
+  const std::size_t tail_off = cascade_.tail_offset();
   const util::ConstSymbolView tail =
       tail_off < k ? source_
                    : checks_.rows_view(tail_off - k, cascade_.tail_size());

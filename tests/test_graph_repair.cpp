@@ -9,7 +9,6 @@
 #include <map>
 #include <queue>
 #include <set>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -199,42 +198,66 @@ TEST(Tornado, PerLevelDistributionFallback) {
   // almost no such nodes); verify via the constructed graph's max degree.
   core::TornadoCode code(core::TornadoParams::tornado_a(2048, 16, 5));
   const auto& cascade = code.cascade();
-  for (std::size_t j = 0; j < cascade.graph_count(); ++j) {
-    const auto& g = cascade.graph(j);
+  for (std::size_t j = 0; j + 1 < cascade.level_count(); ++j) {
     std::size_t max_deg = 0;
-    for (std::uint32_t l = 0; l < g.left_count(); ++l) {
-      max_deg = std::max(max_deg, g.left_checks(l).size());
+    for (std::size_t n = cascade.level_offset(j);
+         n < cascade.level_offset(j + 1); ++n) {
+      max_deg = std::max(max_deg, cascade.checks_of(n).size());
     }
-    if (g.left_count() < 16 * 40) {
+    if (cascade.level_size(j) < 16 * 40) {
       EXPECT_LE(max_deg, 9u) << "level " << j << " should use the fallback";
     }
   }
 }
 
-/// FNV-1a over a graph's check-side adjacency: both side sizes, then each
-/// check's degree and left neighbours in order. The left side is its
-/// transpose, so this fixes the whole graph.
-std::string graph_hash(std::span<const BipartiteGraph* const> graphs) {
+/// FNV-1a over 8-byte little-endian words.
+struct Fnv1a {
   std::uint64_t hash = 0xcbf29ce484222325ULL;
-  const auto mix = [&](std::uint64_t v) {
+  void mix(std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
       hash ^= (v >> (8 * i)) & 0xffu;
       hash *= 0x100000001b3ULL;
     }
-  };
-  for (const auto* g : graphs) {
-    mix(g->left_count());
-    mix(g->right_count());
-    for (std::size_t r = 0; r < g->right_count(); ++r) {
-      const auto neighbors = g->check_neighbors(r);
-      mix(neighbors.size());
-      for (const auto l : neighbors) mix(l);
+  }
+  std::string hex() const {
+    char text[17];
+    std::snprintf(text, sizeof text, "%016llx",
+                  static_cast<unsigned long long>(hash));
+    return text;
+  }
+};
+
+/// FNV-1a over a graph's check-side adjacency: both side sizes, then each
+/// check's degree and left neighbours in order. The left side is its
+/// transpose, so this fixes the whole graph.
+std::string graph_hash(const BipartiteGraph& g) {
+  Fnv1a h;
+  h.mix(g.left_count());
+  h.mix(g.right_count());
+  for (std::size_t r = 0; r < g.right_count(); ++r) {
+    const auto neighbors = g.check_neighbors(r);
+    h.mix(neighbors.size());
+    for (const auto l : neighbors) h.mix(l);
+  }
+  return h.hex();
+}
+
+/// The same words for each level graph of a cascade in turn, read from its
+/// adjacency in level-local indices.
+std::string cascade_hash(const core::Cascade& cascade) {
+  Fnv1a h;
+  for (std::size_t j = 0; j + 1 < cascade.level_count(); ++j) {
+    const std::size_t lo = cascade.level_offset(j);
+    const std::size_t ro = cascade.level_offset(j + 1);
+    h.mix(cascade.level_size(j));
+    h.mix(cascade.level_size(j + 1));
+    for (std::size_t c = ro; c < ro + cascade.level_size(j + 1); ++c) {
+      const auto neighbors = cascade.neighbors_of(c);
+      h.mix(neighbors.size());
+      for (const auto n : neighbors) h.mix(n - lo);
     }
   }
-  char text[17];
-  std::snprintf(text, sizeof text, "%016llx",
-                static_cast<unsigned long long>(hash));
-  return text;
+  return h.hex();
 }
 
 // Graph construction is a wire contract: a sender and its receivers build
@@ -256,11 +279,7 @@ TEST(GraphPins, TornadoCascadesAtSeedOne) {
     const core::Cascade cascade(
         pin.variant_b ? core::TornadoParams::tornado_b(pin.k, 1024, 1)
                       : core::TornadoParams::tornado_a(pin.k, 1024, 1));
-    std::vector<const BipartiteGraph*> graphs;
-    for (std::size_t j = 0; j < cascade.graph_count(); ++j) {
-      graphs.push_back(&cascade.graph(j));
-    }
-    EXPECT_EQ(graph_hash(graphs), pin.hash)
+    EXPECT_EQ(cascade_hash(cascade), pin.hash)
         << (pin.variant_b ? "tornado_b" : "tornado_a") << " k=" << pin.k;
   }
 }
@@ -289,8 +308,7 @@ TEST(GraphPins, RawGraphsAcrossCycleDepths) {
     util::Rng rng(1);
     const auto g = BipartiteGraph::random(2048, 1024, tornado_a_dist(), rng,
                                           pin.policy, pin.max_cycle);
-    const BipartiteGraph* graphs[] = {&g};
-    EXPECT_EQ(graph_hash(graphs), pin.hash)
+    EXPECT_EQ(graph_hash(g), pin.hash)
         << (pin.policy == CheckDegreePolicy::kRegular ? "regular" : "poisson")
         << " max_cycle=" << pin.max_cycle;
   }

@@ -137,33 +137,57 @@ TEST(Cascade, LevelLayoutAndExactStretch) {
   }
   EXPECT_EQ(total, cascade.node_count());
   EXPECT_GE(cascade.parity_count(), 1u);
-  EXPECT_EQ(cascade.graph_count() + 1, cascade.level_count());
   // Tail stops near sqrt(k).
   EXPECT_GE(cascade.tail_size(), 31u);
 }
 
-TEST(Cascade, LevelOfIsConsistent) {
-  Cascade cascade(TornadoParams::tornado_a(500, 16, 1));
-  for (std::size_t j = 0; j < cascade.level_count(); ++j) {
-    EXPECT_EQ(cascade.level_of(cascade.level_offset(j)), j);
-    EXPECT_EQ(
-        cascade.level_of(cascade.level_offset(j) + cascade.level_size(j) - 1),
-        j);
+TEST(Cascade, ChecksOfIsTheTransposeOfNeighborsOf) {
+  // Each check's neighbours lie in the level below the check's, checks_of
+  // lists every edge from the other side, and each check's tally is its
+  // degree and the XOR of its neighbours' node ids. GraphPins fixes the
+  // edges themselves.
+  for (const std::size_t k : {std::size_t{16}, std::size_t{500}}) {
+    Cascade cascade(TornadoParams::tornado_b(k, 16, 1));
+    std::vector<std::vector<std::uint32_t>> transpose(cascade.node_count());
+    std::size_t edges = 0;
+    for (std::size_t j = 1; j < cascade.level_count(); ++j) {
+      const std::size_t first = cascade.level_offset(j);
+      for (std::size_t c = first; c < first + cascade.level_size(j); ++c) {
+        const auto neighbors = cascade.neighbors_of(c);
+        std::uint32_t id_xor = 0;
+        for (const auto n : neighbors) {
+          EXPECT_GE(n, cascade.level_offset(j - 1)) << "check " << c;
+          EXPECT_LT(n, first) << "check " << c;
+          transpose[n].push_back(static_cast<std::uint32_t>(c));
+          id_xor ^= n;
+        }
+        const auto& tally = cascade.tallies()[c - k];
+        EXPECT_EQ(tally.count, neighbors.size());
+        EXPECT_EQ(tally.id_xor, id_xor);
+        edges += neighbors.size();
+      }
+    }
+    for (std::size_t n = 0; n < cascade.node_count(); ++n) {
+      const auto got = cascade.checks_of(n);
+      std::vector<std::uint32_t> sorted(got.begin(), got.end());
+      std::sort(sorted.begin(), sorted.end());
+      EXPECT_EQ(sorted, transpose[n]) << "node " << n;
+    }
+    EXPECT_EQ(cascade.tallies().size(),
+              cascade.node_count() - cascade.source_count());
+    EXPECT_EQ(cascade.total_edges(), edges);
   }
-  EXPECT_THROW(cascade.level_of(cascade.node_count()), std::out_of_range);
 }
 
 TEST(Cascade, DeterministicForSameSeed) {
   Cascade a(TornadoParams::tornado_a(300, 16, 77));
   Cascade b(TornadoParams::tornado_a(300, 16, 77));
-  ASSERT_EQ(a.graph_count(), b.graph_count());
-  for (std::size_t j = 0; j < a.graph_count(); ++j) {
-    ASSERT_EQ(a.graph(j).edge_count(), b.graph(j).edge_count());
-    for (std::size_t r = 0; r < a.graph(j).right_count(); ++r) {
-      const auto na = a.graph(j).check_neighbors(r);
-      const auto nb = b.graph(j).check_neighbors(r);
-      ASSERT_TRUE(std::equal(na.begin(), na.end(), nb.begin(), nb.end()));
-    }
+  ASSERT_EQ(a.node_count(), b.node_count());
+  ASSERT_EQ(a.total_edges(), b.total_edges());
+  for (std::size_t c = a.source_count(); c < a.node_count(); ++c) {
+    const auto na = a.neighbors_of(c);
+    const auto nb = b.neighbors_of(c);
+    ASSERT_TRUE(std::equal(na.begin(), na.end(), nb.begin(), nb.end()));
   }
 }
 
@@ -184,7 +208,7 @@ TEST(Cascade, ParamValidation) {
 TEST(Cascade, TinyFileDegeneratesToRs) {
   // k below the tail threshold: no graphs, pure RS.
   Cascade cascade(TornadoParams::tornado_a(16, 16, 1));
-  EXPECT_EQ(cascade.graph_count(), 0u);
+  EXPECT_EQ(cascade.level_count(), 1u);
   EXPECT_EQ(cascade.node_count(), 16u);
   EXPECT_EQ(cascade.parity_count(), 16u);
 }
@@ -230,18 +254,63 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(33, 16, 'A'),
                       std::make_tuple(16, 16, 'A')));  // RS-degenerate
 
+/// The closure of rules (a)-(c) over a set of received indices, recomputed
+/// from scratch: sweep every check until no rule fires, then apply the tail
+/// rule, and repeat until neither changes anything. `known` holds the marks
+/// of the arrived cascade nodes.
+std::vector<std::uint8_t> peeling_closure(const Cascade& cascade,
+                                          std::vector<std::uint8_t> known,
+                                          std::size_t parity_received) {
+  for (;;) {
+    for (bool changed = true; changed;) {
+      changed = false;
+      for (std::size_t c = cascade.source_count(); c < cascade.node_count();
+           ++c) {
+        std::size_t unknown = 0;
+        std::size_t last = 0;
+        for (const auto n : cascade.neighbors_of(c)) {
+          if (!known[n]) {
+            ++unknown;
+            last = n;
+          }
+        }
+        if (!known[c] && unknown == 0) {  // rule (b)
+          known[c] = 1;
+          changed = true;
+        } else if (known[c] && unknown == 1) {  // rule (a)
+          known[last] = 1;
+          changed = true;
+        }
+      }
+    }
+    std::size_t missing = 0;
+    for (std::size_t i = cascade.tail_offset(); i < cascade.node_count();
+         ++i) {
+      missing += known[i] == 0;
+    }
+    if (missing == 0 || missing > parity_received) return known;
+    std::fill(known.begin() +
+                  static_cast<std::ptrdiff_t>(cascade.tail_offset()),
+              known.end(), 1);  // rule (c)
+  }
+}
+
 TEST(Tornado, StructuralAgreesWithDataDecoder) {
-  // Both decoders run one peeling process, so they must complete on exactly
-  // the same packet for the same arrival order, with the data decoder's
-  // source equal to the file. k = 16 and 33 close the cascade with the RS
-  // tail alone or after one small level. One decoder pair serves every trial
-  // through reset(), and every index arrives twice.
+  // Peeling is confluent, so any order of rule firings reaches the closure a
+  // from-scratch fixpoint computes. Before completion the structural
+  // decoder's known marks must equal that closure; both decoders must
+  // complete on exactly the first arrival at which it covers the source,
+  // with the data decoder's source then equal to the file. k = 16 and 33
+  // close the cascade with the RS tail alone or after one small level. One
+  // decoder pair serves every trial through reset(), and every encoding
+  // index, RS parity included, arrives twice.
   for (const char variant : {'A', 'B'}) {
     for (const std::size_t k : {std::size_t{16}, std::size_t{33},
-                                std::size_t{500}}) {
+                                std::size_t{256}, std::size_t{500}}) {
       TornadoCode code(variant == 'A'
                            ? TornadoParams::tornado_a(k, 16, 3)
                            : TornadoParams::tornado_b(k, 16, 3));
+      const Cascade& cascade = code.cascade();
       util::SymbolMatrix source(k, 16);
       source.fill_random(k);
       util::SymbolMatrix encoding(code.encoded_count(), 16);
@@ -249,6 +318,9 @@ TEST(Tornado, StructuralAgreesWithDataDecoder) {
 
       auto data = code.make_decoder();
       auto structural = code.make_structural_decoder();
+      // Tornado's structural decoder is the peeler itself.
+      const auto& peeler =
+          static_cast<const core::TornadoPeeler&>(*structural);
       util::Rng rng(4 + k);
       for (int trial = 0; trial < 20; ++trial) {
         data->reset();
@@ -258,23 +330,42 @@ TEST(Tornado, StructuralAgreesWithDataDecoder) {
           order[i] = static_cast<std::uint32_t>(i % code.encoded_count());
         }
         rng.shuffle(order);
-        std::size_t data_done = 0;
-        std::size_t structural_done = 0;
-        for (std::size_t i = 0; i < order.size(); ++i) {
-          if (data_done == 0 &&
-              data->add_symbol(order[i], encoding.row(order[i]))) {
-            data_done = i + 1;
+        std::vector<std::uint8_t> received(cascade.node_count(), 0);
+        std::vector<std::uint8_t> parity_seen(cascade.parity_count(), 0);
+        std::size_t parity_received = 0;
+        std::vector<std::uint8_t> closure;
+        bool covered = false;
+        for (std::size_t i = 0; i < order.size() && !covered; ++i) {
+          const std::uint32_t index = order[i];
+          std::uint8_t& mark =
+              index < cascade.node_count()
+                  ? received[index]
+                  : parity_seen[index - cascade.node_count()];
+          // A repeat changes neither the received set nor its closure.
+          if (!mark) {
+            mark = 1;
+            parity_received += index >= cascade.node_count();
+            closure = peeling_closure(cascade, received, parity_received);
+            covered = std::all_of(closure.begin(), closure.begin() + k,
+                                  [](std::uint8_t b) { return b != 0; });
           }
-          if (structural_done == 0 && structural->add_index(order[i])) {
-            structural_done = i + 1;
+          const std::string where = std::string(1, variant) +
+                                    " k=" + std::to_string(k) + " trial " +
+                                    std::to_string(trial) + " arrival " +
+                                    std::to_string(i + 1);
+          ASSERT_EQ(structural->add_index(index), covered) << where;
+          ASSERT_EQ(data->add_symbol(index, encoding.row(index)), covered)
+              << where;
+          if (covered) {
+            EXPECT_EQ(data->source(), source) << where;
+          } else {
+            for (std::size_t n = 0; n < cascade.node_count(); ++n) {
+              ASSERT_EQ(peeler.known(n), closure[n] != 0)
+                  << where << " node " << n;
+            }
           }
-          if (data_done && structural_done) break;
         }
-        ASSERT_NE(data_done, 0u);
-        EXPECT_EQ(data_done, structural_done)
-            << variant << " k=" << k << " trial " << trial;
-        EXPECT_EQ(data->source(), source)
-            << variant << " k=" << k << " trial " << trial;
+        ASSERT_TRUE(covered) << variant << " k=" << k << " trial " << trial;
       }
     }
   }
@@ -367,19 +458,14 @@ TEST(Tornado, CheckPacketsAreXorOfNeighbors) {
   source.fill_random(4);
   util::SymbolMatrix encoding(code.encoded_count(), 32);
   code.encode(source, encoding);
-  for (std::size_t j = 0; j < cascade.graph_count(); ++j) {
-    const auto& g = cascade.graph(j);
-    const std::size_t lo = cascade.level_offset(j);
-    const std::size_t ro = cascade.level_offset(j + 1);
-    for (std::size_t r = 0; r < g.right_count(); ++r) {
-      std::vector<std::uint8_t> expect(32, 0);
-      for (const auto l : g.check_neighbors(r)) {
-        for (int b = 0; b < 32; ++b) expect[b] ^= encoding.row(lo + l)[b];
-      }
-      EXPECT_TRUE(std::equal(expect.begin(), expect.end(),
-                             encoding.row(ro + r).begin()))
-          << "level " << j << " check " << r;
+  for (std::size_t c = cascade.source_count(); c < cascade.node_count(); ++c) {
+    std::vector<std::uint8_t> expect(32, 0);
+    for (const auto n : cascade.neighbors_of(c)) {
+      for (int b = 0; b < 32; ++b) expect[b] ^= encoding.row(n)[b];
     }
+    EXPECT_TRUE(std::equal(expect.begin(), expect.end(),
+                           encoding.row(c).begin()))
+        << "check " << c;
   }
 }
 
