@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "util/pool.hpp"
+
 namespace fountain::core {
 
 namespace {
@@ -53,122 +55,217 @@ class PairSet {
 /// holds (a 2-node stopping set: if both packets are lost the peeling decoder
 /// can never separate them). Each offending socket swaps its check with a
 /// random socket. Returns whether anything was rewired.
-bool repair_pairs(std::vector<Edge>& edges,
-                  const std::vector<std::size_t>& left_start, util::Rng& rng,
-                  PairSet& deg2_pairs) {
-  bool dirty = false;
-  deg2_pairs.clear();
-  for (std::size_t l = 0; l + 1 < left_start.size(); ++l) {
-    const std::size_t begin = left_start[l];
-    const std::size_t end = left_start[l + 1];
-    for (std::size_t i = begin; i < end; ++i) {
-      for (std::size_t j = i + 1; j < end; ++j) {
-        if (edges[i].first == edges[j].first) {
-          std::swap(edges[j].first, edges[rng.below(edges.size())].first);
-          dirty = true;
+class LocalRepair {
+ public:
+  LocalRepair(std::size_t right_count, std::size_t deg2_count)
+      : deg2_pairs_(deg2_count), named_by_(right_count, 0) {}
+
+  bool pass(std::vector<Edge>& edges,
+            const std::vector<std::size_t>& left_start, util::Rng& rng) {
+    bool dirty = false;
+    deg2_pairs_.clear();
+    for (std::size_t l = 0; l + 1 < left_start.size(); ++l) {
+      const std::size_t begin = left_start[l];
+      const std::size_t end = left_start[l + 1];
+      // The pairwise scan draws only where two checks repeat, so a node
+      // whose checks a stamp pass finds distinct skips it unchanged.
+      if (repeats_a_check(edges, begin, end)) {
+        for (std::size_t i = begin; i < end; ++i) {
+          for (std::size_t j = i + 1; j < end; ++j) {
+            if (edges[i].first == edges[j].first) {
+              std::swap(edges[j].first, edges[rng.below(edges.size())].first);
+              dirty = true;
+            }
+          }
         }
       }
+      if (end - begin == 2 &&
+          !deg2_pairs_.insert(edges[begin].first, edges[begin + 1].first)) {
+        std::swap(edges[begin].first, edges[rng.below(edges.size())].first);
+        dirty = true;
+      }
     }
-    if (end - begin == 2 &&
-        !deg2_pairs.insert(edges[begin].first, edges[begin + 1].first)) {
-      std::swap(edges[begin].first, edges[rng.below(edges.size())].first);
-      dirty = true;
-    }
-  }
-  return dirty;
-}
-
-/// Calls fn(l, a, b) for each degree-2 left node l in left order, with its
-/// checks a and b read when l's turn comes.
-template <typename Fn>
-void for_each_deg2(const std::vector<Edge>& edges,
-                   const std::vector<std::size_t>& left_start, Fn&& fn) {
-  for (std::size_t l = 0; l + 1 < left_start.size(); ++l) {
-    if (left_start[l + 1] - left_start[l] != 2) continue;
-    fn(static_cast<std::uint32_t>(l), edges[left_start[l]].first,
-       edges[left_start[l] + 1].first);
-  }
-}
-
-/// The degree-2 subgraph over checks, as CSR: each degree-2 left node is an
-/// edge between its two checks. Rebuilt in place once per repair round;
-/// answers bounded path queries by a two-sided breadth-first search.
-class Deg2Graph {
- public:
-  Deg2Graph(std::size_t right_count, std::size_t deg2_count)
-      : off_(right_count + 1), arcs_(2 * deg2_count),
-        mark_a_(right_count, 0), mark_b_(right_count, 0) {}
-
-  void rebuild(const std::vector<Edge>& edges,
-               const std::vector<std::size_t>& left_start) {
-    std::fill(off_.begin(), off_.end(), 0);
-    for_each_deg2(edges, left_start, [&](std::uint32_t, std::uint32_t a,
-                                         std::uint32_t b) {
-      ++off_[a + 1];
-      ++off_[b + 1];
-    });
-    for (std::size_t r = 1; r < off_.size(); ++r) off_[r] += off_[r - 1];
-    cursor_.assign(off_.begin(), off_.end() - 1);
-    for_each_deg2(edges, left_start, [&](std::uint32_t l, std::uint32_t a,
-                                         std::uint32_t b) {
-      arcs_[cursor_[a]++] = {b, l};
-      arcs_[cursor_[b]++] = {a, l};
-    });
+    return dirty;
   }
 
-  /// Whether a path of at most `limit` edges joins a and b without using
-  /// the edges labelled `skip` (a == b counts as no path). Both sides grow
-  /// level by level, the smaller frontier first; they meet exactly when the
-  /// shortest path has r_a + r_b + 1 edges.
-  bool path_within(std::uint32_t a, std::uint32_t b, std::uint32_t skip,
-                   unsigned limit) {
-    if (a == b) return false;
+ private:
+  bool repeats_a_check(const std::vector<Edge>& edges, std::size_t begin,
+                       std::size_t end) {
     if (++stamp_ == 0) {
-      std::fill(mark_a_.begin(), mark_a_.end(), 0);
-      std::fill(mark_b_.begin(), mark_b_.end(), 0);
+      std::fill(named_by_.begin(), named_by_.end(), 0);
       stamp_ = 1;
     }
-    mark_a_[a] = stamp_;
-    mark_b_[b] = stamp_;
-    front_a_.assign(1, a);
-    front_b_.assign(1, b);
+    for (std::size_t i = begin; i < end; ++i) {
+      if (std::exchange(named_by_[edges[i].first], stamp_) == stamp_) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  PairSet deg2_pairs_;
+  std::vector<std::uint32_t> named_by_;  // per check: stamp of its last node
+  std::uint32_t stamp_ = 0;
+};
+
+/// The degree-2 subgraph over checks as it stood at a repair round's start,
+/// as CSR: each degree-2 left node is an edge between its two checks. Each
+/// check lists its 2-core arcs first, so a search can keep to the core.
+class Deg2Graph {
+ public:
+  /// A degree-2 left node and its checks at the round's start.
+  struct Node {
+    std::uint32_t left, a, b;
+  };
+  struct Arc {
+    std::uint32_t other;  // the check at the far end
+    std::uint32_t via;    // the degree-2 left node this edge is
+  };
+
+  Deg2Graph(std::size_t right_count, std::size_t deg2_count)
+      : off_(right_count + 1), core_end_(right_count), cursor_(right_count),
+        degree_(right_count), incident_(right_count), arcs_(2 * deg2_count),
+        in_core_(deg2_count) {
+    nodes_.reserve(deg2_count);
+    peel_.reserve(right_count);
+  }
+
+  /// Reads the degree-2 nodes in left order, finds the subgraph's 2-core and
+  /// lays out the CSR.
+  void rebuild(const std::vector<Edge>& edges,
+               const std::vector<std::size_t>& left_start) {
+    nodes_.clear();
+    for (std::size_t l = 0; l + 1 < left_start.size(); ++l) {
+      if (left_start[l + 1] - left_start[l] != 2) continue;
+      nodes_.push_back({static_cast<std::uint32_t>(l),
+                        edges[left_start[l]].first,
+                        edges[left_start[l] + 1].first});
+    }
+    std::fill(degree_.begin(), degree_.end(), 0);
+    std::fill(incident_.begin(), incident_.end(), 0);
+    for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
+      for (const std::uint32_t c : {nodes_[i].a, nodes_[i].b}) {
+        ++degree_[c];
+        incident_[c] ^= i;
+      }
+    }
+    off_[0] = 0;
+    for (std::size_t c = 0; c < degree_.size(); ++c) {
+      off_[c + 1] = off_[c] + degree_[c];
+    }
+    // The 2-core: peel checks of degree 1 until none is left. A check's last
+    // edge is the XOR of the node ids it still holds, so the peel needs no
+    // adjacency. A self-loop counts 2 and never peels.
+    std::fill(in_core_.begin(), in_core_.end(), 1);
+    peel_.clear();
+    for (std::uint32_t c = 0; c < degree_.size(); ++c) {
+      if (degree_[c] == 1) peel_.push_back(c);
+    }
+    while (!peel_.empty()) {
+      const std::uint32_t c = peel_.back();
+      peel_.pop_back();
+      if (degree_[c] != 1) continue;
+      const std::uint32_t i = incident_[c];
+      const std::uint32_t other = nodes_[i].a ^ nodes_[i].b ^ c;
+      in_core_[i] = 0;
+      degree_[c] = 0;
+      incident_[other] ^= i;
+      if (--degree_[other] == 1) peel_.push_back(other);
+    }
+    // Each check's core arcs first, then the rest.
+    std::copy(off_.begin(), off_.end() - 1, cursor_.begin());
+    for (const bool core : {true, false}) {
+      for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
+        if (in_core_[i] != core) continue;
+        const auto [l, a, b] = nodes_[i];
+        arcs_[cursor_[a]++] = {b, l};
+        arcs_[cursor_[b]++] = {a, l};
+      }
+      if (core) core_end_ = cursor_;
+    }
+  }
+
+  const std::vector<Node>& nodes() const { return nodes_; }
+  /// Whether node i's edge lies in the 2-core (both its checks do).
+  bool in_core(std::size_t i) const { return in_core_[i] != 0; }
+  /// Arcs of check c: all of them, or only those inside the 2-core.
+  std::span<const Arc> arcs(std::uint32_t c, bool core_only) const {
+    return {arcs_.data() + off_[c],
+            (core_only ? core_end_[c] : off_[c + 1]) - off_[c]};
+  }
+
+ private:
+  std::vector<Node> nodes_;
+  std::vector<std::uint32_t> off_;
+  std::vector<std::uint32_t> core_end_;  // end of each check's core arcs
+  std::vector<std::uint32_t> cursor_;
+  // Peel state per check: live degree and XOR of live incident node ids.
+  std::vector<std::uint32_t> degree_;
+  std::vector<std::uint32_t> incident_;
+  std::vector<std::uint32_t> peel_;
+  std::vector<Arc> arcs_;
+  std::vector<std::uint8_t> in_core_;  // per node
+};
+
+/// One searcher's scratch for bounded path queries on a Deg2Graph. Both
+/// sides grow level by level, the smaller frontier first, and meet exactly
+/// when the shortest path has r_a + r_b + 1 edges. One tagged visit array
+/// says which side reached a check in the current query; each side's queue
+/// holds every check it reached, its last level being its frontier.
+class PathSearch {
+ public:
+  explicit PathSearch(std::size_t right_count)
+      : tag_(right_count, 0), queue_{std::vector<std::uint32_t>(right_count),
+                                     std::vector<std::uint32_t>(right_count)} {}
+
+  /// Whether a path of at most `limit` edges joins a and b without using
+  /// the edges labelled `skip` (a == b counts as no path), over the 2-core's
+  /// arcs only if `core_only`.
+  bool within(const Deg2Graph& g, std::uint32_t a, std::uint32_t b,
+              std::uint32_t skip, unsigned limit, bool core_only) {
+    if (a == b) return false;
+    // The tag of a check reached by side s in this query is query_ | s.
+    query_ += 2;
+    if (query_ == 0) {
+      std::fill(tag_.begin(), tag_.end(), 0);
+      query_ = 2;
+    }
+    tag_[a] = query_;
+    tag_[b] = query_ | 1;
+    queue_[0][0] = a;
+    queue_[1][0] = b;
+    std::size_t begin[2] = {0, 0}, end[2] = {1, 1};
     for (unsigned depth = 0; depth < limit; ++depth) {
-      const bool from_a = front_a_.size() <= front_b_.size();
-      auto& front = from_a ? front_a_ : front_b_;
-      auto& mine = from_a ? mark_a_ : mark_b_;
-      const auto& theirs = from_a ? mark_b_ : mark_a_;
-      next_.clear();
-      for (const std::uint32_t c : front) {
-        for (std::size_t e = off_[c]; e < off_[c + 1]; ++e) {
-          const auto [other, via] = arcs_[e];
+      const int s = end[0] - begin[0] <= end[1] - begin[1] ? 0 : 1;
+      const std::uint32_t mine = query_ | s;
+      std::uint32_t* queue = queue_[s].data();
+      const std::size_t last = end[s];
+      for (std::size_t f = begin[s]; f < last; ++f) {
+        for (const auto [other, via] : g.arcs(queue[f], core_only)) {
           if (via == skip) continue;
-          if (theirs[other] == stamp_) return true;
-          if (mine[other] == stamp_) continue;
-          mine[other] = stamp_;
-          next_.push_back(other);
+          const std::uint32_t tag = tag_[other];
+          if (tag == (mine ^ 1)) return true;
+          if (tag == mine) continue;
+          tag_[other] = mine;
+          queue[end[s]++] = other;
         }
       }
-      if (next_.empty()) return false;
-      front.swap(next_);
+      if (end[s] == last) return false;
+      begin[s] = last;
     }
     return false;
   }
 
  private:
-  struct Arc {
-    std::uint32_t other;  // the check at the far end
-    std::uint32_t via;    // the degree-2 left node this edge is
-  };
-  std::vector<std::size_t> off_;
-  std::vector<std::size_t> cursor_;
-  std::vector<Arc> arcs_;
-  // Visit marks per side: equal to stamp_ means visited by this query.
-  std::vector<std::uint32_t> mark_a_, mark_b_;
-  std::uint32_t stamp_ = 0;
-  std::vector<std::uint32_t> front_a_, front_b_, next_;
+  std::vector<std::uint32_t> tag_;
+  std::uint32_t query_ = 0;
+  std::vector<std::uint32_t> queue_[2];
 };
 
-/// Repairs the edge list in place: the local defects of `repair_pairs` until
+/// Degree-2 nodes whose round-start queries one pool task answers.
+constexpr std::size_t kQueryChunk = 256;
+
+/// Repairs the edge list in place: the local defects of `LocalRepair` until
 /// a pass is clean, then short cycles in the degree-2 subgraph. The local
 /// defects occur with constant expectation in a plain socket-model graph and
 /// are what push a Tornado code's reception overhead from ~5% to ~30%+ at
@@ -190,9 +287,9 @@ void repair_edges(std::vector<Edge>& edges,
   std::sort(edges.begin(), edges.end(),
             [](const auto& a, const auto& b) { return a.second < b.second; });
 
-  PairSet deg2_pairs(deg2_count);
+  LocalRepair local(right_count, deg2_count);
   for (int round = 0; round < 200; ++round) {
-    if (!repair_pairs(edges, left_start, rng, deg2_pairs)) break;
+    if (!local.pass(edges, left_start, rng)) break;
   }
 
   // (c) Short cycles in the degree-2 subgraph. A cycle of m degree-2 left
@@ -203,23 +300,58 @@ void repair_edges(std::vector<Edge>& edges,
   // round finds none. Longer cycles are left alone: their full-loss
   // probability is negligible. max_cycle - 1 wraps for 0, so 0 means
   // unbounded.
+  //
+  // Rewiring stays sequential in left order; the searches need not. A node
+  // whose checks are still the round-start ones asks about an edge of the
+  // round-start graph, and every cycle lies in the graph's 2-core (Seidman
+  // 1983): an edge outside it closes none, and the shortest path closing
+  // one runs inside it. So those queries are answered first, in chunks on
+  // the worker pool, over core arcs only. A node an earlier swap of the
+  // round moved names no edge of that graph, so its search, on the caller,
+  // takes the whole graph. Every answer equals a search of the round-start
+  // graph, and a swap draws only on a positive answer, so the graph a seed
+  // denotes does not depend on the worker count. The scratch is allocated
+  // here, on the calling thread, at its final sizes.
   const unsigned path_limit = max_cycle - 1;
+  const std::size_t chunks = (deg2_count + kQueryChunk - 1) / kQueryChunk;
+  const std::size_t workers = std::min(util::resolve_threads(0), chunks);
   Deg2Graph deg2(right_count, deg2_count);
+  std::vector<PathSearch> searches;
+  searches.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) searches.emplace_back(right_count);
+  std::vector<std::uint8_t> closes(deg2_count);
   for (int round = 0; round < 60; ++round) {
     deg2.rebuild(edges, left_start);
+    const auto& nodes = deg2.nodes();
+    util::WorkerPool::run(workers, chunks, [&](std::size_t worker,
+                                               std::size_t chunk) {
+      const std::size_t end =
+          std::min(deg2_count, (chunk + 1) * kQueryChunk);
+      for (std::size_t i = chunk * kQueryChunk; i < end; ++i) {
+        const auto [l, a, b] = nodes[i];
+        closes[i] = deg2.in_core(i) &&
+                    searches[worker].within(deg2, a, b, l, path_limit, true);
+      }
+    });
     bool dirty = false;
-    for_each_deg2(edges, left_start, [&](std::uint32_t l, std::uint32_t a,
-                                         std::uint32_t b) {
-      if (!deg2.path_within(a, b, l, path_limit)) return;
+    for (std::size_t i = 0; i < deg2_count; ++i) {
+      const auto [l, a0, b0] = nodes[i];
+      const std::uint32_t a = edges[left_start[l]].first;
+      const std::uint32_t b = edges[left_start[l] + 1].first;
+      const bool moved = a != a0 || b != b0;
+      if (!(moved ? searches[0].within(deg2, a, b, l, path_limit, false)
+                  : closes[i])) {
+        continue;
+      }
       // Break the cycle by moving one endpoint to a random other socket.
       std::swap(edges[left_start[l]].first,
                 edges[rng.below(edges.size())].first);
       dirty = true;
-    });
+    }
     if (!dirty) break;
     // Rewiring may reintroduce parallel edges / duplicate pairs; one cheap
     // clean-up pass per round.
-    repair_pairs(edges, left_start, rng, deg2_pairs);
+    local.pass(edges, left_start, rng);
   }
   // Degenerate parameter ranges (e.g. more degree-2 lefts than check pairs)
   // cannot be fully repaired; the graph is still usable, just with a tail of
@@ -267,47 +399,47 @@ BipartiteGraph BipartiteGraph::random(std::size_t left_count,
 
   repair_edges(edges, degrees, right_count, rng, max_cycle);
 
-  // Residual parallel edges (possible only in degenerate cases) cancel in
-  // pairs: an even number of edges between the same pair contributes nothing
-  // to an XOR.
-  std::sort(edges.begin(), edges.end());
-  std::vector<Edge> kept;
-  kept.reserve(edges.size());
-  for (std::size_t i = 0; i < edges.size();) {
-    std::size_t j = i;
-    while (j < edges.size() && edges[j] == edges[i]) ++j;
-    if ((j - i) % 2 == 1) kept.push_back(edges[i]);
-    i = j;
-  }
-
   BipartiteGraph g;
   g.left_count_ = left_count;
   g.right_count_ = right_count;
 
-  g.right_off_.assign(right_count + 1, 0);
-  for (const auto& [r, l] : kept) {
+  // Repair sorted the edges by left node and moved only their checks, so
+  // dealing them out by check lists each check's neighbours in increasing
+  // order, parallel edges side by side.
+  std::vector<std::size_t> dealt(right_count + 1, 0);
+  for (const auto& [r, l] : edges) {
     (void)l;
-    ++g.right_off_[r + 1];
+    ++dealt[r + 1];
   }
-  for (std::size_t r = 0; r < right_count; ++r) {
-    g.right_off_[r + 1] += g.right_off_[r];
-  }
-  g.right_adj_.resize(kept.size());
+  for (std::size_t r = 0; r < right_count; ++r) dealt[r + 1] += dealt[r];
+  std::vector<std::uint32_t> by_check(edges.size());
   {
-    std::vector<std::size_t> cursor(g.right_off_.begin(),
-                                    g.right_off_.end() - 1);
-    for (const auto& [r, l] : kept) g.right_adj_[cursor[r]++] = l;
+    std::vector<std::size_t> cursor(dealt.begin(), dealt.end() - 1);
+    for (const auto& [r, l] : edges) by_check[cursor[r]++] = l;
   }
+  // Residual parallel edges (possible only in degenerate cases) cancel in
+  // pairs: an even number of edges between the same pair contributes nothing
+  // to an XOR.
+  g.right_off_.assign(right_count + 1, 0);
+  std::size_t kept = 0;
+  for (std::size_t r = 0; r < right_count; ++r) {
+    for (std::size_t i = dealt[r]; i < dealt[r + 1];) {
+      std::size_t j = i;
+      while (j < dealt[r + 1] && by_check[j] == by_check[i]) ++j;
+      if ((j - i) % 2 == 1) by_check[kept++] = by_check[i];
+      i = j;
+    }
+    g.right_off_[r + 1] = kept;
+  }
+  by_check.resize(kept);
+  g.right_adj_ = std::move(by_check);
 
   g.left_off_.assign(left_count + 1, 0);
-  for (const auto& [r, l] : kept) {
-    (void)r;
-    ++g.left_off_[l + 1];
-  }
+  for (const std::uint32_t l : g.right_adj_) ++g.left_off_[l + 1];
   for (std::size_t l = 0; l < left_count; ++l) {
     g.left_off_[l + 1] += g.left_off_[l];
   }
-  g.left_adj_.resize(kept.size());
+  g.left_adj_.resize(kept);
   {
     std::vector<std::size_t> cursor(g.left_off_.begin(), g.left_off_.end() - 1);
     for (std::size_t r = 0; r < right_count; ++r) {

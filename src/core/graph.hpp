@@ -48,7 +48,9 @@ class BipartiteGraph {
   /// effort: repair stops after 60 rounds, and a degree-2 subgraph too dense
   /// for the requested girth keeps some short cycles. 0 means no length
   /// bound (every degree-2 cycle is a rewiring target); 1 disables cycle
-  /// repair.
+  /// repair. A graph with more than 256 degree-2 left nodes answers each
+  /// repair round's cycle searches on up to util::resolve_threads(0) worker
+  /// threads; the graph is the same at every count.
   static BipartiteGraph random(
       std::size_t left_count, std::size_t right_count,
       const DegreeDistribution& dist, util::Rng& rng,

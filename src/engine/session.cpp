@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "engine/pool.hpp"
+#include "util/pool.hpp"
 
 namespace fountain::engine {
 
@@ -562,9 +562,8 @@ std::vector<ReceiverReport> Session::run() {
   std::vector<ReceiverReport> reports(receivers_.size());
   const std::size_t cohorts =
       (receivers_.size() + config_.cohort_size - 1) / config_.cohort_size;
-  const std::size_t workers =
-      std::min(resolve_threads(config_.threads), std::max<std::size_t>(
-                                                     cohorts, 1));
+  const std::size_t workers = std::min(util::resolve_threads(config_.threads),
+                                       std::max<std::size_t>(cohorts, 1));
   // One slot pool per worker (sized lazily on first use): a cohort's pooled
   // sinks and distinct bitmaps are worker-local, so the simulation path
   // takes no locks. Every cohort writes only reports [first, first+count) —
@@ -572,7 +571,8 @@ std::vector<ReceiverReport> Session::run() {
   const std::size_t slots_per_pool =
       std::min(config_.cohort_size, receivers_.size());
   std::vector<std::vector<Slot>> pools(std::max<std::size_t>(workers, 1));
-  CohortPool::run(workers, cohorts, [&](std::size_t worker, std::size_t c) {
+  util::WorkerPool::run(workers, cohorts, [&](std::size_t worker,
+                                               std::size_t c) {
     std::vector<Slot>& slots = pools[worker];
     if (slots.size() < slots_per_pool) slots.resize(slots_per_pool);
     const std::size_t first = c * config_.cohort_size;

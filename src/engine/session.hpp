@@ -181,7 +181,7 @@ struct SessionConfig {
   Time horizon = 4'000'000;
   /// Receivers simulated concurrently; bounds pooled decoder memory.
   std::size_t cohort_size = 1024;
-  /// Worker threads for run(). 0 = auto (engine::resolve_threads: one per
+  /// Worker threads for run(). 0 = auto (util::resolve_threads: one per
   /// hardware thread); 1 preserves the exact historical sequential path.
   /// Cohorts are the shard unit — each worker runs whole cohorts with its
   /// own slot pool, so peak pooled-sink memory is

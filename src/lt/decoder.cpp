@@ -439,18 +439,18 @@ bool LtDecoderCore::add_index(std::uint32_t index) {
 LtDataDecoder::LtDataDecoder(const LtCode& code)
     : core_(code),
       symbol_size_(code.symbol_size()),
-      nodes_(code.source_count(), code.symbol_size()) {}
+      nodes_(code.source_count(), code.symbol_size()),
+      // About 1 MiB of rows per chunk.
+      chunk_shift_(static_cast<unsigned>(std::countr_zero(std::bit_floor(
+          std::max<std::size_t>(1, (std::size_t{1} << 20) / symbol_size_))))) {}
 
 void LtDataDecoder::store_payload(std::uint32_t check,
                                   util::ConstByteSpan data) {
-  const std::size_t need =
-      (static_cast<std::size_t>(check) + 1) * symbol_size_;
-  if (payload_.capacity() < need) {
-    payload_.reserve(std::max(need, payload_.capacity() * 2));
+  while (payload_.size() <= check >> chunk_shift_) {
+    payload_.push_back(std::make_unique_for_overwrite<std::uint8_t[]>(
+        symbol_size_ << chunk_shift_));
   }
-  payload_.resize(need);
-  std::memcpy(payload_.data() + static_cast<std::size_t>(check) * symbol_size_,
-              data.data(), symbol_size_);
+  std::memcpy(payload_row(check), data.data(), symbol_size_);
 }
 
 void LtDataDecoder::fold(const std::vector<PeelEvent>& events,
@@ -571,9 +571,6 @@ bool LtDataDecoder::add_symbol(std::uint32_t index, util::ConstByteSpan data) {
   return core_.complete();
 }
 
-void LtDataDecoder::reset() {
-  core_.reset();
-  payload_.clear();
-}
+void LtDataDecoder::reset() { core_.reset(); }
 
 }  // namespace fountain::lt

@@ -60,6 +60,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <unordered_set>
 #include <vector>
 
@@ -258,8 +259,9 @@ class LtDataDecoder final : public fec::IncrementalDecoder {
   const LtDecoderCore& core() const { return core_; }
 
  private:
-  const std::uint8_t* payload_row(std::uint32_t check) const {
-    return payload_.data() + static_cast<std::size_t>(check) * symbol_size_;
+  std::uint8_t* payload_row(std::uint32_t check) {
+    return payload_[check >> chunk_shift_].get() +
+           (check & ((std::uint32_t{1} << chunk_shift_) - 1)) * symbol_size_;
   }
   void store_payload(std::uint32_t check, util::ConstByteSpan data);
   /// For each event in order: value(source) = check payload XOR every other
@@ -271,7 +273,10 @@ class LtDataDecoder final : public fec::IncrementalDecoder {
   LtDecoderCore core_;
   std::size_t symbol_size_;
   util::SymbolMatrix nodes_;           // k source rows (the decode target)
-  std::vector<std::uint8_t> payload_;  // stored check payloads, row-major
+  // Stored check payloads, in chunks of 2^chunk_shift_ rows allocated as
+  // checks arrive and kept through reset(): a stored row never moves.
+  std::vector<std::unique_ptr<std::uint8_t[]>> payload_;
+  unsigned chunk_shift_;
   std::vector<PeelEvent> events_;      // scratch
   std::vector<const std::uint8_t*> gather_;  // substitution-source scratch
   // apply_plan() step 2: one row per pivot (mask, then payload) and the

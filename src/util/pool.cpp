@@ -1,4 +1,4 @@
-#include "engine/pool.hpp"
+#include "util/pool.hpp"
 
 #include <algorithm>
 #include <atomic>
@@ -7,7 +7,7 @@
 #include <thread>
 #include <vector>
 
-namespace fountain::engine {
+namespace fountain::util {
 
 std::size_t resolve_threads(std::size_t requested) {
   if (requested == 0) {
@@ -16,7 +16,7 @@ std::size_t resolve_threads(std::size_t requested) {
   return std::max<std::size_t>(requested, 1);
 }
 
-void CohortPool::run(
+void WorkerPool::run(
     std::size_t threads, std::size_t count,
     const std::function<void(std::size_t, std::size_t)>& task) {
   if (count == 0) return;
@@ -57,4 +57,4 @@ void CohortPool::run(
   if (first_error) std::rethrow_exception(first_error);
 }
 
-}  // namespace fountain::engine
+}  // namespace fountain::util

@@ -16,7 +16,7 @@
 #include "cc/policies.hpp"
 #include "cc/trace.hpp"
 #include "core/tornado.hpp"
-#include "engine/pool.hpp"
+#include "util/pool.hpp"
 #include "engine/session.hpp"
 #include "engine/sources.hpp"
 #include "engine/topology.hpp"
@@ -773,10 +773,10 @@ TEST(SessionValidation, ThreadsZeroNormalizesToHardwareConcurrency) {
   // resolves to hardware_concurrency clamped to >= 1; explicit requests
   // pass through verbatim (even oversubscribed ones).
   const std::size_t hw = std::thread::hardware_concurrency();
-  EXPECT_EQ(engine::resolve_threads(0), std::max<std::size_t>(hw, 1));
-  EXPECT_EQ(engine::resolve_threads(1), 1u);
-  EXPECT_EQ(engine::resolve_threads(3), 3u);
-  EXPECT_EQ(engine::resolve_threads(64), 64u);
+  EXPECT_EQ(util::resolve_threads(0), std::max<std::size_t>(hw, 1));
+  EXPECT_EQ(util::resolve_threads(1), 1u);
+  EXPECT_EQ(util::resolve_threads(3), 3u);
+  EXPECT_EQ(util::resolve_threads(64), 64u);
 
   // And a session configured with threads = 0 runs to completion.
   const auto code = fec::make_reed_solomon(gf::RsKind::kCauchy, 20, 20, 8);

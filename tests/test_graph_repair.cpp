@@ -10,6 +10,7 @@
 #include <queue>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/degree.hpp"
@@ -274,6 +275,7 @@ TEST(GraphPins, TornadoCascadesAtSeedOne) {
       {false, 256, "c3ef4a2ecf59c258"},   {false, 4096, "04c54dc61b89867f"},
       {false, 16384, "7e7d23f12c4b5fe0"}, {true, 256, "c3ef4a2ecf59c258"},
       {true, 4096, "073fbbb39efdd590"},   {true, 16384, "0faf387de0236147"},
+      {false, 65536, "04ca0968452a104d"},
   };
   for (const auto& pin : pins) {
     const core::Cascade cascade(
@@ -284,34 +286,60 @@ TEST(GraphPins, TornadoCascadesAtSeedOne) {
   }
 }
 
+// The 8192-left shapes are the first large enough that a cycle-repair round
+// answers its queries on the worker pool; max_cycle 0 is the unbounded
+// search.
 TEST(GraphPins, RawGraphsAcrossCycleDepths) {
   struct Pin {
+    std::size_t left;
     CheckDegreePolicy policy;
     unsigned max_cycle;
     const char* hash;
   };
   const Pin pins[] = {
-      {CheckDegreePolicy::kRegular, 0, "9e4af0bca3c1f887"},
-      {CheckDegreePolicy::kRegular, 1, "11ae06d4789848f3"},
-      {CheckDegreePolicy::kRegular, 2, "11ae06d4789848f3"},
-      {CheckDegreePolicy::kRegular, 3, "11ae06d4789848f3"},
-      {CheckDegreePolicy::kRegular, 8, "bcfd57896d95d46b"},
-      {CheckDegreePolicy::kRegular, 12, "44bb08a327278987"},
-      {CheckDegreePolicy::kPoisson, 0, "53b6dde4b30ab31f"},
-      {CheckDegreePolicy::kPoisson, 1, "8e8d8af9f3622f63"},
-      {CheckDegreePolicy::kPoisson, 2, "8e8d8af9f3622f63"},
-      {CheckDegreePolicy::kPoisson, 3, "2ffb22dfdea26e83"},
-      {CheckDegreePolicy::kPoisson, 8, "3c0fe8e20a4c6c53"},
-      {CheckDegreePolicy::kPoisson, 12, "96d3e27d35de0757"},
+      {2048, CheckDegreePolicy::kRegular, 0, "9e4af0bca3c1f887"},
+      {2048, CheckDegreePolicy::kRegular, 1, "11ae06d4789848f3"},
+      {2048, CheckDegreePolicy::kRegular, 2, "11ae06d4789848f3"},
+      {2048, CheckDegreePolicy::kRegular, 3, "11ae06d4789848f3"},
+      {2048, CheckDegreePolicy::kRegular, 8, "bcfd57896d95d46b"},
+      {2048, CheckDegreePolicy::kRegular, 12, "44bb08a327278987"},
+      {2048, CheckDegreePolicy::kPoisson, 0, "53b6dde4b30ab31f"},
+      {2048, CheckDegreePolicy::kPoisson, 1, "8e8d8af9f3622f63"},
+      {2048, CheckDegreePolicy::kPoisson, 2, "8e8d8af9f3622f63"},
+      {2048, CheckDegreePolicy::kPoisson, 3, "2ffb22dfdea26e83"},
+      {2048, CheckDegreePolicy::kPoisson, 8, "3c0fe8e20a4c6c53"},
+      {2048, CheckDegreePolicy::kPoisson, 12, "96d3e27d35de0757"},
+      {8192, CheckDegreePolicy::kRegular, 0, "6ba9111f770a8d5c"},
+      {8192, CheckDegreePolicy::kRegular, 12, "f4d43996948e0138"},
+      {8192, CheckDegreePolicy::kPoisson, 0, "682ae4014666da88"},
+      {8192, CheckDegreePolicy::kPoisson, 12, "5d6ce2b7e9056d60"},
   };
   for (const auto& pin : pins) {
     util::Rng rng(1);
-    const auto g = BipartiteGraph::random(2048, 1024, tornado_a_dist(), rng,
-                                          pin.policy, pin.max_cycle);
+    const auto g = BipartiteGraph::random(pin.left, pin.left / 2,
+                                          tornado_a_dist(), rng, pin.policy,
+                                          pin.max_cycle);
     EXPECT_EQ(graph_hash(g), pin.hash)
-        << (pin.policy == CheckDegreePolicy::kRegular ? "regular" : "poisson")
+        << pin.left << (pin.policy == CheckDegreePolicy::kRegular
+                            ? " regular"
+                            : " poisson")
         << " max_cycle=" << pin.max_cycle;
   }
+}
+
+// Constructions running at once, each fanning its repair rounds out to the
+// worker pool, must still denote the pinned graph.
+TEST(GraphPins, ConcurrentConstructionsAgree) {
+  std::string hashes[4];
+  std::vector<std::thread> builders;
+  for (auto& hash : hashes) {
+    builders.emplace_back([&hash] {
+      hash = cascade_hash(
+          core::Cascade(core::TornadoParams::tornado_a(16384, 1024, 1)));
+    });
+  }
+  for (auto& t : builders) t.join();
+  for (const auto& hash : hashes) EXPECT_EQ(hash, "7e7d23f12c4b5fe0");
 }
 
 }  // namespace

@@ -2,12 +2,16 @@
 //
 // The constructor arms setitimer(ITIMER_PROF), which sends the process a
 // SIGPROF for every millisecond of CPU time it uses, on whichever thread is
-// running; the handler stores the interrupted program counter in a fixed
-// buffer. The destructor disarms the timer and writes, beside this shared
-// object, `samples.<pid>`: the executable's path, every executable mapping
-// of the process, and one line per sample. Only the process itself (and
-// any program it execs, which loads the sampler again) is sampled; nothing
-// outside it is read or set. x86-64 Linux only: the handler reads RIP.
+// running; the handler stores the interrupted program counter, and the word
+// at the interrupted stack pointer, in a fixed buffer. That word is the
+// return address when the sample lands in a leaf function that has not
+// pushed anything yet (a libc memcpy or memset), which lets the script name
+// the caller of library time. The destructor disarms the timer and writes,
+// beside this shared object, `samples.<pid>`: the executable's path, every
+// executable mapping of the process, and one line per sample. Only the
+// process itself (and any program it execs, which loads the sampler again)
+// is sampled; nothing outside it is read or set. x86-64 Linux only: the
+// handler reads RIP and RSP.
 #define _GNU_SOURCE
 #include <dlfcn.h>
 #include <signal.h>
@@ -20,7 +24,12 @@
 
 #define SAMPLE_CAPACITY (1u << 20)
 
-static uintptr_t samples[SAMPLE_CAPACITY];
+struct sample {
+  uintptr_t pc;
+  uintptr_t stack_top;  // the word at the interrupted stack pointer
+};
+
+static struct sample samples[SAMPLE_CAPACITY];
 static unsigned long sample_count;  // may exceed the capacity: drops
 static pid_t sampled_pid;  // a forked child holds a copy of the samples
 
@@ -31,7 +40,8 @@ static void on_sigprof(int sig, siginfo_t* info, void* context) {
   const unsigned long i =
       __atomic_fetch_add(&sample_count, 1, __ATOMIC_RELAXED);
   if (i < SAMPLE_CAPACITY) {
-    samples[i] = (uintptr_t)uc->uc_mcontext.gregs[REG_RIP];
+    samples[i].pc = (uintptr_t)uc->uc_mcontext.gregs[REG_RIP];
+    samples[i].stack_top = *(const uintptr_t*)uc->uc_mcontext.gregs[REG_RSP];
   }
 }
 
@@ -93,7 +103,8 @@ __attribute__((destructor)) static void sampler_stop(void) {
       taken < SAMPLE_CAPACITY ? taken : SAMPLE_CAPACITY;
   fprintf(out, "dropped %lu\n", taken - kept);
   for (unsigned long i = 0; i < kept; ++i) {
-    fprintf(out, "pc %lx\n", (unsigned long)samples[i]);
+    fprintf(out, "pc %lx %lx\n", (unsigned long)samples[i].pc,
+            (unsigned long)samples[i].stack_top);
   }
   fclose(out);
 }

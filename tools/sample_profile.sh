@@ -1,15 +1,24 @@
 #!/usr/bin/env bash
 # CPU-time profile of one command, split by function, with no perf and no
 # kernel setting: runs the command with tools/sample_profile.c preloaded,
-# which records the interrupted program counter on a SIGPROF per
-# millisecond of the process's CPU time (setitimer ITIMER_PROF; the kernel
-# may deliver them at its own tick), then symbolizes the samples with
-# `nm -C` against each sampled executable. Prints, per sampled process,
-# every function with at least 0.5 % of the samples, the rest of the binary
-# in one line, and the share that fell outside the binary (shared
-# libraries, vdso), split by mapping. Inlined code counts toward the
-# function it was inlined into. The command's own output and exit status
-# pass through; the profile follows its output on stdout. x86-64 Linux only.
+# which records the interrupted program counter and the word at the
+# interrupted stack pointer on a SIGPROF per millisecond of the process's
+# CPU time (setitimer ITIMER_PROF; the kernel may deliver them at its own
+# tick), then symbolizes the samples with `nm -C` against each sampled
+# executable. Prints, per sampled process, every function with at least
+# 0.5 % of the samples, the rest of the binary in one line, and the share
+# that fell outside the binary (shared libraries, vdso), split by mapping.
+# Inlined code counts toward the function it was inlined into.
+#
+# A sample outside the binary whose stack word points into the binary's
+# text is printed as `libc.so.6 ← FUNCTION`, FUNCTION holding that address.
+# The word is the return address only while the library function is a
+# frame-less leaf that has pushed nothing (memcpy, memset); otherwise it is
+# a saved register or a local, which rarely points into text and then
+# leaves the sample in the outside line. A call the compiler made as a tail
+# call (a jump) left no return address into its caller, so it names the
+# caller's caller. The command's own output and exit status pass through;
+# the profile follows its output on stdout. x86-64 Linux only.
 #
 #   tools/sample_profile.sh COMMAND [ARG...]
 #   tools/sample_profile.sh .bench_build/e2e/bench_e2e --workload population \
@@ -45,7 +54,7 @@ for name in files:
         for line in f:
             kind, _, rest = line.rstrip("\n").partition(" ")
             if kind == "pc":
-                pcs.append(int(rest, 16))
+                pcs.append(tuple(int(v, 16) for v in rest.split()))
             elif kind == "map":
                 start, end, offset, *path = rest.split(" ", 3)
                 maps.append((int(start, 16), int(end, 16), int(offset, 16),
@@ -92,22 +101,36 @@ for count, pid, exe, maps, pcs, dropped in sorted(processes, reverse=True):
     segs = load_segments(exe)
     syms = functions(exe)
     starts = [s[0] for s in syms]
-    inside = collections.Counter()
-    outside = collections.Counter()
-    for pc in pcs:
-        m = next((m for m in maps if m[0] <= pc < m[1]), None)
-        if m is None or m[3] != exe:
-            name = os.path.basename(m[3]) if m and m[3] else "[anonymous]"
-            outside[name] += 1
-            continue
-        off = pc - m[0] + m[2]
+
+    def symbol(addr):
+        """The binary's function holding addr, "[no symbol]" in its
+        mappings, None outside them."""
+        m = next((m for m in maps if m[0] <= addr < m[1] and m[3] == exe),
+                 None)
+        if m is None:
+            return None
+        off = addr - m[0] + m[2]
         seg = next((s for s in segs if s[0] <= off < s[0] + s[2]), None)
         vaddr = seg[1] + off - seg[0] if seg else -1
         i = bisect.bisect_right(starts, vaddr) - 1
         if i >= 0 and vaddr < syms[i][0] + max(syms[i][1], 1):
-            inside[syms[i][2]] += 1
+            return syms[i][2]
+        return "[no symbol]"
+
+    inside = collections.Counter()
+    outside = collections.Counter()
+    for pc, stack_top in pcs:
+        name = symbol(pc)
+        if name is not None:
+            inside[name] += 1
+            continue
+        m = next((m for m in maps if m[0] <= pc < m[1]), None)
+        lib = os.path.basename(m[3]) if m and m[3] else "[anonymous]"
+        caller = symbol(stack_top)
+        if caller is None or caller == "[no symbol]":
+            outside[lib] += 1
         else:
-            inside["[no symbol]"] += 1
+            inside["%s \u2190 %s" % (lib, caller)] += 1
     pct = lambda n: 100.0 * n / count
     print("sample_profile: %s (pid %s): %d samples%s"
           % (exe, pid, count, ", %d dropped" % dropped if dropped else ""))
@@ -120,10 +143,10 @@ for count, pid, exe, maps, pcs, dropped in sorted(processes, reverse=True):
         else:
             rest += n
     if rest:
-        print("%6.1f %% %8d  [other functions of the binary]"
-              % (pct(rest), rest))
+        print("%6.1f %% %8d  [other functions of the binary, and library"
+              " time they called]" % (pct(rest), rest))
     total_out = sum(outside.values())
-    print("%6.1f %% %8d  outside the binary%s" % (
+    print("%6.1f %% %8d  outside the binary, caller not named%s" % (
         pct(total_out), total_out,
         ": " + ", ".join("%s %.1f %%" % (name, pct(n))
                          for name, n in outside.most_common())
